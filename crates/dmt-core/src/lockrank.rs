@@ -46,6 +46,8 @@ impl LockRank {
     pub const ORDER: &'static str =
         "RegistryMap(1) -> TenantWriter(2) -> PoolJobSlot(3) -> EpochCell(4)";
 
+    /// Numeric rank for the debug-build checker's message, its only caller.
+    #[cfg(debug_assertions)]
     fn as_u8(self) -> u8 {
         self as u8
     }

@@ -62,10 +62,12 @@ pub enum GainDecision {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Routing {
     /// Read the tested feature out of the contiguous matrix the node update
-    /// just gathered (hot path: no pointer chase per instance).
+    /// just gathered (hot path: no pointer chase per instance), and hand
+    /// the presorted numeric columns down to the children.
     Gathered,
     /// Re-read the tested feature through the original row pointer, exactly
-    /// as a one-instance-at-a-time descent would (reference path).
+    /// as a one-instance-at-a-time descent would, and sort every node's
+    /// numeric columns afresh (reference path).
     PerInstance,
 }
 
@@ -239,12 +241,16 @@ impl NodeStats {
     /// allocation per instance.
     ///
     /// The routed sub-batch is gathered into the scratch space's contiguous
-    /// row-major matrix once; a single batched model pass then produces every
-    /// per-row loss and gradient (one enum dispatch per node instead of one
-    /// per instance), the node and candidate accumulators are fed from that
-    /// shared gradient buffer, and the final SGD sweep runs through
+    /// row-major matrix once and its numeric columns are sorted; a single
+    /// batched model pass then produces every per-row loss and gradient (one
+    /// enum dispatch per node instead of one per instance), the node and
+    /// candidate accumulators are fed from that shared gradient buffer, and
+    /// the final SGD sweep runs through
     /// [`dmt_models::SimpleModel::learn_batch_into`] in the configured
-    /// [`dmt_models::BatchMode`].
+    /// [`dmt_models::BatchMode`]. Inside the tree only the node that starts a
+    /// descent sorts; the nodes below inherit their parent's sorted rows
+    /// (the crate's `learn_at` recursion) and produce bit-identical
+    /// statistics.
     pub fn update_with_batch_indexed(
         &mut self,
         xs: &[&[f64]],
@@ -257,11 +263,25 @@ impl NodeStats {
         if idx.is_empty() {
             return;
         }
-        let k = self.model.num_params();
-        let m = xs[idx[0]].len();
-        let b = idx.len();
-        scratch.prepare_node(b, k, self.model.num_classes());
         scratch.gather(xs, ys, idx);
+        sort_columns(scratch, xs[idx[0]].len(), nominal_features);
+        self.update_gathered(nominal_features, config, scratch, 0);
+    }
+
+    /// The node update over the non-empty sub-batch already gathered into
+    /// `scratch.xbuf`/`scratch.ybuf`, whose rows sorted by every numeric
+    /// column sit at `offset` of each `scratch.orders` stripe.
+    fn update_gathered(
+        &mut self,
+        nominal_features: &[bool],
+        config: &DmtConfig,
+        scratch: &mut UpdateScratch,
+        offset: usize,
+    ) {
+        let k = self.model.num_params();
+        let b = scratch.ybuf.len();
+        let m = scratch.xbuf.len() / b;
+        scratch.prepare_node(b, k, self.model.num_classes());
         // Split the scratch space into disjoint borrows: the gathered batch
         // is read through matrix views while the per-row outputs are written.
         let UpdateScratch {
@@ -272,7 +292,8 @@ impl NodeStats {
             values_buf,
             xbuf,
             ybuf,
-            sort_pairs,
+            orders,
+            order_stride,
             boundaries,
             acc_buf,
             proposals_buf,
@@ -282,6 +303,8 @@ impl NodeStats {
             bucket_counts,
             bucket_grads,
             bucket_lookup,
+            cand_order,
+            cand_start,
             ..
         } = scratch;
         let xmat = MatRef::new(xbuf, b, m);
@@ -305,14 +328,15 @@ impl NodeStats {
 
         // Candidate proposal (§V-D) and accumulation (lines 6–10) in ONE
         // combined pass per feature, fed from the batched gradient buffer of
-        // the model pass above: numeric features sort their column once by
-        // order-preserving bit key and serve both the quantile proposals and
-        // a boundary sweep that hands every candidate its left-prefix sums;
-        // nominal features build per-category bucket accumulators that serve
-        // both the distinct-code proposals and the candidate sums. Proposal
-        // `SplitCandidate`s are recycled through the `retired` pool, so the
-        // whole pass is allocation-free in steady state.
+        // the model pass above: numeric features read their presorted rows
+        // and serve both the quantile proposals and a boundary sweep that
+        // hands every candidate its left-prefix sums; nominal features build
+        // per-category bucket accumulators that serve both the distinct-code
+        // proposals and the candidate sums. Proposal `SplitCandidate`s are
+        // recycled through the `retired` pool, so the whole pass is
+        // allocation-free in steady state.
         proposals_buf.clear();
+        Self::group_candidates(&self.candidates, m, cand_order, cand_start);
         Self::propose_and_accumulate(
             &mut self.candidates,
             proposals_buf,
@@ -322,8 +346,16 @@ impl NodeStats {
             nominal_features,
             losses,
             gradmat,
+            Sorted {
+                orders,
+                stride: *order_stride,
+                offset,
+            },
+            CandidateGroups {
+                order: cand_order,
+                start: cand_start,
+            },
             values_buf,
-            sort_pairs,
             boundaries,
             acc_buf,
             bucket_keys,
@@ -347,11 +379,13 @@ impl NodeStats {
 
         // Candidate pool management (§V-D): let the freshly proposed
         // candidates displace at most `replacement_rate` of the pool.
-        self.manage_candidate_pool(xmat.cols(), config, proposals_buf, retired);
+        self.manage_candidate_pool(m, config, proposals_buf, retired);
 
         // Finally, train the simple model with constant-learning-rate SGD
         // over the gathered batch (§V-A); `config.batch_mode` selects the
-        // per-instance reference sweep or the windowed batched kernel.
+        // per-instance reference sweep or the windowed batched kernel. The
+        // sweep computes residuals only: the pre-update losses Algorithm 1
+        // accumulates came from the pass above.
         self.model.learn_batch_into(
             xmat,
             ybuf,
@@ -360,28 +394,6 @@ impl NodeStats {
             grad_buf,
             class_buf,
         );
-    }
-
-    /// Order-preserving `u64` key of an `f64` feature value: the sort over
-    /// these keys is a branchless integer sort with the same value order as
-    /// `partial_cmp` on finite floats. `-0.0` is normalised onto `+0.0`
-    /// (they compare equal as floats), and every NaN — regardless of sign
-    /// bit — maps to `u64::MAX`, past `+inf`. Split thresholds are always
-    /// finite (proposals drop non-finite values), so the boundary search
-    /// `t(v) <= t(threshold)` selects exactly the rows with `v <= threshold`
-    /// — the arithmetic of [`CandidateKey::test_value`], which NaN rows
-    /// never pass.
-    #[inline]
-    fn numeric_sort_key(v: f64) -> u64 {
-        if v.is_nan() {
-            return u64::MAX;
-        }
-        let bits = (v + 0.0).to_bits();
-        if bits >> 63 == 1 {
-            !bits
-        } else {
-            bits | 0x8000_0000_0000_0000
-        }
     }
 
     /// Pop a recycled candidate for `key` from the `retired` pool (reusing
@@ -400,28 +412,67 @@ impl NodeStats {
         }
     }
 
-    /// Whether `key` already exists in the stored pool or among the fresh
-    /// proposals (within the [`CandidateKey::same_as`] tolerance).
+    /// Group the stored candidates by feature with a counting sort of their
+    /// indices that keeps pool order inside each group. Afterwards group `f`
+    /// is `order[start[f]..start[f + 1]]`: the counts go to `start[f + 2]`,
+    /// the prefix sum turns `start[f + 1]` into the first slot of group `f`,
+    /// and using that entry as `f`'s fill cursor leaves it at the group's
+    /// end, which is where group `f + 1` begins. Candidates testing a
+    /// feature the batch does not have (`feature ≥ m`) join no group, just
+    /// as the per-feature passes never reached them.
+    fn group_candidates(
+        candidates: &[SplitCandidate],
+        m: usize,
+        order: &mut Vec<u32>,
+        start: &mut Vec<u32>,
+    ) {
+        start.clear();
+        start.resize(m + 2, 0);
+        for candidate in candidates.iter().filter(|c| c.key.feature < m) {
+            start[candidate.key.feature + 2] += 1;
+        }
+        for f in 2..m + 2 {
+            start[f] += start[f - 1];
+        }
+        order.clear();
+        order.resize(start[m + 1] as usize, 0);
+        for (i, candidate) in candidates.iter().enumerate() {
+            if candidate.key.feature < m {
+                let cursor = &mut start[candidate.key.feature + 1];
+                order[*cursor as usize] = i as u32;
+                *cursor += 1;
+            }
+        }
+    }
+
+    /// Whether `key` already exists among the stored candidates of its
+    /// feature (`group`, indices into `candidates`) or among this feature's
+    /// fresh `proposals` (within the [`CandidateKey::same_as`] tolerance,
+    /// which never matches across features).
     fn already_stored(
         candidates: &[SplitCandidate],
+        group: &[u32],
         proposals: &[SplitCandidate],
         key: &CandidateKey,
     ) -> bool {
-        candidates.iter().any(|c| c.key.same_as(key))
+        group
+            .iter()
+            .any(|&c| candidates[c as usize].key.same_as(key))
             || proposals.iter().any(|p| p.key.same_as(key))
     }
 
     /// Combined per-feature proposal + accumulation pass over the batched
     /// loss/gradient buffers, appending fresh proposals to `proposals`:
     ///
-    /// * **Numeric features**: the column is sorted once by
-    ///   [`Self::numeric_sort_key`]; the 25 %/50 %/75 % order statistics of
-    ///   that order become the proposals (§V-D, same values a full sort or
-    ///   O(n) selection picks), and one *boundary sweep* walks the sorted
-    ///   rows with a running loss/gradient accumulator, handing every
-    ///   candidate its left-prefix sums the moment the sweep crosses its
-    ///   threshold — no prefix arrays are materialised and the sweep stops
-    ///   at the last boundary.
+    /// * **Numeric features**: the node's rows sorted by
+    ///   [`numeric_sort_key`] come out of the feature's presorted stripe
+    ///   (`sorted`); the 25 %/50 %/75 % order statistics of that order
+    ///   become the proposals (§V-D, same values a full sort or O(n)
+    ///   selection picks), and one *boundary sweep* walks the sorted rows
+    ///   with a running loss/gradient accumulator, handing every candidate
+    ///   its left-prefix sums the moment the sweep crosses its threshold —
+    ///   no prefix arrays are materialised and the sweep stops at the last
+    ///   boundary.
     /// * **Nominal features**: per-category bucket accumulators — one scan
     ///   assigns every row's loss/gradient to its category's bucket
     ///   (categories matched by exact bit pattern), the sorted distinct
@@ -435,10 +486,12 @@ impl NodeStats {
     ///   it, so even an id-like column with ~unique values stays O(batch)
     ///   per feature instead of degrading to O(batch²).
     ///
-    /// Both paths select the identical row set as a per-row scan with
-    /// [`CandidateKey::goes_left`] (pinned by tests); only the floating-point
-    /// summation order differs. Proposal candidates are recycled through
-    /// `retired`, so the steady-state pass performs no heap allocation.
+    /// Both paths visit only the stored candidates of the current feature
+    /// (`groups`, built by [`Self::group_candidates`]) and select the
+    /// identical row set as a per-row scan with [`CandidateKey::goes_left`]
+    /// (pinned by tests); only the floating-point summation order differs.
+    /// Proposal candidates are recycled through `retired`, so the
+    /// steady-state pass performs no heap allocation.
     #[allow(clippy::too_many_arguments)] // threaded scratch buffers, not state
     fn propose_and_accumulate(
         candidates: &mut [SplitCandidate],
@@ -449,8 +502,9 @@ impl NodeStats {
         nominal_features: &[bool],
         losses: &[f64],
         grads: MatRef<'_>,
+        sorted: Sorted<'_>,
+        groups: CandidateGroups<'_>,
         values_buf: &mut Vec<f64>,
-        sort_pairs: &mut Vec<(u64, u32)>,
         boundaries: &mut Vec<(u32, u32)>,
         acc_buf: &mut Vec<f64>,
         bucket_keys: &mut Vec<f64>,
@@ -465,8 +519,10 @@ impl NodeStats {
         let m = xs.cols();
         let data = xs.as_slice();
         let cmp_f64 = |a: &f64, b: &f64| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal);
+        let mut stripe = 0usize;
         for feature in 0..m {
             let proposal_start = proposals.len();
+            let group = groups.of(feature);
             if nominal_features.get(feature).copied().unwrap_or(false) {
                 // Bucket pass: one accumulator per distinct category code in
                 // the batch, filled in row order. Categories are matched by
@@ -533,17 +589,24 @@ impl NodeStats {
                         value,
                         is_nominal: true,
                     };
-                    if !Self::already_stored(candidates, proposals, &key) {
+                    if !Self::already_stored(candidates, group, &proposals[proposal_start..], &key)
+                    {
                         proposals.push(Self::recycled_candidate(retired, key, k));
                     }
                 }
-                for candidate in candidates
-                    .iter_mut()
-                    .filter(|c| c.key.feature == feature)
-                    .chain(proposals[proposal_start..].iter_mut())
-                {
+                for &ci in group {
                     Self::add_bucket_stats(
-                        candidate,
+                        &mut candidates[ci as usize],
+                        bucket_keys,
+                        bucket_losses,
+                        bucket_counts,
+                        bucket_grads,
+                        k,
+                    );
+                }
+                for proposal in proposals[proposal_start..].iter_mut() {
+                    Self::add_bucket_stats(
+                        proposal,
                         bucket_keys,
                         bucket_losses,
                         bucket_counts,
@@ -552,17 +615,15 @@ impl NodeStats {
                     );
                 }
             } else {
-                // Row order sorted by this feature column (deterministic:
-                // `sort_unstable` over integer keys has no randomness; NaNs
-                // sort past +inf and are never proposed as split values).
-                sort_pairs.clear();
-                sort_pairs.extend(
-                    (0..b).map(|r| (Self::numeric_sort_key(data[r * m + feature]), r as u32)),
-                );
-                sort_pairs.sort_unstable();
+                // The node's rows ordered by this feature column, from the
+                // presorted stripe (NaNs sort past +inf and are never
+                // proposed as split values).
+                let order = sorted.stripe(stripe, b);
+                stripe += 1;
+                let key_of = |r: u32| numeric_sort_key(data[r as usize * m + feature]);
                 // Proposals: the 25 %/50 %/75 % order statistics of the batch
                 // (§V-D), with the quantile-path dedup tolerances.
-                let value_at = |i: usize| data[sort_pairs[i].1 as usize * m + feature];
+                let value_at = |i: usize| data[order[i] as usize * m + feature];
                 values_buf.clear();
                 values_buf.extend([
                     value_at(b / 4),
@@ -577,7 +638,8 @@ impl NodeStats {
                         value,
                         is_nominal: false,
                     };
-                    if !Self::already_stored(candidates, proposals, &key) {
+                    if !Self::already_stored(candidates, group, &proposals[proposal_start..], &key)
+                    {
                         proposals.push(Self::recycled_candidate(retired, key, k));
                     }
                 }
@@ -588,20 +650,16 @@ impl NodeStats {
                 // arithmetic of `test_value`, so the selected row set matches
                 // per-row routing bit-for-bit.
                 boundaries.clear();
-                for (ci, candidate) in candidates
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, c)| c.key.feature == feature)
-                {
-                    let threshold = Self::numeric_sort_key(candidate.key.value);
-                    let hi = sort_pairs.partition_point(|&(key, _)| key <= threshold);
+                for &ci in group {
+                    let threshold = numeric_sort_key(candidates[ci as usize].key.value);
+                    let hi = order.partition_point(|&r| key_of(r) <= threshold);
                     if hi > 0 {
-                        boundaries.push((hi as u32, ci as u32));
+                        boundaries.push((hi as u32, ci));
                     }
                 }
                 for (pi, proposal) in proposals[proposal_start..].iter().enumerate() {
-                    let threshold = Self::numeric_sort_key(proposal.key.value);
-                    let hi = sort_pairs.partition_point(|&(key, _)| key <= threshold);
+                    let threshold = numeric_sort_key(proposal.key.value);
+                    let hi = order.partition_point(|&r| key_of(r) <= threshold);
                     if hi > 0 {
                         boundaries.push((hi as u32, (proposal_start + pi) as u32 | PROPOSAL_TAG));
                     }
@@ -614,7 +672,7 @@ impl NodeStats {
                 acc_buf.resize(k, 0.0);
                 let mut acc_loss = 0.0;
                 let mut next = 0usize;
-                for (pos, &(_, row_index)) in sort_pairs.iter().enumerate() {
+                for (pos, &row_index) in order.iter().enumerate() {
                     while next < boundaries.len() && boundaries[next].0 as usize == pos {
                         let (hi, tag) = boundaries[next];
                         let target = if tag & PROPOSAL_TAG != 0 {
@@ -710,37 +768,132 @@ impl NodeStats {
                 .partial_cmp(&a.last_gain)
                 .unwrap_or(std::cmp::Ordering::Equal)
         });
+        admit_proposals(
+            &mut self.candidates,
+            proposals,
+            retired,
+            max_candidates,
+            max_replacements,
+        );
+    }
+}
 
-        let mut replacements_used = 0usize;
-        for proposal in proposals.drain(..) {
-            if self.candidates.len() < max_candidates {
-                self.candidates.push(proposal);
-                continue;
-            }
-            if replacements_used >= max_replacements {
-                retired.push(proposal);
-                continue;
-            }
-            // Find the currently worst stored candidate.
-            let (worst_idx, worst_gain) =
-                match self.candidates.iter().enumerate().min_by(|(_, a), (_, b)| {
-                    a.last_gain
-                        .partial_cmp(&b.last_gain)
-                        .unwrap_or(std::cmp::Ordering::Equal)
-                }) {
-                    Some((i, c)) => (i, c.last_gain),
-                    None => {
-                        retired.push(proposal);
-                        continue;
-                    }
-                };
-            if proposal.last_gain > worst_gain {
-                retired.push(std::mem::replace(&mut self.candidates[worst_idx], proposal));
+/// The node's rows presorted by every numeric column: stripe `s` (the
+/// `s`-th numeric feature) holds them at `orders[s · stride + offset..][..rows]`.
+#[derive(Clone, Copy)]
+struct Sorted<'a> {
+    orders: &'a [u32],
+    stride: usize,
+    offset: usize,
+}
+
+impl<'a> Sorted<'a> {
+    /// The node's `rows` rows in the order of numeric stripe `stripe`.
+    fn stripe(self, stripe: usize, rows: usize) -> &'a [u32] {
+        let start = stripe * self.stride + self.offset;
+        &self.orders[start..start + rows]
+    }
+}
+
+/// The stored candidates grouped by feature (see
+/// [`NodeStats::group_candidates`]).
+#[derive(Clone, Copy)]
+struct CandidateGroups<'a> {
+    order: &'a [u32],
+    start: &'a [u32],
+}
+
+impl<'a> CandidateGroups<'a> {
+    /// Pool indices of the stored candidates testing `feature`, in pool order.
+    fn of(self, feature: usize) -> &'a [u32] {
+        &self.order[self.start[feature] as usize..self.start[feature + 1] as usize]
+    }
+}
+
+/// Order-preserving `u64` key of an `f64` feature value: the sort over
+/// these keys is a branchless integer sort with the same value order as
+/// `partial_cmp` on finite floats. `-0.0` is normalised onto `+0.0` (they
+/// compare equal as floats), and every NaN — regardless of sign bit — maps
+/// to `u64::MAX`, past `+inf`. Split thresholds are always finite
+/// (proposals drop non-finite values), so the boundary search
+/// `t(v) <= t(threshold)` selects exactly the rows with `v <= threshold` —
+/// the arithmetic of [`CandidateKey::test_value`], which NaN rows never
+/// pass.
+#[inline]
+fn numeric_sort_key(v: f64) -> u64 {
+    if v.is_nan() {
+        return u64::MAX;
+    }
+    let bits = (v + 0.0).to_bits();
+    if bits >> 63 == 1 {
+        !bits
+    } else {
+        bits | 0x8000_0000_0000_0000
+    }
+}
+
+/// The replacement loop of candidate pool management over `proposals`
+/// sorted by descending gain: fill the pool up to `max_candidates`, then let
+/// each proposal displace the worst stored candidate (the first one with
+/// the least gain) if it beats it, at most `max_replacements` times. Every
+/// proposal that does not enter the pool, and every displaced candidate,
+/// goes to `retired` in the order the loop meets it.
+///
+/// The loop stops at the first proposal that cannot beat the worst stored
+/// candidate: the pool is then unchanged, so the worst gain is too, and
+/// every later proposal's gain is no larger (the sort puts no NaN gain
+/// among them — with one, every proposal is tried). It also stops once the
+/// replacements are used up. Both exits retire the rest in order, so pool
+/// and `retired` end exactly as in the full loop, which saves one pool
+/// min-scan per remaining proposal.
+fn admit_proposals(
+    candidates: &mut Vec<SplitCandidate>,
+    proposals: &mut Vec<SplitCandidate>,
+    retired: &mut Vec<SplitCandidate>,
+    max_candidates: usize,
+    max_replacements: usize,
+) {
+    let ordered = proposals.iter().all(|p| !p.last_gain.is_nan());
+    let mut replacements_used = 0usize;
+    let mut rest = proposals.drain(..);
+    while let Some(proposal) = rest.next() {
+        if candidates.len() < max_candidates {
+            candidates.push(proposal);
+            continue;
+        }
+        if replacements_used >= max_replacements {
+            retired.push(proposal);
+            retire_all(retired, rest);
+            return;
+        }
+        // Find the currently worst stored candidate.
+        let worst = candidates.iter().enumerate().min_by(|(_, a), (_, b)| {
+            a.last_gain
+                .partial_cmp(&b.last_gain)
+                .unwrap_or(std::cmp::Ordering::Equal)
+        });
+        match worst {
+            Some((worst_idx, worst)) if proposal.last_gain > worst.last_gain => {
+                retired.push(std::mem::replace(&mut candidates[worst_idx], proposal));
                 replacements_used += 1;
-            } else {
+            }
+            _ => {
                 retired.push(proposal);
+                if ordered {
+                    retire_all(retired, rest);
+                    return;
+                }
             }
         }
+    }
+}
+
+/// Retire the remaining proposals one push at a time, so the `retired`
+/// pool's capacity grows exactly as under the full loop (a bulk `extend`
+/// reserves differently, and the pool's bytes count toward the tree's).
+fn retire_all(retired: &mut Vec<SplitCandidate>, rest: impl Iterator<Item = SplitCandidate>) {
+    for proposal in rest {
+        retired.push(proposal);
     }
 }
 
@@ -773,6 +926,10 @@ fn warm_started_children(
 /// `pos` is `xs[idx[pos]]`), avoiding one pointer chase per instance; the
 /// [`Routing::PerInstance`] reference re-reads the original row pointers.
 ///
+/// Alongside, `scratch.dest` receives the destination map that
+/// [`split_orders`] hands the presorted rows down with: row
+/// `pos`'s number inside its child, tagged [`RIGHT_CHILD`] on the right.
+///
 /// Shared by the serial recursion ([`learn_at`]) and the parallel spine
 /// descent (`tree::learn_batch` with `Parallelism::Threads`), so both paths
 /// route bit-identically by construction.
@@ -785,6 +942,8 @@ pub(crate) fn partition_indices(
     num_features: usize,
 ) -> usize {
     scratch.partition_buf.clear();
+    scratch.dest.clear();
+    scratch.dest.reserve_exact(idx.len());
     let mut write = 0usize;
     for pos in 0..idx.len() {
         let i = idx[pos];
@@ -793,14 +952,89 @@ pub(crate) fn partition_indices(
             Routing::PerInstance => xs[i][key.feature],
         };
         if key.test_value(value) {
+            scratch.dest.push(write as u32);
             idx[write] = i;
             write += 1;
         } else {
+            scratch
+                .dest
+                .push(scratch.partition_buf.len() as u32 | RIGHT_CHILD);
             scratch.partition_buf.push(i);
         }
     }
     idx[write..].copy_from_slice(&scratch.partition_buf);
     write
+}
+
+/// Tag bit of a destination-map entry whose row was routed to the right
+/// child (the untagged rest is the row's number inside that child).
+const RIGHT_CHILD: u32 = 1 << 31;
+
+/// Sort every numeric column of the sub-batch gathered into `scratch`
+/// (`num_features` columns) into the `orders` stripes, one stripe per
+/// numeric feature in feature order, each holding the rows ordered by
+/// `(numeric_sort_key, row)`. The pairs are distinct, so the unstable
+/// integer sort has exactly one result.
+fn sort_columns(scratch: &mut UpdateScratch, num_features: usize, nominal_features: &[bool]) {
+    let rows = scratch.ybuf.len();
+    let is_numeric = |f: usize| !nominal_features.get(f).copied().unwrap_or(false);
+    let UpdateScratch {
+        xbuf,
+        sort_pairs,
+        orders,
+        order_stride,
+        ..
+    } = scratch;
+    *order_stride = rows;
+    orders.clear();
+    orders.reserve_exact((0..num_features).filter(|&f| is_numeric(f)).count() * rows);
+    for feature in (0..num_features).filter(|&f| is_numeric(f)) {
+        sort_pairs.clear();
+        sort_pairs.extend(
+            (0..rows).map(|r| (numeric_sort_key(xbuf[r * num_features + feature]), r as u32)),
+        );
+        sort_pairs.sort_unstable();
+        orders.extend(sort_pairs.iter().map(|&(_, r)| r));
+    }
+}
+
+/// Split the sorted rows of a partitioned node — `rows` rows at `offset` of
+/// every stripe, `left_rows` of them routed left — between its children
+/// through the destination map [`partition_indices`] left in `scratch`.
+/// One stable pass per stripe: right-routed rows are written in place, so
+/// the right child keeps the parent's offset, and the left rows follow them
+/// from `offset + rows − left_rows`. A stable split of a list sorted by
+/// `(key, row)` whose row renumbering is monotone (the routing partition is
+/// stable) is again sorted by `(key, row)`, so each child reads exactly the
+/// order a sort of its own rows produces.
+fn split_orders(scratch: &mut UpdateScratch, offset: usize, rows: usize, left_rows: usize) {
+    let right_rows = rows - left_rows;
+    let UpdateScratch {
+        orders,
+        order_stride,
+        dest,
+        order_pen,
+        ..
+    } = scratch;
+    debug_assert_eq!(dest.len(), rows);
+    order_pen.clear();
+    order_pen.reserve_exact(left_rows);
+    for stripe in orders.chunks_exact_mut((*order_stride).max(1)) {
+        let list = &mut stripe[offset..offset + rows];
+        order_pen.clear();
+        let mut write = 0usize;
+        for i in 0..rows {
+            let d = dest[list[i] as usize];
+            if d & RIGHT_CHILD != 0 {
+                list[write] = d & !RIGHT_CHILD;
+                write += 1;
+            } else {
+                order_pen.push(d);
+            }
+        }
+        debug_assert_eq!(write, right_rows);
+        list[right_rows..].copy_from_slice(order_pen);
+    }
 }
 
 /// The structural checks of Algorithm 1 for an *inner* node whose children
@@ -902,6 +1136,15 @@ pub(crate) fn structural_check_inner(
 /// allocate — while statistics keep accumulating and prunes keep running, so
 /// a tree pinned at its floor still learns and adapts. Unbudgeted trees
 /// always pass `true`.
+///
+/// `inherited` is the offset of this node's rows in the presorted stripes
+/// of `scratch.orders`, or `None` when no order is inherited and the node
+/// sorts its own numeric columns (the node a descent starts at). In
+/// [`Routing::Gathered`] mode an inner node splits its sorted rows between
+/// its children ([`split_orders`]), so one column sort per
+/// batch serves the whole descent; the [`Routing::PerInstance`] reference
+/// sorts at every node instead, which pins the inherited orders against
+/// per-node sorts wherever the two paths are compared.
 #[allow(clippy::too_many_arguments)] // one recursive hot path, threaded context
 pub(crate) fn learn_at(
     arena: &mut NodeArena,
@@ -914,13 +1157,23 @@ pub(crate) fn learn_at(
     scratch: &mut UpdateScratch,
     routing: Routing,
     allow_growth: bool,
+    inherited: Option<usize>,
 ) -> GainDecision {
     if idx.is_empty() {
         return GainDecision::Keep;
     }
+    let m = xs[idx[0]].len();
+    scratch.gather(xs, ys, idx);
+    let offset = match inherited {
+        Some(offset) => offset,
+        None => {
+            sort_columns(scratch, m, nominal_features);
+            0
+        }
+    };
     if arena.is_leaf(id) {
         let stats = arena.stats_mut(id);
-        stats.update_with_batch_indexed(xs, ys, idx, nominal_features, config, scratch);
+        stats.update_gathered(nominal_features, config, scratch, offset);
         // Split check (gain (3) against the AIC threshold).
         if stats.count < config.min_observations_split || !allow_growth {
             return GainDecision::Keep;
@@ -954,22 +1207,26 @@ pub(crate) fn learn_at(
         // sub-batch (DMT keeps training inner models, §IV-D). The node
         // update is independent of the children's, so doing it before
         // routing lets the children permute `idx` freely.
-        arena.stats_mut(id).update_with_batch_indexed(
-            xs,
-            ys,
-            idx,
-            nominal_features,
-            config,
-            scratch,
-        );
+        arena
+            .stats_mut(id)
+            .update_gathered(nominal_features, config, scratch, offset);
 
         // Route the sub-batch to the children: stable in-place partition of
         // the index slice (left prefix, right suffix) using the reusable
-        // holding pen. The pen is drained before the recursion, so child
-        // partitions can reuse it.
+        // holding pen, then the same split of every presorted stripe (right
+        // rows at this node's offset, left rows after them). Pen and
+        // destination map are drained before the recursion, so child
+        // partitions can reuse them.
         let key = arena.split_key(id);
-        let m = xs[idx[0]].len();
+        let rows = idx.len();
         let write = partition_indices(&key, xs, idx, scratch, routing, m);
+        let (left_order, right_order) = match routing {
+            Routing::Gathered => {
+                split_orders(scratch, offset, rows, write);
+                (Some(offset + rows - write), Some(offset))
+            }
+            Routing::PerInstance => (None, None),
+        };
 
         let (left, right) = arena.children(id).expect("inner node has children");
         let (left_idx, right_idx) = idx.split_at_mut(write);
@@ -984,6 +1241,7 @@ pub(crate) fn learn_at(
             scratch,
             routing,
             allow_growth,
+            left_order,
         );
         learn_at(
             arena,
@@ -996,6 +1254,7 @@ pub(crate) fn learn_at(
             scratch,
             routing,
             allow_growth,
+            right_order,
         );
 
         structural_check_inner(arena, id, config, scratch, allow_growth)
@@ -1364,6 +1623,7 @@ mod tests {
                 &mut scratch,
                 Routing::Gathered,
                 true,
+                None,
             ) {
                 split_seen = true;
                 break;
@@ -1395,10 +1655,261 @@ mod tests {
                 &mut scratch,
                 Routing::Gathered,
                 true,
+                None,
             ),
             GainDecision::Keep
         );
         assert_eq!(arena.stats(root).count, 0);
+    }
+
+    /// Bit-level equality of two nodes' statistics, model and candidate pool.
+    fn assert_stats_bit_equal(a: &NodeStats, b: &NodeStats, what: &str) {
+        assert_eq!(a.count, b.count, "{what}: count");
+        assert_eq!(a.loss_sum.to_bits(), b.loss_sum.to_bits(), "{what}: loss");
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&a.grad_sum), bits(&b.grad_sum), "{what}: gradient");
+        assert_eq!(
+            bits(a.model.params()),
+            bits(b.model.params()),
+            "{what}: model"
+        );
+        assert_eq!(a.candidates.len(), b.candidates.len(), "{what}: pool size");
+        for (ca, cb) in a.candidates.iter().zip(b.candidates.iter()) {
+            assert_eq!(ca.key.feature, cb.key.feature, "{what}");
+            assert_eq!(ca.key.is_nominal, cb.key.is_nominal, "{what}");
+            assert_eq!(ca.key.value.to_bits(), cb.key.value.to_bits(), "{what}");
+            assert_eq!(ca.count, cb.count, "{what}: {:?} count", ca.key);
+            assert_eq!(
+                ca.loss_sum.to_bits(),
+                cb.loss_sum.to_bits(),
+                "{what}: {:?} loss",
+                ca.key
+            );
+            assert_eq!(
+                bits(&ca.grad_sum),
+                bits(&cb.grad_sum),
+                "{what}: {:?}",
+                ca.key
+            );
+            assert_eq!(ca.last_gain.to_bits(), cb.last_gain.to_bits(), "{what}");
+        }
+    }
+
+    #[test]
+    fn inherited_orders_match_per_node_sorts_on_a_deep_tree() {
+        // A fixed depth-3 tree fed batches full of tied and duplicate values
+        // (five levels per numeric column, −0.0 beside +0.0, a nominal
+        // column). One descent sorts once at the root and hands the sorted
+        // rows down; the reference walk routes each row per instance and
+        // runs every node's own `update_with_batch_indexed`, which sorts.
+        // Structural checks are off, so both trees keep their shape and
+        // every node's statistics must agree bit for bit.
+        let cfg = DmtConfig {
+            min_observations_split: u64::MAX,
+            ..config()
+        };
+        let nominal = [false, false, true, false];
+        let split = |feature, value, is_nominal| CandidateKey {
+            feature,
+            value,
+            is_nominal,
+        };
+        let (mut arena, root) = NodeArena::with_root(NodeStats::new(Glm::new_random(4, 2, 9)));
+        let child = |arena: &NodeArena, id| NodeStats::new(arena.stats(id).model.clone());
+        let (l, r) = {
+            let (lc, rc) = (child(&arena, root), child(&arena, root));
+            arena.install_split(root, split(0, 0.5, false), lc, rc)
+        };
+        let (ll, _) = {
+            let (lc, rc) = (child(&arena, l), child(&arena, l));
+            arena.install_split(l, split(1, 0.0, false), lc, rc)
+        };
+        let (lc, rc) = (child(&arena, r), child(&arena, r));
+        arena.install_split(r, split(2, 1.0, true), lc, rc);
+        let (lc, rc) = (child(&arena, ll), child(&arena, ll));
+        arena.install_split(ll, split(3, 0.5, false), lc, rc);
+        assert!(arena.depth(root) >= 3);
+        let mut reference = arena.clone();
+        let mut order = Vec::new();
+        arena.preorder_ids(root, &mut order);
+
+        let mut scratch = UpdateScratch::new();
+        let mut reference_scratch = UpdateScratch::new();
+        for batch in 0..40usize {
+            let n = 48 + batch % 5;
+            let xs: Vec<Vec<f64>> = (0..n)
+                .map(|i| {
+                    let j = i + batch * 13;
+                    let level = |step: usize| ((j * step) % 5) as f64 / 4.0;
+                    let signed_zero = if j % 2 == 0 { -0.0 } else { 0.0 };
+                    let x1 = if j % 3 == 0 {
+                        signed_zero
+                    } else {
+                        level(3) - 0.5
+                    };
+                    vec![level(7), x1, (j % 3) as f64, level(11)]
+                })
+                .collect();
+            let ys: Vec<usize> = xs
+                .iter()
+                .enumerate()
+                .map(|(i, x)| usize::from(x[0] + x[3] > 0.8) ^ usize::from(i % 7 == 0))
+                .collect();
+            let rows: Vec<&[f64]> = xs.iter().map(|v| v.as_slice()).collect();
+
+            let mut idx: Vec<usize> = (0..n).collect();
+            learn_at(
+                &mut arena,
+                root,
+                &rows,
+                &ys,
+                &mut idx,
+                &nominal,
+                &cfg,
+                &mut scratch,
+                Routing::Gathered,
+                true,
+                None,
+            );
+
+            let mut routed = vec![Vec::new(); reference.num_slots()];
+            for (i, x) in rows.iter().enumerate() {
+                let mut at = root;
+                routed[at.index()].push(i);
+                while let Some((left, right)) = reference.children(at) {
+                    at = if reference.split_key(at).goes_left(x) {
+                        left
+                    } else {
+                        right
+                    };
+                    routed[at.index()].push(i);
+                }
+            }
+            for &id in &order {
+                reference.stats_mut(id).update_with_batch_indexed(
+                    &rows,
+                    &ys,
+                    &routed[id.index()],
+                    &nominal,
+                    &cfg,
+                    &mut reference_scratch,
+                );
+            }
+        }
+        for &id in &order {
+            assert!(arena.stats(id).count > 0, "node {id:?} saw no rows");
+            assert_stats_bit_equal(
+                arena.stats(id),
+                reference.stats(id),
+                &format!("node {id:?}"),
+            );
+        }
+    }
+
+    /// The replacement loop before the early exit, as the reference.
+    fn admit_proposals_full(
+        candidates: &mut Vec<SplitCandidate>,
+        proposals: &mut Vec<SplitCandidate>,
+        retired: &mut Vec<SplitCandidate>,
+        max_candidates: usize,
+        max_replacements: usize,
+    ) {
+        let mut replacements_used = 0usize;
+        for proposal in proposals.drain(..) {
+            if candidates.len() < max_candidates {
+                candidates.push(proposal);
+                continue;
+            }
+            if replacements_used >= max_replacements {
+                retired.push(proposal);
+                continue;
+            }
+            let (worst_idx, worst_gain) =
+                match candidates.iter().enumerate().min_by(|(_, a), (_, b)| {
+                    a.last_gain
+                        .partial_cmp(&b.last_gain)
+                        .unwrap_or(std::cmp::Ordering::Equal)
+                }) {
+                    Some((i, c)) => (i, c.last_gain),
+                    None => {
+                        retired.push(proposal);
+                        continue;
+                    }
+                };
+            if proposal.last_gain > worst_gain {
+                retired.push(std::mem::replace(&mut candidates[worst_idx], proposal));
+                replacements_used += 1;
+            } else {
+                retired.push(proposal);
+            }
+        }
+    }
+
+    #[test]
+    fn early_exit_admission_matches_the_full_loop() {
+        // Random pools and gain-sorted proposals drawn from a handful of
+        // gain levels (so ties are everywhere) plus −∞ for degenerate
+        // candidates; pool and retired list must match the full loop
+        // element for element, in order.
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = move |bound: u64| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state % bound
+        };
+        let levels = [f64::NEG_INFINITY, -1.0, 0.0, 0.5, 2.0];
+        let mut id = 0usize;
+        let mut candidate = |gain: f64| {
+            id += 1;
+            let mut c = SplitCandidate::new(
+                CandidateKey {
+                    feature: id,
+                    value: id as f64,
+                    is_nominal: false,
+                },
+                1,
+            );
+            c.last_gain = gain;
+            c
+        };
+        for _ in 0..2_000 {
+            let max_candidates = 1 + next(8) as usize;
+            let max_replacements = next(4) as usize;
+            let stored = next(max_candidates as u64 + 1) as usize;
+            let pool: Vec<SplitCandidate> = (0..stored)
+                .map(|_| candidate(levels[next(5) as usize]))
+                .collect();
+            let mut proposals: Vec<SplitCandidate> = (0..next(10))
+                .map(|_| candidate(levels[next(5) as usize]))
+                .collect();
+            proposals.sort_by(|a, b| {
+                b.last_gain
+                    .partial_cmp(&a.last_gain)
+                    .unwrap_or(std::cmp::Ordering::Equal)
+            });
+            let (mut fast_pool, mut fast_props, mut fast_retired) =
+                (pool.clone(), proposals.clone(), Vec::new());
+            let (mut full_pool, mut full_props, mut full_retired) = (pool, proposals, Vec::new());
+            admit_proposals(
+                &mut fast_pool,
+                &mut fast_props,
+                &mut fast_retired,
+                max_candidates,
+                max_replacements,
+            );
+            admit_proposals_full(
+                &mut full_pool,
+                &mut full_props,
+                &mut full_retired,
+                max_candidates,
+                max_replacements,
+            );
+            let ids = |v: &[SplitCandidate]| v.iter().map(|c| c.key.feature).collect::<Vec<_>>();
+            assert_eq!(ids(&fast_pool), ids(&full_pool));
+            assert_eq!(ids(&fast_retired), ids(&full_retired));
+            assert!(fast_props.is_empty() && full_props.is_empty());
+        }
     }
 
     #[test]

@@ -51,10 +51,31 @@ pub struct UpdateScratch {
     pub(crate) xbuf: Vec<f64>,
     /// Labels of the gathered sub-batch, aligned with `xbuf` rows.
     pub(crate) ybuf: Vec<usize>,
-    /// `(order-preserving bit key, row)` pairs sorted by value (numeric
-    /// candidate pass); the `u64` keys make the sort a branchless integer
-    /// sort and keep the boundary searches free of indirect loads.
+    /// `(order-preserving bit key, row)` pairs of the column being sorted;
+    /// the `u64` keys make the sort a branchless integer sort.
     pub(crate) sort_pairs: Vec<(u64, u32)>,
+    /// Presorted attribute lists (as in SLIQ): one stripe of
+    /// `order_stride` node-local rows per numeric feature, each sorted by
+    /// `(numeric_sort_key, row)`. Filled once per batch by
+    /// `node::sort_columns` at the node that starts the descent; every node
+    /// below reads its rows out of the stripes at its offset, and
+    /// `node::split_orders` hands each child its sorted rows.
+    pub(crate) orders: Vec<u32>,
+    /// Rows per stripe of `orders` (the batch size at the sorting node).
+    pub(crate) order_stride: usize,
+    /// Destination map of the last routing partition: for every row of the
+    /// partitioned node, its row number inside the child it was routed to,
+    /// tagged with `node::RIGHT_CHILD` when that child is the right one.
+    pub(crate) dest: Vec<u32>,
+    /// Holding pen for the left-routed rows while a stripe is split.
+    pub(crate) order_pen: Vec<u32>,
+    /// Indices of the stored candidates grouped by feature (pool order kept
+    /// inside each group); group `f` is
+    /// `cand_order[cand_start[f]..cand_start[f + 1]]`.
+    pub(crate) cand_order: Vec<u32>,
+    /// Group offsets of `cand_order` (`features + 2` entries; see
+    /// `NodeStats::group_candidates`).
+    pub(crate) cand_start: Vec<u32>,
     /// `(prefix length, candidate tag)` boundaries of the numeric sweep,
     /// sorted by prefix length.
     pub(crate) boundaries: Vec<(u32, u32)>,
@@ -101,6 +122,11 @@ impl MemoryUsage for UpdateScratch {
             + vec_bytes(&self.xbuf)
             + vec_bytes(&self.ybuf)
             + vec_bytes(&self.sort_pairs)
+            + vec_bytes(&self.orders)
+            + vec_bytes(&self.dest)
+            + vec_bytes(&self.order_pen)
+            + vec_bytes(&self.cand_order)
+            + vec_bytes(&self.cand_start)
             + vec_bytes(&self.boundaries)
             + vec_bytes(&self.acc_buf)
             + vec_bytes(&self.proposals_buf)

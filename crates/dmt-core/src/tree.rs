@@ -468,7 +468,10 @@ impl DynamicModelTree {
     ///
     /// Both forms are bit-identical (the gathered matrix holds exact copies
     /// of the rows); property tests pin the hot path against this reference
-    /// so the gather/partition alignment can never drift silently.
+    /// so the gather/partition alignment can never drift silently. The
+    /// reference also sorts every node's numeric columns afresh where the
+    /// hot path hands the root's sort down to the children, so the same
+    /// pins cover the inherited column orders.
     pub fn learn_batch_reference(&mut self, xs: Rows<'_>, ys: &[usize]) -> GainDecision {
         self.learn_batch_inner(xs, ys, Routing::PerInstance)
     }
@@ -515,6 +518,7 @@ impl DynamicModelTree {
                 &mut self.scratch,
                 routing,
                 allow_growth,
+                None,
             )
         };
         self.scratch.indices = indices;
@@ -675,6 +679,7 @@ impl DynamicModelTree {
                 &mut slot.scratch,
                 Routing::Gathered,
                 allow_growth,
+                None,
             );
         });
 

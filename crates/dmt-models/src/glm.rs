@@ -205,7 +205,7 @@ impl SimpleModel for Glm {
         mode: BatchMode,
         grad_buf: &mut [f64],
         class_buf: &mut [f64],
-    ) -> f64 {
+    ) {
         match self {
             Glm::Logit(m) => m.learn_batch_into(xs, ys, learning_rate, mode, grad_buf, class_buf),
             Glm::Softmax(m) => m.learn_batch_into(xs, ys, learning_rate, mode, grad_buf, class_buf),

@@ -111,6 +111,18 @@ impl Default for BatchMode {
     }
 }
 
+impl BatchMode {
+    /// Instances per SGD step. The deterministic sweep is a window of one:
+    /// one summed-gradient step over a single row is exactly that row's
+    /// [`SimpleModel::sgd_step_into`] update, bit for bit.
+    pub fn window(self) -> usize {
+        match self {
+            BatchMode::Deterministic => 1,
+            BatchMode::Batched { window } => window.max(1),
+        }
+    }
+}
+
 /// Contract shared by all simple models that can live at a node of a
 /// (Dynamic) Model Tree.
 ///
@@ -277,16 +289,20 @@ pub trait SimpleModel: Send + Sync {
     }
 
     /// Train on a whole contiguous batch with constant learning rate; `mode`
-    /// selects the traversal (see [`BatchMode`]). Returns the accumulated
-    /// pre-update loss (per instance in deterministic mode, per window in
-    /// batched mode).
+    /// selects the traversal (see [`BatchMode`]). Only the parameters
+    /// change: no loss is computed, because the Dynamic Model Tree takes
+    /// the pre-update loss of every row from its
+    /// [`SimpleModel::loss_and_gradient_batch_into`] pass before it trains,
+    /// so the GLM sweeps evaluate residuals (`σ(z) − y`, `p − onehot(y)`)
+    /// and skip the log-likelihood.
     ///
-    /// In [`BatchMode::Deterministic`] this is bit-identical to calling
-    /// [`SimpleModel::sgd_step_into`] on every row in order. The default
-    /// implementation always performs the deterministic sweep — models
-    /// without a batched kernel (Naive Bayes, perceptron) silently fall back
-    /// to it; the GLM implementations override the batched mode with windowed
-    /// summed-gradient steps over the contiguous rows.
+    /// In [`BatchMode::Deterministic`] the parameters are bit-identical to
+    /// calling [`SimpleModel::sgd_step_into`] on every row in order. The
+    /// default implementation always performs that sweep (discarding each
+    /// step's loss) — models without a batched kernel (Naive Bayes,
+    /// perceptron) silently fall back to it; the GLM implementations
+    /// override it with windowed summed-gradient steps over the contiguous
+    /// rows, the deterministic sweep being a window of one.
     fn learn_batch_into(
         &mut self,
         xs: linalg::MatRef<'_>,
@@ -295,13 +311,11 @@ pub trait SimpleModel: Send + Sync {
         _mode: BatchMode,
         grad_buf: &mut [f64],
         class_buf: &mut [f64],
-    ) -> f64 {
+    ) {
         debug_assert_eq!(xs.rows(), ys.len());
-        let mut total = 0.0;
         for (x, &y) in xs.row_iter().zip(ys.iter()) {
-            total += self.sgd_step_into(&[x], &[y], learning_rate, grad_buf, class_buf);
+            self.sgd_step_into(&[x], &[y], learning_rate, grad_buf, class_buf);
         }
-        total
     }
 
     /// Total number of observations this model has been trained on.

@@ -380,6 +380,26 @@ pub fn log1p_exp(z: f64) -> f64 {
     }
 }
 
+/// `(log1p_exp(z), sigmoid(z))` in one call, bit-identical to the two
+/// separate calls. For `z < 0` both of them read `e^z`, so it is computed
+/// once; every other `z` (`±0`, positive, NaN) takes the separate calls,
+/// which use `e^z` and `e^{−z}` respectively.
+#[inline]
+pub fn log1p_exp_sigmoid(z: f64) -> (f64, f64) {
+    if z < 0.0 {
+        let e = z.exp();
+        let softplus = if z < -35.0 { e } else { e.ln_1p() };
+        let p = if z < EXP_UNDERFLOW {
+            0.0
+        } else {
+            e / (1.0 + e)
+        };
+        (softplus, p)
+    } else {
+        (log1p_exp(z), sigmoid(z))
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -604,5 +624,39 @@ mod tests {
         assert!(log1p_exp(-1e4).is_finite());
         assert!((log1p_exp(1e4) - 1e4).abs() < 1e-9);
         assert!(log1p_exp(-1e4).abs() < 1e-9);
+    }
+
+    #[test]
+    fn fused_softplus_sigmoid_is_bit_identical_to_separate_calls() {
+        use rand::{Rng, SeedableRng};
+        // Every branch edge of both functions, one ulp either side.
+        let edges = [0.0, 35.0, -35.0, EXP_UNDERFLOW, -745.0, 1.0];
+        let mut zs = vec![
+            -0.0,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+            -f64::NAN,
+            f64::MAX,
+            f64::MIN,
+            f64::MIN_POSITIVE,
+            -f64::MIN_POSITIVE,
+            -5e-324,
+        ];
+        for edge in edges {
+            zs.extend([edge.next_down(), edge, edge.next_up()]);
+        }
+        let mut rng = rand::rngs::StdRng::seed_from_u64(17);
+        zs.extend((0..10_000).map(|_| rng.gen_range(-800.0..800.0)));
+        zs.extend((0..10_000).map(|_| rng.gen_range(-40.0..40.0)));
+        for z in zs {
+            let (softplus, p) = log1p_exp_sigmoid(z);
+            assert_eq!(
+                softplus.to_bits(),
+                log1p_exp(z).to_bits(),
+                "softplus at {z:e}"
+            );
+            assert_eq!(p.to_bits(), sigmoid(z).to_bits(), "sigmoid at {z:e}");
+        }
     }
 }

@@ -7,7 +7,7 @@
 use rand::Rng;
 use rand::SeedableRng;
 
-use crate::linalg::{axpy, dot, log1p_exp, sigmoid, MatMut, MatRef};
+use crate::linalg::{axpy, dot, log1p_exp_sigmoid, sigmoid, MatMut, MatRef};
 use crate::wire::{self, Reader, WireError, Writer};
 use crate::{BatchMode, Rows, SimpleModel};
 
@@ -138,7 +138,16 @@ impl LogitModel {
         let z = self.decision_function(x);
         let y_f = if y >= 1 { 1.0 } else { 0.0 };
         // NLL of the Bernoulli likelihood: log(1 + e^z) - y*z.
-        (log1p_exp(z) - y_f * z, sigmoid(z) - y_f)
+        let (softplus, p) = log1p_exp_sigmoid(z);
+        (softplus - y_f * z, p - y_f)
+    }
+
+    /// The residual half of [`LogitModel::row_loss_residual`] alone, for the
+    /// SGD sweep, which reads no loss.
+    #[inline]
+    fn row_residual(&self, x: &[f64], y: usize) -> f64 {
+        let y_f = if y >= 1 { 1.0 } else { 0.0 };
+        sigmoid(self.decision_function(x)) - y_f
     }
 }
 
@@ -265,44 +274,27 @@ impl SimpleModel for LogitModel {
         learning_rate: f64,
         mode: BatchMode,
         grad_buf: &mut [f64],
-        class_buf: &mut [f64],
-    ) -> f64 {
+        _class_buf: &mut [f64],
+    ) {
         debug_assert_eq!(xs.rows(), ys.len());
         let b = xs.rows();
-        if b == 0 {
-            return 0.0;
-        }
-        match mode {
-            BatchMode::Deterministic => {
-                let mut total = 0.0;
-                for (x, &y) in xs.row_iter().zip(ys.iter()) {
-                    total += self.sgd_step_into(&[x], &[y], learning_rate, grad_buf, class_buf);
-                }
-                total
+        let window = mode.window();
+        let m = self.num_features;
+        let mut start = 0;
+        while start < b {
+            let end = (start + window).min(b);
+            grad_buf.fill(0.0);
+            for (x, &y) in (start..end).map(|i| xs.row(i)).zip(ys[start..end].iter()) {
+                let residual = self.row_residual(x, y);
+                axpy(residual, x, &mut grad_buf[..m]);
+                grad_buf[m] += residual;
             }
-            BatchMode::Batched { window } => {
-                let window = window.max(1);
-                let m = self.num_features;
-                let mut total = 0.0;
-                let mut start = 0;
-                while start < b {
-                    let end = (start + window).min(b);
-                    grad_buf.fill(0.0);
-                    for (x, &y) in (start..end).map(|i| xs.row(i)).zip(ys[start..end].iter()) {
-                        let (row_loss, residual) = self.row_loss_residual(x, y);
-                        total += row_loss;
-                        axpy(residual, x, &mut grad_buf[..m]);
-                        grad_buf[m] += residual;
-                    }
-                    // One summed-gradient step per window: the first-order
-                    // equivalent of `end - start` per-instance steps.
-                    axpy(-learning_rate, grad_buf, &mut self.params);
-                    start = end;
-                }
-                self.seen += b as u64;
-                total
-            }
+            // One summed-gradient step per window: the first-order
+            // equivalent of `end - start` per-instance steps.
+            axpy(-learning_rate, grad_buf, &mut self.params);
+            start = end;
         }
+        self.seen += b as u64;
     }
 
     fn observations_seen(&self) -> u64 {

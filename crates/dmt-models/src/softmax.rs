@@ -295,48 +295,33 @@ impl SimpleModel for SoftmaxModel {
         mode: BatchMode,
         grad_buf: &mut [f64],
         class_buf: &mut [f64],
-    ) -> f64 {
+    ) {
         debug_assert_eq!(xs.rows(), ys.len());
         let b = xs.rows();
-        if b == 0 {
-            return 0.0;
-        }
-        match mode {
-            BatchMode::Deterministic => {
-                let mut total = 0.0;
-                for (x, &y) in xs.row_iter().zip(ys.iter()) {
-                    total += self.sgd_step_into(&[x], &[y], learning_rate, grad_buf, class_buf);
+        let window = mode.window();
+        let m = self.num_features;
+        let stride = m + 1;
+        let mut start = 0;
+        while start < b {
+            let end = (start + window).min(b);
+            grad_buf.fill(0.0);
+            for (x, &y) in (start..end).map(|i| xs.row(i)).zip(ys[start..end].iter()) {
+                // Residuals only: the probabilities, without the NLL's log.
+                self.predict_proba_into(x, class_buf);
+                for c in 0..self.num_classes {
+                    let target = if c == y { 1.0 } else { 0.0 };
+                    let residual = class_buf[c] - target;
+                    let block = &mut grad_buf[c * stride..(c + 1) * stride];
+                    axpy(residual, x, &mut block[..m]);
+                    block[m] += residual;
                 }
-                total
             }
-            BatchMode::Batched { window } => {
-                let window = window.max(1);
-                let m = self.num_features;
-                let stride = m + 1;
-                let mut total = 0.0;
-                let mut start = 0;
-                while start < b {
-                    let end = (start + window).min(b);
-                    grad_buf.fill(0.0);
-                    for (x, &y) in (start..end).map(|i| xs.row(i)).zip(ys[start..end].iter()) {
-                        total += self.row_loss_probs(x, y, class_buf);
-                        for c in 0..self.num_classes {
-                            let target = if c == y { 1.0 } else { 0.0 };
-                            let residual = class_buf[c] - target;
-                            let block = &mut grad_buf[c * stride..(c + 1) * stride];
-                            axpy(residual, x, &mut block[..m]);
-                            block[m] += residual;
-                        }
-                    }
-                    // One summed-gradient step per window: the first-order
-                    // equivalent of `end - start` per-instance steps.
-                    axpy(-learning_rate, grad_buf, &mut self.params);
-                    start = end;
-                }
-                self.seen += b as u64;
-                total
-            }
+            // One summed-gradient step per window: the first-order
+            // equivalent of `end - start` per-instance steps.
+            axpy(-learning_rate, grad_buf, &mut self.params);
+            start = end;
         }
+        self.seen += b as u64;
     }
 
     fn observations_seen(&self) -> u64 {

@@ -87,8 +87,38 @@ pub fn workspace_config() -> WorkspaceConfig {
                     "norm_sq",
                     "scale",
                     "sigmoid",
+                    "log1p_exp",
+                    "log1p_exp_sigmoid",
                     "softmax_in_place",
                     "softmax_into",
+                ],
+            ),
+            (
+                "crates/dmt-models/src/logit.rs",
+                &[
+                    "decision_function",
+                    "row_loss_residual",
+                    "row_residual",
+                    "predict_proba_into",
+                    "loss_and_gradient_into",
+                    "sgd_step_into",
+                    "predict_proba_batch_into",
+                    "loss_and_gradient_batch_into",
+                    "learn_batch_into",
+                ],
+            ),
+            (
+                "crates/dmt-models/src/softmax.rs",
+                &[
+                    "logits_into",
+                    "row_loss_probs",
+                    "predict_proba_into",
+                    "predict",
+                    "loss_and_gradient_into",
+                    "sgd_step_into",
+                    "predict_proba_batch_into",
+                    "loss_and_gradient_batch_into",
+                    "learn_batch_into",
                 ],
             ),
             (
@@ -107,10 +137,17 @@ pub fn workspace_config() -> WorkspaceConfig {
                 "crates/dmt-core/src/node.rs",
                 &[
                     "update_with_batch_indexed",
+                    "update_gathered",
+                    "group_candidates",
+                    "already_stored",
                     "propose_and_accumulate",
                     "add_bucket_stats",
                     "manage_candidate_pool",
+                    "admit_proposals",
+                    "retire_all",
                     "partition_indices",
+                    "sort_columns",
+                    "split_orders",
                     "learn_at",
                 ],
             ),

@@ -55,6 +55,25 @@ fn make_batch(n: usize, offset: usize) -> (Vec<Vec<f64>>, Vec<usize>) {
     (xs, ys)
 }
 
+/// A deterministic batch of a striped concept — the label flips across
+/// four bands of the first feature and two of the second — that no single
+/// linear model fits, so the tree settles at depth ≥ 3 and every batch
+/// routes through inner nodes that split their presorted rows.
+fn make_deep_batch(n: usize, offset: usize) -> (Vec<Vec<f64>>, Vec<usize>) {
+    let xs: Vec<Vec<f64>> = (0..n)
+        .map(|i| {
+            let t = ((i + offset) % 991) as f64 / 991.0;
+            let u = ((i * 37 + offset * 11) % 617) as f64 / 617.0;
+            vec![t, u, (t * 3.0 + u) % 1.0]
+        })
+        .collect();
+    let ys: Vec<usize> = xs
+        .iter()
+        .map(|x| ((x[0] * 4.0) as usize + usize::from(x[1] > 0.5)) % 2)
+        .collect();
+    (xs, ys)
+}
+
 #[test]
 fn steady_state_hot_path_is_allocation_free_per_instance() {
     // Both SGD traversals share the gather + batched-kernel plumbing; the
@@ -67,6 +86,7 @@ fn steady_state_hot_path_is_allocation_free_per_instance() {
     ] {
         steady_state_measurement(mode);
     }
+    deep_tree_measurement();
     parallel_learn_measurement();
     pooled_predict_measurement();
     ensemble_prediction_measurement();
@@ -334,6 +354,61 @@ fn ensemble_prediction_measurement() {
             large_allocs as f64 / CALLS as f64
         );
     }
+}
+
+/// The serial contract on a tree held at depth ≥ 3: inner nodes below the
+/// root inherit the root's column sort and split it for their children
+/// inside the measured region, and that must allocate nothing per
+/// instance either. On this concept the window's loss keeps buying the odd
+/// extra split, so the shape is not frozen; a split allocates a bounded
+/// number of buffers whatever the batch size, well inside the slack below.
+fn deep_tree_measurement() {
+    let schema = StreamSchema::numeric("alloc-deep", 3, 2);
+    let mut tree = DynamicModelTree::new(schema, DmtConfig::default());
+
+    let (small_xs, small_ys) = make_deep_batch(100, 0);
+    let small_rows: Vec<&[f64]> = small_xs.iter().map(|v| v.as_slice()).collect();
+    let (large_xs, large_ys) = make_deep_batch(800, 0);
+    let large_rows: Vec<&[f64]> = large_xs.iter().map(|v| v.as_slice()).collect();
+
+    for round in 0..400 {
+        let (xs, ys) = make_deep_batch(800, round * 800);
+        let rows: Vec<&[f64]> = xs.iter().map(|v| v.as_slice()).collect();
+        tree.learn_batch(&rows, &ys);
+    }
+    // Grow the scratch buffers at both batch shapes before measuring.
+    tree.learn_batch(&small_rows, &small_ys);
+    tree.learn_batch(&large_rows, &large_ys);
+    assert!(
+        tree.depth() >= 3,
+        "the striped concept must hold the tree at depth ≥ 3, got {}",
+        tree.depth()
+    );
+
+    const ROUNDS: u64 = 50;
+    let before_small = allocations();
+    for _ in 0..ROUNDS {
+        tree.learn_batch(&small_rows, &small_ys);
+    }
+    let small_allocs = allocations() - before_small;
+
+    let before_large = allocations();
+    for _ in 0..ROUNDS {
+        tree.learn_batch(&large_rows, &large_ys);
+    }
+    let large_allocs = allocations() - before_large;
+
+    assert!(
+        tree.depth() >= 3,
+        "the deep tree collapsed during the measurement"
+    );
+    let node_count = tree.num_inner_nodes() + tree.num_leaves();
+    assert!(
+        large_allocs < small_allocs + ROUNDS * 100,
+        "deep-tree learn_batch allocations scale with the batch size: \
+         {small_allocs} allocs for {ROUNDS}×100 instances vs \
+         {large_allocs} allocs for {ROUNDS}×800 instances ({node_count} nodes)"
+    );
 }
 
 fn steady_state_measurement(batch_mode: dmt::models::BatchMode) {

@@ -353,9 +353,8 @@ proptest! {
             let k = via_scalar.num_params();
             let mut grad_buf = vec![0.0f64; k];
             let mut class_buf = vec![0.0f64; classes];
-            let mut scalar_loss = 0.0;
             for i in 0..n {
-                scalar_loss += via_scalar.sgd_step_into(
+                via_scalar.sgd_step_into(
                     &[xs[i].as_slice()],
                     &[ys[i]],
                     0.05,
@@ -363,7 +362,7 @@ proptest! {
                     &mut class_buf,
                 );
             }
-            let batch_loss = via_batch.learn_batch_into(
+            via_batch.learn_batch_into(
                 mat,
                 &ys[..n],
                 0.05,
@@ -371,7 +370,6 @@ proptest! {
                 &mut grad_buf,
                 &mut class_buf,
             );
-            prop_assert_eq!(scalar_loss.to_bits(), batch_loss.to_bits(), "batch size {}", n);
             for (a, b) in via_scalar.params().iter().zip(via_batch.params().iter()) {
                 prop_assert_eq!(a.to_bits(), b.to_bits(), "batch size {}", n);
             }
@@ -395,13 +393,12 @@ proptest! {
         let k = deterministic.num_params();
         let mut grad_buf = vec![0.0f64; k];
         let mut class_buf = vec![0.0f64; classes];
-        let loss_det = deterministic.learn_batch_into(
+        deterministic.learn_batch_into(
             mat, &ys, 0.05, BatchMode::Deterministic, &mut grad_buf, &mut class_buf,
         );
-        let loss_win = windowed.learn_batch_into(
+        windowed.learn_batch_into(
             mat, &ys, 0.05, BatchMode::Batched { window: 1 }, &mut grad_buf, &mut class_buf,
         );
-        prop_assert_eq!(loss_det.to_bits(), loss_win.to_bits());
         for (a, b) in deterministic.params().iter().zip(windowed.params().iter()) {
             prop_assert_eq!(a.to_bits(), b.to_bits());
         }
