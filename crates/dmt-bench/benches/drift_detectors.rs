@@ -1,9 +1,8 @@
 //! Criterion micro-benchmarks of the drift detectors: per-observation update
-//! cost of ADWIN, Page-Hinkley and DDM on stationary and drifting error
-//! streams.
+//! cost of ADWIN and Page-Hinkley on stationary and drifting error streams.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use dmt::drift::{Adwin, Ddm, DriftDetector, PageHinkley};
+use dmt::drift::{Adwin, DriftDetector, PageHinkley};
 use std::hint::black_box;
 
 fn error_stream(n: usize, drifting: bool) -> Vec<f64> {
@@ -50,14 +49,6 @@ fn bench_detectors(c: &mut Criterion) {
     group.bench_function("page_hinkley", |b| {
         b.iter(|| {
             let mut detector = PageHinkley::default();
-            for &v in &drifting {
-                black_box(detector.update(v));
-            }
-        });
-    });
-    group.bench_function("ddm", |b| {
-        b.iter(|| {
-            let mut detector = Ddm::default();
             for &v in &drifting {
                 black_box(detector.update(v));
             }

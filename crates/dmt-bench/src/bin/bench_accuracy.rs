@@ -18,10 +18,6 @@
 //! written to `BENCH_ACC.json`. CI re-runs this binary on the same pinned
 //! configuration and gates regressions with `acc_compare`.
 //!
-//! The DMT row is pinned to serial updates ([`dmt_bench::accuracy_model`]);
-//! parallel updates are bit-identical, but pinning keeps the blessed file
-//! independent of the `DMT_PARALLELISM` environment variable.
-//!
 //! Besides the workloads, the suite folds the paper-reproduction surface into
 //! the same gate: every Table I data set of the catalog
 //! ([`dmt::stream::catalog::TABLE1`]) runs at a pinned small scale
@@ -43,7 +39,7 @@ use dmt::eval::{PrequentialConfig, PrequentialRun};
 use dmt::prelude::*;
 use dmt::stream::catalog;
 use dmt::stream::workload::{self, WORKLOADS};
-use dmt_bench::{accuracy_model, bench_seed};
+use dmt_bench::bench_seed;
 
 /// Stream scale of the paper-reproduction cells: every Table I data set is
 /// truncated to this fraction of its published size, so the full paper grid
@@ -197,7 +193,7 @@ fn evaluate_cell(
     options: &Options,
 ) -> CellResult {
     let schema = stream.schema().clone();
-    let mut model = accuracy_model(kind, &schema, bench_seed::MODEL);
+    let mut model = build_model(kind, &schema, bench_seed::MODEL);
     let runner = PrequentialRun::new(PrequentialConfig {
         max_batches: options.max_batches,
         ..PrequentialConfig::default()

@@ -20,33 +20,18 @@
 //!
 //! File loading, row matching and the ratio-tolerance math are shared with
 //! the accuracy gate (`acc_compare`) via [`dmt_bench::compare`]; this binary
-//! keeps only the throughput-specific policy (control normalisation and the
-//! parallel-row downgrade below).
-//!
-//! # Parallel rows vs the baseline machine's core count
-//!
-//! A parallel row (e.g. `DMT (2T)`) is only a meaningful baseline when the
-//! blessing machine could actually run its workers concurrently: blessed on
-//! a single core, the row records per-batch dispatch overhead, not parallel
-//! throughput, and gating real multi-core runs against it is noise in both
-//! directions. `bench_throughput` therefore records the blessing machine's
-//! `available_parallelism` in the JSON `config`, and any row whose pinned
-//! worker count (the per-row `parallelism` field, falling back to the
-//! `"… (nT)"` display-name convention; baselines without either count as
-//! serial) **exceeds the baseline's recorded cores** is downgraded: a
-//! regression on it prints `WARN` and does not fail the gate. Baselines
-//! without a recorded core count are conservatively treated as single-core.
+//! keeps only the throughput-specific policy (control normalisation).
 //!
 //! ```bash
 //! cargo run --release -p dmt-bench --bin bench_compare -- \
 //!     --baseline BENCH_5.json --current /tmp/bench.json \
-//!     --tolerance 0.15 --models "DMT (ours),DMT (2T)"
+//!     --tolerance 0.15 --models "DMT (ours)"
 //! ```
 
 use std::collections::BTreeMap;
 use std::process::ExitCode;
 
-use dmt_bench::compare::{load_rows, matched_rows, BenchRows, Row, Tolerance};
+use dmt_bench::compare::{load_rows, matched_rows, Tolerance};
 
 struct Options {
     baseline: String,
@@ -67,7 +52,7 @@ impl Default for Options {
             current: "/tmp/bench_current.json".to_string(),
             tolerance: 0.15,
             control: "VFDT (MC)".to_string(),
-            models: vec!["DMT (ours)".to_string(), "DMT (2T)".to_string()],
+            models: vec!["DMT (ours)".to_string()],
         }
     }
 }
@@ -116,34 +101,6 @@ fn parse_options() -> Options {
     options
 }
 
-/// Pinned worker count encoded in a row's display name by the
-/// `"… (nT)"` convention (`"DMT (2T)"` → 2); `None` for serial rows.
-fn name_parallelism(model: &str) -> Option<usize> {
-    let open = model.rfind('(')?;
-    let inner = model[open + 1..].strip_suffix(")")?;
-    inner.strip_suffix('T')?.parse().ok()
-}
-
-/// Worker count pinned for a row (1 = serial): the per-row `parallelism`
-/// field when present, else the `"… (nT)"` display-name convention, else 1.
-fn cell_parallelism(model: &str, row: &Row) -> usize {
-    row.get("parallelism")
-        .map(|v| *v as usize)
-        .or_else(|| name_parallelism(model))
-        .unwrap_or(1)
-        .max(1)
-}
-
-/// Core count of the machine a bench file was produced on; files from before
-/// the field existed are conservatively treated as single-core.
-fn available_parallelism(file: &BenchRows) -> usize {
-    file.config
-        .get("available_parallelism")
-        .map(|v| *v as usize)
-        .unwrap_or(1)
-        .max(1)
-}
-
 /// The per-cell metrics the gate iterates over: display label → JSON field.
 const METRICS: [(&str, &str); 2] = [
     ("train", "instances_per_sec"),
@@ -154,7 +111,6 @@ fn run(options: &Options) -> Result<bool, String> {
     let baseline = load_rows(&options.baseline, "model", "stream")?;
     let current = load_rows(&options.current, "model", "stream")?;
     let tolerance = Tolerance::Ratio(options.tolerance);
-    let baseline_cores = available_parallelism(&baseline);
 
     // Per-(stream, metric) machine-speed factor from the control model.
     let mut control_ratio: BTreeMap<(String, &str), f64> = BTreeMap::new();
@@ -181,10 +137,6 @@ fn run(options: &Options) -> Result<bool, String> {
     let mut failed = false;
     let mut compared = 0usize;
     for (model, stream, base, cur) in matched_rows(&baseline, &current, &options.models)? {
-        // A parallel row the baseline machine could not actually run
-        // concurrently is advisory only: its blessed numbers measure
-        // dispatch overhead, not parallel throughput (see the module docs).
-        let advisory = cell_parallelism(model, base) > baseline_cores;
         for (metric, field) in METRICS {
             // A metric is gated only when both files carry it, so old
             // baselines without the predict-only row keep working.
@@ -205,15 +157,9 @@ fn run(options: &Options) -> Result<bool, String> {
             // Requiring both keeps control-row jitter from failing an
             // unchanged model.
             let ok = !tolerance.regressed(base_ips, cur_ips) || normalised >= tolerance.floor(1.0);
-            failed |= !ok && !advisory;
+            failed |= !ok;
             compared += 1;
-            let status = if ok {
-                "ok"
-            } else if advisory {
-                "WARN (row workers exceed baseline machine cores)"
-            } else {
-                "REGRESSION"
-            };
+            let status = if ok { "ok" } else { "REGRESSION" };
             println!(
                 "{:<14}{:<10}{:<9}{:>14.0}{:>14.0}{:>10.3}{:>12.3}  {}",
                 model, stream, metric, base_ips, cur_ips, raw_ratio, normalised, status
@@ -245,30 +191,5 @@ fn main() -> ExitCode {
             eprintln!("bench_compare: {message}");
             ExitCode::FAILURE
         }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::{cell_parallelism, name_parallelism, Row};
-
-    #[test]
-    fn name_parallelism_parses_the_nt_convention() {
-        assert_eq!(name_parallelism("DMT (2T)"), Some(2));
-        assert_eq!(name_parallelism("DMT (16T)"), Some(16));
-        assert_eq!(name_parallelism("DMT (ours)"), None);
-        assert_eq!(name_parallelism("VFDT (MC)"), None);
-        assert_eq!(name_parallelism("FIMT-DD"), None);
-        assert_eq!(name_parallelism("weird (T)"), None);
-        assert_eq!(name_parallelism("weird (-3T)"), None);
-    }
-
-    #[test]
-    fn cell_parallelism_prefers_the_recorded_field() {
-        let mut row = Row::new();
-        row.insert("parallelism".to_string(), 4.0);
-        assert_eq!(cell_parallelism("DMT (2T)", &row), 4);
-        assert_eq!(cell_parallelism("DMT (2T)", &Row::new()), 2);
-        assert_eq!(cell_parallelism("DMT (ours)", &Row::new()), 1);
     }
 }

@@ -1,8 +1,6 @@
 //! Throughput tracking for the repository's perf trajectory: test-then-train
-//! instances/sec of the DMT (serial *and* threaded — the `DMT (2T)` row runs
-//! the identical model with `Parallelism::Threads(2)`) and the stand-alone
-//! baseline trees on the SEA, Agrawal and RBF generators, written to
-//! `BENCH_<n>.json`.
+//! instances/sec of the DMT and the stand-alone baseline trees on the SEA,
+//! Agrawal and RBF generators, written to `BENCH_<n>.json`.
 //!
 //! The protocol mirrors the paper's evaluation loop (predict a batch, then
 //! learn it) but times nothing except the models: all stream batches are
@@ -33,7 +31,7 @@ use dmt::eval::json::{Json, ToJson};
 use dmt::prelude::*;
 use dmt::zoo::ZooModel;
 use dmt_bench::THROUGHPUT_STREAMS;
-use dmt_bench::{bench_seed, throughput_models, throughput_stream, ThroughputModel};
+use dmt_bench::{bench_seed, throughput_stream};
 use dmt_serve::{DmtServer, ServeClient, ServeConfig};
 
 struct Options {
@@ -95,9 +93,6 @@ fn parse_options() -> Options {
 struct CellResult {
     model: String,
     stream: String,
-    /// Worker count pinned for this row (1 = serial). Lets `bench_compare`
-    /// detect rows whose parallelism the baseline machine could not exercise.
-    parallelism: u64,
     instances: u64,
     seconds: f64,
     instances_per_sec: f64,
@@ -116,7 +111,6 @@ impl ToJson for CellResult {
         Json::Obj(vec![
             ("model".to_string(), self.model.to_json()),
             ("stream".to_string(), self.stream.to_json()),
-            ("parallelism".to_string(), self.parallelism.to_json()),
             ("instances".to_string(), self.instances.to_json()),
             ("seconds".to_string(), self.seconds.to_json()),
             (
@@ -145,11 +139,11 @@ impl ToJson for CellResult {
     }
 }
 
-fn run_cell(kind: ThroughputModel, stream_name: &str, options: &Options) -> CellResult {
+fn run_cell(kind: ModelKind, stream_name: &str, options: &Options) -> CellResult {
     let mut stream = throughput_stream(stream_name, bench_seed::STREAM)
         .unwrap_or_else(|| panic!("unknown bench stream {stream_name}"));
     let schema = stream.schema().clone();
-    let mut model = kind.build(&schema, bench_seed::MODEL);
+    let mut model = build_model(kind, &schema, bench_seed::MODEL);
 
     // Materialise everything up front; only the model is timed.
     let warmup: Vec<Batch> = (0..options.warmup.div_ceil(options.batch))
@@ -202,9 +196,8 @@ fn run_cell(kind: ThroughputModel, stream_name: &str, options: &Options) -> Cell
     let complexity = model.complexity();
     let bytes_per_model = model.memory_bytes() as u64;
     CellResult {
-        model: kind.display_name(),
+        model: kind.display_name().to_string(),
         stream: stream_name.to_string(),
-        parallelism: kind.pinned_workers() as u64,
         instances,
         seconds,
         instances_per_sec: instances as f64 / seconds,
@@ -309,7 +302,6 @@ fn run_serve_rows(options: &Options) -> Vec<ServeLatency> {
         schema,
         DmtConfig {
             seed: bench_seed::MODEL,
-            parallelism: Parallelism::from_env(),
             ..DmtConfig::default()
         },
     );
@@ -369,7 +361,7 @@ fn main() {
         "Model", "Stream", "inst/sec", "µs/batch", "predict inst/sec", "splits", "KiB"
     );
     for stream in THROUGHPUT_STREAMS {
-        for &kind in &throughput_models() {
+        for &kind in &STANDALONE_MODELS {
             let cell = run_cell(kind, stream, &options);
             println!(
                 "{:<14}{:<10}{:>16.0}{:>16.1}{:>18.0}{:>12.1}{:>12.1}",
@@ -415,12 +407,8 @@ fn main() {
                 ("warmup_instances".to_string(), options.warmup.to_json()),
                 ("timed_instances".to_string(), options.instances.to_json()),
                 ("batch_size".to_string(), options.batch.to_json()),
-                // Core count of the machine this file was produced on. When
-                // a file becomes a blessed baseline, `bench_compare` uses it
-                // to downgrade (warn instead of fail) parallel rows whose
-                // pinned workers the baseline machine could never run
-                // concurrently — a 2T row blessed on one core records
-                // dispatch overhead, not parallel throughput.
+                // Core count of the machine this file was produced on (the
+                // serve rows run a two-thread server beside a learner).
                 (
                     "available_parallelism".to_string(),
                     std::thread::available_parallelism()

@@ -48,106 +48,6 @@ pub mod bench_seed {
 /// The streams of the throughput suite (`bench_throughput`), in run order.
 pub const THROUGHPUT_STREAMS: [&str; 3] = ["SEA", "Agrawal", "RBF"];
 
-/// One model row of the throughput suite.
-///
-/// The suite runs every stand-alone model of the paper plus a **parallel DMT
-/// row**: the same Dynamic Model Tree with `Parallelism::Threads(n)`, so the
-/// committed `BENCH_<n>.json` tracks the serial and the threaded learn path
-/// side by side and `bench_compare` gates both. Parallelism is pinned
-/// *explicitly* per row (serial for the standard rows), so a stray
-/// `DMT_PARALLELISM` environment variable can never skew a blessed baseline.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ThroughputModel {
-    /// A stand-alone model of Table II (the DMT row pinned to serial).
-    Standard(ModelKind),
-    /// The Dynamic Model Tree with `Parallelism::Threads(n)`.
-    DmtThreads(usize),
-}
-
-impl ThroughputModel {
-    /// Display name used in the JSON rows (`"DMT (2T)"` for the threaded
-    /// row).
-    pub fn display_name(&self) -> String {
-        match self {
-            ThroughputModel::Standard(kind) => kind.display_name().to_string(),
-            ThroughputModel::DmtThreads(n) => format!("DMT ({n}T)"),
-        }
-    }
-
-    /// The worker count pinned for this row (1 for every serial row).
-    /// Recorded per row in the bench JSON so `bench_compare` can tell when a
-    /// row's parallelism exceeds the baseline machine's recorded core count
-    /// — in which case a regression on that row is downgraded to a warning.
-    pub fn pinned_workers(&self) -> usize {
-        match self {
-            ThroughputModel::Standard(_) => 1,
-            ThroughputModel::DmtThreads(n) => *n,
-        }
-    }
-
-    /// Build the configured classifier for `schema`.
-    pub fn build(
-        &self,
-        schema: &dmt::stream::StreamSchema,
-        seed: u64,
-    ) -> Box<dyn OnlineClassifier> {
-        use dmt::core::Parallelism;
-        let parallelism = match self {
-            ThroughputModel::Standard(ModelKind::Dmt) => Parallelism::Serial,
-            ThroughputModel::DmtThreads(n) => Parallelism::Threads(*n),
-            ThroughputModel::Standard(kind) => return build_model(*kind, schema, seed),
-        };
-        // One shared construction for both DMT rows, so a future bench-row
-        // config tweak cannot silently diverge between serial and threaded.
-        Box::new(DynamicModelTree::new(
-            schema.clone(),
-            DmtConfig {
-                seed,
-                parallelism,
-                ..DmtConfig::default()
-            },
-        ))
-    }
-}
-
-/// Build one model row of the accuracy suite (`bench_accuracy` and the CI
-/// accuracy-regression gate).
-///
-/// Identical to [`build_model`] except that the DMT row is pinned to
-/// `Parallelism::Serial` explicitly. Parallel updates are bit-identical to
-/// serial ones, but pinning keeps the blessed `BENCH_ACC.json` independent of
-/// any `DMT_PARALLELISM` environment variable on the blessing machine — the
-/// same policy the throughput rows follow (see [`ThroughputModel::build`]).
-pub fn accuracy_model(
-    kind: ModelKind,
-    schema: &dmt::stream::StreamSchema,
-    seed: u64,
-) -> Box<dyn OnlineClassifier> {
-    use dmt::core::Parallelism;
-    if kind == ModelKind::Dmt {
-        return Box::new(DynamicModelTree::new(
-            schema.clone(),
-            DmtConfig {
-                seed,
-                parallelism: Parallelism::Serial,
-                ..DmtConfig::default()
-            },
-        ));
-    }
-    build_model(kind, schema, seed)
-}
-
-/// The model rows of the throughput suite, in run order: every stand-alone
-/// model plus the threaded DMT row (2 workers — the CI configuration).
-pub fn throughput_models() -> Vec<ThroughputModel> {
-    let mut models: Vec<ThroughputModel> = STANDALONE_MODELS
-        .iter()
-        .map(|&kind| ThroughputModel::Standard(kind))
-        .collect();
-    models.push(ThroughputModel::DmtThreads(2));
-    models
-}
-
 /// Build one of the [`THROUGHPUT_STREAMS`] with the given seed. Numeric
 /// features are normalised to [0, 1] like the catalog does, so the GLM-based
 /// models run in their intended regime. Returns `None` for unknown names.

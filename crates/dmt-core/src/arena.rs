@@ -38,10 +38,8 @@
 //!
 //! Export, explanation and test helpers iterate the tree *by id* through
 //! [`NodeArena::children`] / [`NodeArena::split_key`] / [`NodeArena::stats`]
-//! rather than through node references: ids are `Copy`, never dangle across
-//! structural edits of *other* subtrees, and disjoint id ranges are
-//! `Send`-friendly where `&mut Box` chains are not — the prerequisite for
-//! parallel subtree updates later.
+//! rather than through node references: ids are `Copy` and never dangle
+//! across structural edits of *other* subtrees.
 
 use dmt_models::linalg::MatRef;
 use dmt_models::memory::{slice_deep_bytes, vec_bytes};
@@ -104,17 +102,9 @@ pub struct NodeArena {
 }
 
 impl NodeArena {
-    /// The slot the first allocation of an empty arena lands in: the root of
-    /// a tree built by [`NodeArena::with_root`], and the root of a detached
-    /// subtree after [`NodeArena::detach_subtree`]. Structural edits
-    /// (split/prune/replace) never move a subtree root, so this id stays
-    /// valid for the arena's lifetime.
-    pub(crate) const FIRST: NodeId = NodeId(0);
-
-    /// Create an empty arena with no nodes (used as a pooled worker arena for
-    /// detached subtrees; a tree arena starts via [`NodeArena::with_root`]).
-    pub(crate) fn new_empty() -> Self {
-        Self {
+    /// Create an arena holding a single root leaf and return `(arena, root)`.
+    pub fn with_root(stats: NodeStats) -> (Self, NodeId) {
+        let mut arena = Self {
             split_feature: Vec::new(),
             split_value: Vec::new(),
             split_nominal: Vec::new(),
@@ -122,25 +112,7 @@ impl NodeArena {
             right: Vec::new(),
             stats: Vec::new(),
             free: Vec::new(),
-        }
-    }
-
-    /// Drop all nodes but keep every buffer's capacity (pooled worker arenas
-    /// are cleared and refilled once per batch without touching the
-    /// allocator in steady state).
-    pub(crate) fn clear(&mut self) {
-        self.split_feature.clear();
-        self.split_value.clear();
-        self.split_nominal.clear();
-        self.left.clear();
-        self.right.clear();
-        self.stats.clear();
-        self.free.clear();
-    }
-
-    /// Create an arena holding a single root leaf and return `(arena, root)`.
-    pub fn with_root(stats: NodeStats) -> (Self, NodeId) {
-        let mut arena = Self::new_empty();
+        };
         let root = arena.alloc_leaf(stats);
         (arena, root)
     }
@@ -564,89 +536,6 @@ impl NodeArena {
         Ok(())
     }
 
-    /// Move the subtree rooted at `id` out of this arena into the (cleared)
-    /// worker arena `out` and return the subtree's root id inside `out`
-    /// (always [`NodeArena::FIRST`]).
-    ///
-    /// The moved payloads are replaced by allocation-free placeholders
-    /// ([`NodeStats::placeholder`]); descendant slots go onto this arena's
-    /// free list while the root slot `id` itself stays reserved (as a leaf)
-    /// so the parent's child link remains valid and
-    /// [`NodeArena::attach_subtree`] can graft the updated subtree back onto
-    /// it. Between detach and attach the main arena is structurally
-    /// consistent but `id`'s payload is a placeholder — callers must
-    /// re-attach before reading the subtree.
-    ///
-    /// This is the hand-off point of the parallel learn path: a detached
-    /// subtree is an *owned* tree, so a worker thread can update it — splits,
-    /// prunes and replacements included — without any access to the shared
-    /// arena.
-    pub(crate) fn detach_subtree(&mut self, id: NodeId, out: &mut NodeArena) -> NodeId {
-        out.clear();
-        let stats = std::mem::replace(&mut self.stats[id.index()], NodeStats::placeholder());
-        let root = out.alloc_leaf(stats);
-        self.move_children_into(id, out, root);
-        self.canonicalise_free();
-        root
-    }
-
-    /// Recursively move the children of `s` (in this arena) under `d` (in
-    /// `out`), free-listing the vacated source slots.
-    fn move_children_into(&mut self, s: NodeId, out: &mut NodeArena, d: NodeId) {
-        let si = s.index();
-        let (l, r) = (self.left[si], self.right[si]);
-        if l == NONE {
-            return;
-        }
-        let di = d.index();
-        out.split_feature[di] = self.split_feature[si];
-        out.split_value[di] = self.split_value[si];
-        out.split_nominal[di] = self.split_nominal[si];
-        self.left[si] = NONE;
-        self.right[si] = NONE;
-        let left_stats = std::mem::replace(&mut self.stats[l as usize], NodeStats::placeholder());
-        let right_stats = std::mem::replace(&mut self.stats[r as usize], NodeStats::placeholder());
-        let dl = out.alloc_leaf(left_stats);
-        let dr = out.alloc_leaf(right_stats);
-        out.left[di] = dl.0;
-        out.right[di] = dr.0;
-        self.move_children_into(NodeId(l), out, dl);
-        self.free.push(l);
-        self.move_children_into(NodeId(r), out, dr);
-        self.free.push(r);
-    }
-
-    /// Graft the subtree rooted at `src_root` of the worker arena `src` back
-    /// onto slot `dst` of this arena (the slot a previous
-    /// [`NodeArena::detach_subtree`] reserved), moving every payload back and
-    /// allocating descendant slots through the ordinary free-list-first
-    /// allocator.
-    ///
-    /// Attachment order is the merge order of the parallel learn path:
-    /// subtrees are re-attached left-to-right in child order, so slot
-    /// assignment — though not necessarily identical to a serial run — is
-    /// fully deterministic.
-    pub(crate) fn attach_subtree(&mut self, dst: NodeId, src: &mut NodeArena, src_root: NodeId) {
-        let si = src_root.index();
-        self.stats[dst.index()] = std::mem::replace(&mut src.stats[si], NodeStats::placeholder());
-        let (sl, sr) = (src.left[si], src.right[si]);
-        let di = dst.index();
-        if sl == NONE {
-            self.left[di] = NONE;
-            self.right[di] = NONE;
-            return;
-        }
-        self.split_feature[di] = src.split_feature[si];
-        self.split_value[di] = src.split_value[si];
-        self.split_nominal[di] = src.split_nominal[si];
-        let l = self.alloc_leaf(NodeStats::placeholder());
-        let r = self.alloc_leaf(NodeStats::placeholder());
-        self.left[di] = l.0;
-        self.right[di] = r.0;
-        self.attach_subtree(l, src, NodeId(sl));
-        self.attach_subtree(r, src, NodeId(sr));
-    }
-
     /// Single-pass batched descent: predict the most probable class of every
     /// row of `xs` into `out` (`out.len() == xs.len()`).
     ///
@@ -853,79 +742,6 @@ mod tests {
     }
 
     #[test]
-    fn detach_and_attach_roundtrip_a_subtree() {
-        let (mut arena, root) = NodeArena::with_root(leaf_stats());
-        let (l, r) = arena.install_split(root, numeric_key(0, 0.5), leaf_stats(), leaf_stats());
-        let (ll, _lr) = arena.install_split(l, numeric_key(1, 0.25), leaf_stats(), leaf_stats());
-        arena.stats_mut(ll).loss_sum = 3.5;
-        arena.stats_mut(r).loss_sum = 1.25;
-        let params_before: Vec<u64> = arena
-            .stats(ll)
-            .model
-            .params()
-            .iter()
-            .map(|p| p.to_bits())
-            .collect();
-        let slots_before = arena.num_slots();
-
-        // Detach the left subtree (an inner node with two leaves).
-        let mut worker = NodeArena::new_empty();
-        let droot = arena.detach_subtree(l, &mut worker);
-        assert_eq!(droot, NodeArena::FIRST);
-        assert!(arena.is_leaf(l), "the reserved slot must look like a leaf");
-        assert_eq!(arena.num_free(), 2, "both descendants are free-listed");
-        assert_eq!(worker.count_nodes(droot), (1, 2));
-        assert_eq!(worker.split_key(droot).value, 0.25);
-        worker.validate(droot).unwrap();
-
-        // The right subtree is untouched while the left one is out.
-        assert_eq!(arena.stats(r).loss_sum, 1.25);
-
-        // Mutate the detached subtree like a worker would (grow it).
-        let (dl, _dr) = worker.children(droot).unwrap();
-        worker.install_split(dl, numeric_key(0, 0.1), leaf_stats(), leaf_stats());
-
-        // Re-attach: payloads move back, structure matches, invariants hold.
-        arena.attach_subtree(l, &mut worker, droot);
-        arena.validate(root).unwrap();
-        assert_eq!(arena.count_nodes(root), (3, 4));
-        let key = arena.split_key(l);
-        assert_eq!(key.feature, 1);
-        assert_eq!(key.value, 0.25);
-        let (al, _ar) = arena.children(l).unwrap();
-        let (all, _alr) = arena.children(al).unwrap();
-        // The grown subtree reused the free-listed slots before growing.
-        assert_eq!(arena.num_slots(), slots_before + 2);
-        let params_after: Vec<u64> = arena
-            .stats(al)
-            .model
-            .params()
-            .iter()
-            .map(|p| p.to_bits())
-            .collect();
-        assert_eq!(
-            params_before, params_after,
-            "payload moved back bit-identically"
-        );
-        assert!(arena.stats(all).model.params().len() > 1);
-    }
-
-    #[test]
-    fn detach_attach_of_a_single_leaf_subtree() {
-        let (mut arena, root) = NodeArena::with_root(leaf_stats());
-        let (l, _r) = arena.install_split(root, numeric_key(0, 0.5), leaf_stats(), leaf_stats());
-        arena.stats_mut(l).count = 42;
-        let mut worker = NodeArena::new_empty();
-        let droot = arena.detach_subtree(l, &mut worker);
-        assert_eq!(worker.count_nodes(droot), (0, 1));
-        assert_eq!(worker.stats(droot).count, 42);
-        assert_eq!(arena.num_free(), 0);
-        arena.attach_subtree(l, &mut worker, droot);
-        arena.validate(root).unwrap();
-        assert_eq!(arena.stats(l).count, 42);
-    }
-
-    #[test]
     fn free_list_is_canonical_after_collapse() {
         let (mut arena, root) = NodeArena::with_root(leaf_stats());
         let (l, r) = arena.install_split(root, numeric_key(0, 0.5), leaf_stats(), leaf_stats());
@@ -1042,18 +858,5 @@ mod tests {
             "compaction must release bytes ({after} >= {before})"
         );
         arena.validate(new_root).unwrap();
-    }
-
-    #[test]
-    fn worker_arena_clear_retains_capacity() {
-        let (mut arena, _root) = NodeArena::with_root(leaf_stats());
-        let (l, _r) =
-            arena.install_split(NodeId(0), numeric_key(0, 0.5), leaf_stats(), leaf_stats());
-        let mut worker = NodeArena::new_empty();
-        arena.detach_subtree(l, &mut worker);
-        let capacity = worker.stats.capacity();
-        worker.clear();
-        assert_eq!(worker.num_slots(), 0);
-        assert_eq!(worker.stats.capacity(), capacity);
     }
 }

@@ -28,11 +28,10 @@
 //! The tree structure is stored in a flat, cache-friendly [`NodeArena`]
 //! (struct-of-arrays split keys, [`NodeId`]-based links, free-list slot
 //! reuse on prune); prediction and learning both route whole batches through
-//! it in a single level-by-level pass — see the [`arena`] module docs.
-//! Training and large-batch prediction can additionally fan disjoint
-//! workloads out to a persistent [`WorkerPool`]
-//! ([`DmtConfig::parallelism`], [`Parallelism::Threads`]) with bit-identical
-//! results — see the [`parallel`] module docs.
+//! it in a single level-by-level pass — see the [`arena`] module docs. The
+//! tree learns and predicts on the calling thread; the persistent
+//! [`WorkerPool`] of the [`parallel`] module serves the ensembles' member
+//! fan-out ([`Parallelism::Threads`]).
 //!
 //! ```
 //! use dmt_core::{DmtConfig, DynamicModelTree};
@@ -78,7 +77,7 @@ pub use node::{GainDecision, NodeStats};
 pub use parallel::{Parallelism, WorkerPool, MAX_WORKERS};
 pub use scratch::{PredictScratch, UpdateScratch};
 pub use snapshot::SnapshotError;
-pub use tree::{DmtConfig, DynamicModelTree, PREDICT_PARALLEL_THRESHOLD};
+pub use tree::{DmtConfig, DynamicModelTree};
 
 // Re-exported so `DmtConfig::batch_mode` can be set without a direct
 // `dmt-models` dependency.

@@ -113,9 +113,10 @@ impl NodeStats {
     }
 
     /// A zero-parameter placeholder payload that performs no heap allocation
-    /// (empty model, empty gradient buffer). The arena back-fills moved-out
-    /// slots with placeholders while a subtree is detached into a worker
-    /// arena; a placeholder is never read before being overwritten.
+    /// (empty model, empty gradient buffer). It back-fills the slots whose
+    /// payloads [`NodeArena::compact`] moves out, and the free-listed slots
+    /// of a decoded snapshot; a placeholder is never read before being
+    /// overwritten.
     pub(crate) fn placeholder() -> Self {
         Self::new(Glm::placeholder())
     }
@@ -929,11 +930,7 @@ fn warm_started_children(
 /// Alongside, `scratch.dest` receives the destination map that
 /// [`split_orders`] hands the presorted rows down with: row
 /// `pos`'s number inside its child, tagged [`RIGHT_CHILD`] on the right.
-///
-/// Shared by the serial recursion ([`learn_at`]) and the parallel spine
-/// descent (`tree::learn_batch` with `Parallelism::Threads`), so both paths
-/// route bit-identically by construction.
-pub(crate) fn partition_indices(
+fn partition_indices(
     key: &CandidateKey,
     xs: &[&[f64]],
     idx: &mut [usize],
@@ -1039,19 +1036,15 @@ fn split_orders(scratch: &mut UpdateScratch, offset: usize, rows: usize, left_ro
 
 /// The structural checks of Algorithm 1 for an *inner* node whose children
 /// have already consumed the batch: prune (gain (5)) and replace (gain (4)),
-/// thresholded by the AIC test. Returns the decision taken at `id`.
-///
-/// Extracted from the tail of [`learn_at`] so the parallel learn path can run
-/// the identical check for its spine nodes after the subtree workers joined —
-/// serial and parallel runs therefore take bit-identical structural
-/// decisions. The check only reads/mutates `id`'s own subtree, so the order
-/// in which disjoint subtrees are checked cannot change any outcome.
+/// thresholded by the AIC test. Returns the decision taken at `id`. It runs
+/// at the tail of [`learn_at`], after both children's subtrees have learned
+/// the batch, and only reads or mutates `id`'s own subtree.
 ///
 /// `allow_growth` is the budget ladder's hard floor (rung 4): when `false`,
 /// replacements are suppressed (they re-allocate child payloads) while prunes
 /// — which only ever release memory — still run. Unbudgeted trees always
 /// pass `true`, so the flag is inert unless a memory budget is armed.
-pub(crate) fn structural_check_inner(
+fn structural_check_inner(
     arena: &mut NodeArena,
     id: NodeId,
     config: &DmtConfig,

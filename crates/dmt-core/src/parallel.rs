@@ -1,26 +1,21 @@
-//! Persistent worker pool for parallel subtree updates, batched prediction
-//! and ensemble member training.
+//! Persistent worker pool for ensemble member training.
 //!
-//! # Why subtree parallelism
+//! # Why ensemble members only
 //!
-//! The DMT update loop is subtree-parallel by construction: once an inner
-//! node has routed a batch (the stable in-place index partition of
-//! `node::learn_at`), the left and right sub-batches update *disjoint*
-//! subtrees — no statistic, candidate pool or structural decision of one
-//! child's subtree ever reads the other's (Algorithm 1 of the paper recurses
-//! independently per child). PR 3's arena made this exploitable: subtrees are
-//! addressed by [`crate::arena::NodeId`] and can be detached into worker-owned
-//! arenas (`NodeArena::detach_subtree`, crate-internal), updated on worker
-//! threads, and grafted back deterministically in child order.
+//! The ensembles of `dmt-ensembles` train their members independently per
+//! batch (each member owns its tree, detectors and RNG stream), so member
+//! updates fan out with nothing shared and merge in member order. The
+//! Dynamic Model Tree itself learns and predicts on the calling thread: its
+//! trees keep very few splits, and on two cores fanning a batch out over
+//! its subtrees measured no faster than the serial descent (and slower on
+//! the deepest trees), so it has no thread to own.
 //!
 //! # Why a persistent, hand-rolled pool
 //!
 //! The build environment has no crates-registry access, so `rayon` is not an
-//! option (see `vendor/README.md`). PR 4 used `std::thread::scope` with
-//! threads spawned *per batch*; on small batches the spawn/join cost dominated
-//! the win (a −24 % Agrawal regression on the single-core bless machine).
-//! [`WorkerPool`] replaces that with **long-lived threads** created once and
-//! reused across batches:
+//! option (see `vendor/README.md`). Threads spawned per dispatch would cost
+//! more than a small batch's member work, so [`WorkerPool`] keeps
+//! **long-lived threads** created once and reused across batches:
 //!
 //! * [`WorkerPool::run`] fans a `Vec` of work items out over the pool's
 //!   resident threads **plus the dispatching thread itself** — the caller
@@ -30,7 +25,7 @@
 //!   thread spawn per batch.
 //! * Results come back **indexed by item position** — the caller's merge
 //!   order is the item order, never the completion order, which is what keeps
-//!   the parallel learn path bit-identical to the serial one.
+//!   pooled member training bit-identical to the serial member loop.
 //! * A panic inside a work item is caught on the worker, the remaining queue
 //!   is drained, and the payload is re-raised on the **dispatching** thread
 //!   before [`WorkerPool::run`] returns — pool threads survive panicking
@@ -54,11 +49,11 @@
 //!
 //! # Sharing
 //!
-//! The pool is cheap to share: [`DynamicModelTree`](crate::DynamicModelTree)
-//! lazily creates one `Arc<WorkerPool>` per tree, and
-//! `set_worker_pool`/`with_worker_pool` hooks (tree and the `dmt-ensembles`
-//! learners alike) let several models dispatch onto the **same** resident
-//! threads instead of spawning a pool each. Dispatches from multiple owners
+//! The pool is cheap to share: each ensemble lazily creates one
+//! `Arc<WorkerPool>`, and its `set_worker_pool` hook (which the multi-tenant
+//! registry calls for every tenant) lets several models dispatch onto the
+//! **same** resident threads instead of spawning a pool each. Dispatches
+//! from multiple owners
 //! serialise on the pool's job slot; a dispatch issued from *inside* a pool
 //! task (nested parallelism) is detected and runs serially inline, so
 //! sharing can never deadlock the pool.
@@ -78,24 +73,24 @@ use crate::lockrank::{LockRank, RankToken};
 /// the pool to spawn an absurd number of threads.
 pub const MAX_WORKERS: usize = 64;
 
-/// How `DynamicModelTree::learn_batch` distributes disjoint subtree
-/// workloads after the top-level index partition (see
-/// [`crate::tree::DmtConfig::parallelism`]).
+/// How an ensemble trains its members (the `parallelism` field of the
+/// `dmt-ensembles` configs) and how many executors the multi-tenant
+/// registry's shared [`WorkerPool`] gets.
 ///
-/// The parallel mode is **bit-identical** to the serial mode: workers update
-/// disjoint subtrees with per-worker scratch spaces and their results are
-/// merged in child order (pinned by `tests/integration_parallel.rs` at batch
-/// sizes 1/7/64 with workers 1/2/4). Only wall-clock time differs.
+/// The parallel mode is **bit-identical** to the serial mode: members train
+/// independently and their results merge in member order (pinned by
+/// `tests/integration_parallel.rs` at batch sizes 1/7/64 with workers
+/// 1/2/4). Only wall-clock time differs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Parallelism {
     /// Single-threaded recursive descent (the default).
     #[default]
     Serial,
-    /// Up to `n` worker threads over disjoint subtree workloads. `Threads(0)`
-    /// and `Threads(1)` behave exactly like [`Parallelism::Serial`]: the
-    /// learn/predict paths short-circuit to the serial code before any pool
-    /// or queue machinery is touched, so a "parallel" configuration with
-    /// zero concurrency pays zero dispatch overhead.
+    /// Up to `n` worker threads over independent ensemble members.
+    /// `Threads(0)` and `Threads(1)` behave exactly like
+    /// [`Parallelism::Serial`]: no pool is created and no dispatch machinery
+    /// runs, so a "parallel" configuration with zero concurrency pays zero
+    /// dispatch overhead.
     Threads(usize),
 }
 
@@ -115,9 +110,9 @@ impl Parallelism {
     /// huge values are clamped to [`MAX_WORKERS`] when the setting is
     /// resolved ([`Parallelism::workers`]).
     ///
-    /// `DmtConfig::default()` goes through this hook so CI can run the whole
-    /// test suite under `Threads(n)` without patching every test; explicit
-    /// `parallelism:` settings are unaffected.
+    /// The ensemble and registry config defaults go through this hook so CI
+    /// can run the whole test suite under `Threads(n)` without patching
+    /// every test; explicit `parallelism:` settings are unaffected.
     pub fn from_env() -> Self {
         Self::parse(std::env::var("DMT_PARALLELISM").ok().as_deref())
     }
@@ -628,8 +623,8 @@ mod tests {
 
     #[test]
     fn tasks_mutate_disjoint_borrowed_slices() {
-        // The intended usage shape: items carry `&mut` borrows into one
-        // buffer, split disjointly, exactly like subtree index ranges.
+        // The intended usage shape: items carry disjoint `&mut` borrows
+        // into caller-owned state, exactly like the ensembles' members.
         let pool = WorkerPool::new(2);
         let mut buffer: Vec<usize> = vec![0; 10];
         let (a, b) = buffer.split_at_mut(5);
@@ -726,8 +721,8 @@ mod tests {
     #[test]
     fn env_parser_covers_serial_thread_and_garbage_values() {
         // The parser is tested directly (mutating the process environment
-        // would race against concurrently running tests that call
-        // `DmtConfig::default()`).
+        // would race against concurrently running tests whose config
+        // defaults read it).
         let cases = [
             (None, Parallelism::Serial),
             (Some(""), Parallelism::Serial),

@@ -16,7 +16,6 @@ use std::collections::HashMap;
 use dmt_models::memory::{slice_deep_bytes, vec_bytes};
 use dmt_models::MemoryUsage;
 
-use crate::arena::{NodeArena, NodeId};
 use crate::candidate::SplitCandidate;
 
 /// Scratch buffers threaded through `DynamicModelTree::learn_batch` →
@@ -174,80 +173,11 @@ impl UpdateScratch {
     }
 }
 
-/// One worker's private state for a parallel subtree update: the arena a
-/// detached subtree is moved into and the scratch space its node updates run
-/// through. Pooled inside [`ParallelScratch`] and reused across batches, so
-/// the parallel learn path keeps the same steady-state allocation contract as
-/// the serial one (per-worker buffers grow to their high-water mark once).
-#[derive(Debug)]
-pub(crate) struct WorkerSlot {
-    /// Owned arena the detached subtree lives in while a worker updates it.
-    pub(crate) arena: NodeArena,
-    /// The worker's private update scratch (disjoint from the tree's own).
-    pub(crate) scratch: UpdateScratch,
-}
-
-impl WorkerSlot {
-    fn new() -> Self {
-        Self {
-            arena: NodeArena::new_empty(),
-            scratch: UpdateScratch::new(),
-        }
-    }
-}
-
-/// Pooled buffers of the parallel learn path (`Parallelism::Threads`): the
-/// spine/task bookkeeping of the top-level partition and one [`WorkerSlot`]
-/// per concurrent subtree task. Owned by the tree and reused across batches;
-/// a tree running in serial mode never materialises any of it beyond the
-/// empty `Vec`s.
-#[derive(Debug, Default)]
-pub(crate) struct ParallelScratch {
-    /// Subtree tasks `(node id, index range start, index range end)`, kept
-    /// in left-to-right child order — the deterministic merge order.
-    pub(crate) tasks: Vec<(NodeId, usize, usize)>,
-    /// Inner nodes updated serially during the top-level descent, in
-    /// expansion order (parents before their children); structural checks
-    /// run over this list in reverse after the workers join.
-    pub(crate) spine: Vec<NodeId>,
-    /// One pooled slot per concurrent subtree task.
-    pub(crate) slots: Vec<WorkerSlot>,
-}
-
-impl MemoryUsage for ParallelScratch {
-    /// Heap bytes of the task/spine bookkeeping plus every pooled worker's
-    /// private arena and scratch.
-    fn memory_bytes(&self) -> usize {
-        vec_bytes(&self.tasks)
-            + vec_bytes(&self.spine)
-            + vec_bytes(&self.slots)
-            + self
-                .slots
-                .iter()
-                .map(|s| s.arena.memory_bytes() + s.scratch.memory_bytes())
-                .sum::<usize>()
-    }
-}
-
-impl ParallelScratch {
-    /// Create an empty pool (buffers grow on first parallel batch).
-    pub(crate) fn new() -> Self {
-        Self::default()
-    }
-
-    /// Ensure at least `n` worker slots exist.
-    pub(crate) fn ensure_slots(&mut self, n: usize) {
-        while self.slots.len() < n {
-            self.slots.push(WorkerSlot::new());
-        }
-    }
-}
-
 /// Scratch buffers of the single-pass batched prediction routing
 /// ([`crate::arena::NodeArena::predict_batch_into`]).
 ///
-/// Owned by the tree (behind a `RefCell`, since prediction is `&self`) and
-/// reused across batches. `DynamicModelTree::learn_batch` pre-grows the
+/// Owned by the tree in a `Mutex`-guarded pool (prediction is `&self`, so
+/// each call checks a scratch out and returns it) and reused across batches. `DynamicModelTree::learn_batch` pre-grows the
 /// buffers to the observed batch dimensions, so a test-then-train loop's
 /// predictions are allocation-free from the first call.
 #[derive(Debug, Default)]

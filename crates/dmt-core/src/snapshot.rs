@@ -38,14 +38,12 @@
 //!   loops or constructs an inconsistent tree. Decoded structure passes
 //!   [`NodeArena::validate`] plus shape checks (model dimensions against the
 //!   schema, split features in range) before a tree is handed back.
-//! * Parallelism is host-local, not model state: when the `DMT_PARALLELISM`
-//!   environment variable is set it overrides the snapshotted
-//!   [`DmtConfig::parallelism`], so a snapshot saved by a serial build can be
-//!   served by a threaded deployment (and vice versa) — results stay
-//!   bit-identical either way. The override never leaks back into the wire
-//!   bytes: re-saving a restored tree writes the *persisted* parallelism
-//!   ([`DynamicModelTree::persisted_parallelism`]), so save → load → save is
-//!   the identity on bytes regardless of the restoring host's environment.
+//! * The config record keeps two retired slots from builds whose tree could
+//!   learn and predict on worker threads: a parallelism tag (0 = serial,
+//!   1 = threaded plus a worker count) and a predict fan-out threshold. They
+//!   are written as the constants a serial build always wrote, so snapshot
+//!   bytes stay those of format version 2; decode checks the tag and drops
+//!   both, so files saved by a threaded build still load.
 
 use std::fs::File;
 use std::io::Write as _;
@@ -58,7 +56,6 @@ use dmt_stream::schema::{FeatureSpec, FeatureType, StreamSchema};
 use crate::arena::{NodeArena, NodeId};
 use crate::candidate::{CandidateKey, SplitCandidate};
 use crate::node::{GainDecision, NodeStats};
-use crate::parallel::Parallelism;
 use crate::tree::{DmtConfig, DynamicModelTree};
 
 /// File magic identifying a Dynamic Model Tree snapshot.
@@ -299,6 +296,10 @@ pub fn read_sealed(path: &Path) -> Result<Vec<u8>, SnapshotError> {
 // Payload codec: config, schema, arena, node payloads, decision log.
 // ---------------------------------------------------------------------------
 
+/// Value written into the config record's retired predict fan-out threshold
+/// slot (the default every serial build wrote; see the module docs).
+const RETIRED_PREDICT_THRESHOLD: usize = 512;
+
 fn encode_config(c: &DmtConfig, w: &mut Writer) {
     w.put_f64(c.learning_rate);
     w.put_f64(c.epsilon);
@@ -314,14 +315,9 @@ fn encode_config(c: &DmtConfig, w: &mut Writer) {
             w.put_usize(window);
         }
     }
-    match c.parallelism {
-        Parallelism::Serial => w.put_u8(0),
-        Parallelism::Threads(n) => {
-            w.put_u8(1);
-            w.put_usize(n);
-        }
-    }
-    w.put_usize(c.predict_parallel_threshold);
+    // Retired slots: serial parallelism tag, then the fan-out threshold.
+    w.put_u8(0);
+    w.put_usize(RETIRED_PREDICT_THRESHOLD);
     match c.memory_budget_bytes {
         None => w.put_u8(0),
         Some(budget) => {
@@ -351,12 +347,16 @@ fn decode_config(r: &mut Reader<'_>) -> Result<DmtConfig, SnapshotError> {
         },
         tag => return Err(invalid(format!("unknown batch mode tag {tag}"))),
     };
-    let parallelism = match r.get_u8()? {
-        0 => Parallelism::Serial,
-        1 => Parallelism::Threads(r.get_usize()?),
+    // Retired slots (module docs): a threaded build wrote tag 1 and its
+    // worker count; both tags load as the same serial tree.
+    match r.get_u8()? {
+        0 => {}
+        1 => {
+            r.get_usize()?;
+        }
         tag => return Err(invalid(format!("unknown parallelism tag {tag}"))),
-    };
-    let predict_parallel_threshold = r.get_usize()?;
+    }
+    r.get_usize()?;
     let memory_budget_bytes = match r.get_u8()? {
         0 => None,
         1 => Some(r.get_usize()?),
@@ -379,8 +379,6 @@ fn decode_config(r: &mut Reader<'_>) -> Result<DmtConfig, SnapshotError> {
         min_observations_split,
         seed,
         batch_mode,
-        parallelism,
-        predict_parallel_threshold,
         memory_budget_bytes,
     })
 }
@@ -683,13 +681,7 @@ impl DynamicModelTree {
     /// (header, checksum and payload — see the [module docs](self)).
     pub fn to_snapshot_bytes(&self) -> Vec<u8> {
         let mut w = Writer::new();
-        // Serialise the parallelism the model was created (or restored)
-        // with, not the host-local override currently in effect — restoring
-        // under `DMT_PARALLELISM` and re-saving must reproduce the original
-        // bytes.
-        let mut config = self.config().clone();
-        config.parallelism = self.persisted_parallelism();
-        encode_config(&config, &mut w);
+        encode_config(self.config(), &mut w);
         encode_schema(self.schema(), &mut w);
         w.put_u64(self.observations());
         w.put_u32(self.root_id().index() as u32);
@@ -712,20 +704,10 @@ impl DynamicModelTree {
     /// decoded arena must pass [`NodeArena::validate`] and every node model
     /// must match the decoded schema, so a hostile file can never produce a
     /// structurally inconsistent tree.
-    ///
-    /// If the `DMT_PARALLELISM` environment variable is set it overrides the
-    /// snapshotted parallelism setting (worker threads are a property of the
-    /// host, not of the model; results are bit-identical either way).
     pub fn from_snapshot_bytes(bytes: &[u8]) -> Result<Self, SnapshotError> {
         let payload = open_payload(bytes)?;
         let mut r = Reader::new(payload);
-        let mut config = decode_config(&mut r)?;
-        // The decoded (pre-override) parallelism is what a re-save must
-        // write back out; the override below only affects this process.
-        let persisted_parallelism = config.parallelism;
-        if std::env::var_os("DMT_PARALLELISM").is_some() {
-            config.parallelism = Parallelism::from_env();
-        }
+        let config = decode_config(&mut r)?;
         let schema = decode_schema(&mut r)?;
         let observations = r.get_u64()?;
         let root_raw = r.get_u32()?;
@@ -766,7 +748,6 @@ impl DynamicModelTree {
         }
         Ok(DynamicModelTree::from_snapshot_parts(
             config,
-            persisted_parallelism,
             schema,
             arena,
             root,
@@ -800,8 +781,8 @@ impl DynamicModelTree {
 
     /// Load a model previously saved with
     /// [`DynamicModelTree::save_snapshot`]. See
-    /// [`DynamicModelTree::from_snapshot_bytes`] for the validation and
-    /// parallelism-override semantics.
+    /// [`DynamicModelTree::from_snapshot_bytes`] for the validation
+    /// semantics.
     pub fn load_snapshot<P: AsRef<Path>>(path: P) -> Result<Self, SnapshotError> {
         let bytes = std::fs::read(path)?;
         Self::from_snapshot_bytes(&bytes)
@@ -837,33 +818,64 @@ mod tests {
         assert_eq!(crc32(b""), 0);
     }
 
+    /// Re-seal the snapshot `bytes` of a tree configured by `config` with
+    /// the retired parallelism tag byte replaced by `slot`.
+    fn with_parallelism_slot(bytes: &[u8], config: &DmtConfig, slot: &[u8]) -> Vec<u8> {
+        let payload = open_payload(bytes).unwrap();
+        let mut w = Writer::new();
+        encode_config(config, &mut w);
+        // The config record ends with the tag, the 8-byte threshold and the
+        // 1-byte tag of an absent memory budget.
+        let tag = w.as_bytes().len() - 10;
+        assert_eq!(payload[tag], 0);
+        assert_eq!(payload[tag + 1..tag + 9], 512u64.to_le_bytes());
+        let mut forged = payload[..tag].to_vec();
+        forged.extend_from_slice(slot);
+        forged.extend_from_slice(&payload[tag + 1..]);
+        seal_payload(&forged)
+    }
+
     #[test]
     fn round_trip_preserves_structure_and_predictions() {
         let tree = trained_tree();
         let bytes = tree.to_snapshot_bytes();
-        let restored = DynamicModelTree::from_snapshot_bytes(&bytes).unwrap();
-        assert_eq!(restored.observations(), tree.observations());
-        assert_eq!(restored.num_inner_nodes(), tree.num_inner_nodes());
-        assert_eq!(restored.num_leaves(), tree.num_leaves());
-        assert_eq!(restored.arena().num_slots(), tree.arena().num_slots());
-        assert_eq!(restored.arena().num_free(), tree.arena().num_free());
-        assert_eq!(restored.decision_log(), tree.decision_log());
-        restored.arena().validate(restored.root_id()).unwrap();
-        for i in 0..50 {
-            let x = [i as f64 / 50.0, 1.0 - i as f64 / 50.0];
-            assert_eq!(restored.predict(&x), tree.predict(&x));
-            for (a, b) in restored
-                .predict_proba(&x)
-                .iter()
-                .zip(tree.predict_proba(&x).iter())
-            {
-                assert_eq!(
-                    a.to_bits(),
-                    b.to_bits(),
-                    "probabilities must be bit-identical"
-                );
+        // An older build whose tree learned on worker threads wrote tag 1
+        // and its worker count into the retired slot: it loads as the same
+        // tree and re-saves with tag 0.
+        let mut threaded_slot = vec![1u8];
+        threaded_slot.extend_from_slice(&4u64.to_le_bytes());
+        let threaded = with_parallelism_slot(&bytes, tree.config(), &threaded_slot);
+        for input in [&bytes, &threaded] {
+            let restored = DynamicModelTree::from_snapshot_bytes(input).unwrap();
+            assert_eq!(restored.to_snapshot_bytes(), bytes);
+            assert_eq!(restored.observations(), tree.observations());
+            assert_eq!(restored.num_inner_nodes(), tree.num_inner_nodes());
+            assert_eq!(restored.num_leaves(), tree.num_leaves());
+            assert_eq!(restored.arena().num_slots(), tree.arena().num_slots());
+            assert_eq!(restored.arena().num_free(), tree.arena().num_free());
+            assert_eq!(restored.decision_log(), tree.decision_log());
+            restored.arena().validate(restored.root_id()).unwrap();
+            for i in 0..50 {
+                let x = [i as f64 / 50.0, 1.0 - i as f64 / 50.0];
+                assert_eq!(restored.predict(&x), tree.predict(&x));
+                for (a, b) in restored
+                    .predict_proba(&x)
+                    .iter()
+                    .zip(tree.predict_proba(&x).iter())
+                {
+                    assert_eq!(
+                        a.to_bits(),
+                        b.to_bits(),
+                        "probabilities must be bit-identical"
+                    );
+                }
             }
         }
+        let unknown = with_parallelism_slot(&bytes, tree.config(), &[2]);
+        assert!(matches!(
+            DynamicModelTree::from_snapshot_bytes(&unknown),
+            Err(SnapshotError::Invalid(_))
+        ));
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! The public [`DynamicModelTree`] classifier and its configuration.
 
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 
 use dmt_models::memory::vec_bytes;
 use dmt_models::online::{Complexity, OnlineClassifier};
@@ -10,17 +10,8 @@ use dmt_stream::schema::StreamSchema;
 use crate::arena::{NodeArena, NodeId};
 use crate::error::DmtError;
 use crate::explain::{DecisionStep, LeafExplanation};
-use crate::node::{
-    learn_at, partition_indices, structural_check_inner, GainDecision, NodeStats, Routing,
-};
-use crate::parallel::{Parallelism, WorkerPool};
-use crate::scratch::{ParallelScratch, PredictScratch, UpdateScratch, WorkerSlot};
-
-/// Default for [`DmtConfig::predict_parallel_threshold`]: batches below this
-/// row count predict serially even when a worker pool is available. Routing a
-/// batch costs O(rows · depth) with tiny constants, so fan-out only pays once
-/// a batch is comfortably larger than the dispatch hand-shake.
-pub const PREDICT_PARALLEL_THRESHOLD: usize = 512;
+use crate::node::{learn_at, GainDecision, NodeStats, Routing};
+use crate::scratch::{PredictScratch, UpdateScratch};
 
 /// Hyperparameters of the Dynamic Model Tree with the defaults proposed in
 /// §V-D of the paper.
@@ -57,26 +48,6 @@ pub struct DmtConfig {
     /// therefore downstream predictions) diverge between modes after the
     /// first window.
     pub batch_mode: BatchMode,
-    /// How `learn_batch` distributes disjoint subtree workloads after the
-    /// top-level index partition: [`Parallelism::Serial`] (the default) runs
-    /// the recursive descent on the calling thread,
-    /// [`Parallelism::Threads`]`(n)` dispatches detached subtrees to the
-    /// tree's persistent [`WorkerPool`] and merges them deterministically in
-    /// child order. Both settings produce **bit-identical** trees; only
-    /// wall-clock time differs. `Threads(0)` and `Threads(1)` short-circuit
-    /// to the serial path before any pool or queue machinery is touched (no
-    /// pool is ever created). The default honours the `DMT_PARALLELISM`
-    /// environment variable (see [`Parallelism::from_env`]) so CI can
-    /// exercise the whole suite threaded.
-    pub parallelism: Parallelism,
-    /// Minimum batch size (rows) before `predict_batch_into` fans contiguous
-    /// row chunks out over the worker pool; smaller batches always predict
-    /// serially. Only relevant with [`Parallelism::Threads`]`(n ≥ 2)` once
-    /// the pool exists (the first parallel `learn_batch` — or
-    /// [`DynamicModelTree::set_worker_pool`] — creates it). Chunked and
-    /// serial prediction are bit-identical: rows are independent and the
-    /// batched GLM kernels are pinned to the scalar path per row.
-    pub predict_parallel_threshold: usize,
     /// Optional resident-memory budget in bytes
     /// ([`DynamicModelTree::memory_bytes`] must not exceed it after a batch).
     /// `None` (the default) disables all budget machinery — the tree is
@@ -110,8 +81,6 @@ impl Default for DmtConfig {
             min_observations_split: 50,
             seed: 42,
             batch_mode: BatchMode::default(),
-            parallelism: Parallelism::from_env(),
-            predict_parallel_threshold: PREDICT_PARALLEL_THRESHOLD,
             memory_budget_bytes: None,
         }
     }
@@ -147,13 +116,6 @@ impl DmtConfig {
 /// partition.
 pub struct DynamicModelTree {
     config: DmtConfig,
-    /// The parallelism setting that snapshots of this tree serialise.
-    /// `config.parallelism` is host-local (the `DMT_PARALLELISM` environment
-    /// variable overrides it on restore), but a snapshot must round-trip the
-    /// *model's* bytes unchanged regardless of the restoring host's override,
-    /// so the pre-override value is carried here and written back out by
-    /// `to_snapshot_bytes`.
-    persisted_parallelism: Parallelism,
     schema: StreamSchema,
     nominal_features: Vec<bool>,
     arena: NodeArena,
@@ -166,26 +128,16 @@ pub struct DynamicModelTree {
     /// Reusable buffers for the update loop; after the first batches the
     /// learn path performs no per-instance heap allocations.
     scratch: UpdateScratch,
-    /// Pooled worker arenas/scratches of the parallel learn path; empty (and
-    /// never grown) while `config.parallelism` is serial.
-    par_scratch: ParallelScratch,
     /// Pool of reusable buffers for the batched prediction routing. Behind a
     /// `Mutex` because prediction is `&self` and may run concurrently (user
-    /// threads sharing the tree, or the tree's own pool-chunked predict):
+    /// threads sharing the tree, such as the serving plane's epoch readers):
     /// each prediction call pops a scratch — creating a fresh one only when
     /// the pool is empty — and pushes it back when done, so concurrent and
-    /// re-entrant predictions can never contend on one buffer (the `RefCell`
-    /// this replaces panicked instead). `learn_batch` pre-grows the pooled
-    /// buffers to the observed batch dimensions so a steady-state
-    /// test-then-train loop predicts without allocating.
+    /// re-entrant predictions can never contend on one buffer.
+    /// `learn_batch` pre-grows the pooled buffers to the observed batch
+    /// dimensions so a steady-state test-then-train loop predicts without
+    /// allocating.
     predict_scratch: Mutex<Vec<PredictScratch>>,
-    /// The persistent worker pool of the parallel learn/predict paths.
-    /// Created lazily by the first parallel `learn_batch` (so serial trees
-    /// never spawn a thread), or injected via
-    /// [`DynamicModelTree::set_worker_pool`] to share one pool's resident
-    /// threads between several models. Dropped (threads joined) when the
-    /// last `Arc` owner goes away.
-    pool: Option<Arc<WorkerPool>>,
     /// Rung 4 of the budget ladder: `true` while the last budget enforcement
     /// could not get under [`DmtConfig::memory_budget_bytes`] even after
     /// merging the tree down, so the next batch learns without growing.
@@ -197,13 +149,10 @@ pub struct DynamicModelTree {
 
 impl Clone for DynamicModelTree {
     /// Clones the model state (arena, configuration, decision log); the
-    /// scratch spaces start empty and regrow on first use. A worker pool is
-    /// **shared** with the clone (pools are reference-counted thread sets,
-    /// not model state), so cloning a parallel tree never spawns threads.
+    /// scratch spaces start empty and regrow on first use.
     fn clone(&self) -> Self {
         Self {
             config: self.config.clone(),
-            persisted_parallelism: self.persisted_parallelism,
             schema: self.schema.clone(),
             nominal_features: self.nominal_features.clone(),
             arena: self.arena.clone(),
@@ -211,9 +160,7 @@ impl Clone for DynamicModelTree {
             observations: self.observations,
             decisions: self.decisions.clone(),
             scratch: UpdateScratch::new(),
-            par_scratch: ParallelScratch::new(),
             predict_scratch: Mutex::new(Vec::new()),
-            pool: self.pool.clone(),
             growth_frozen: self.growth_frozen,
         }
     }
@@ -230,7 +177,6 @@ impl DynamicModelTree {
         let root_model = Glm::new_random(schema.num_features(), schema.num_classes, config.seed);
         let (arena, root) = NodeArena::with_root(NodeStats::new(root_model));
         Self {
-            persisted_parallelism: config.parallelism,
             config,
             schema,
             nominal_features,
@@ -239,19 +185,16 @@ impl DynamicModelTree {
             observations: 0,
             decisions: Vec::new(),
             scratch: UpdateScratch::new(),
-            par_scratch: ParallelScratch::new(),
             predict_scratch: Mutex::new(Vec::new()),
-            pool: None,
             growth_frozen: false,
         }
     }
 
     /// Rebuild a tree from decoded snapshot state (`crate::snapshot`): the
     /// model state is taken verbatim, the caches (scratches, prediction
-    /// pool, worker pool) start empty exactly like a fresh clone's.
+    /// pool) start empty exactly like a fresh clone's.
     pub(crate) fn from_snapshot_parts(
         config: DmtConfig,
-        persisted_parallelism: Parallelism,
         schema: StreamSchema,
         arena: NodeArena,
         root: NodeId,
@@ -265,7 +208,6 @@ impl DynamicModelTree {
             .collect();
         Self {
             config,
-            persisted_parallelism,
             schema,
             nominal_features,
             arena,
@@ -273,43 +215,14 @@ impl DynamicModelTree {
             observations,
             decisions,
             scratch: UpdateScratch::new(),
-            par_scratch: ParallelScratch::new(),
             predict_scratch: Mutex::new(Vec::new()),
-            pool: None,
             growth_frozen: false,
         }
-    }
-
-    /// Share a persistent [`WorkerPool`] with this tree: subsequent parallel
-    /// learn/predict batches dispatch onto `pool`'s resident threads instead
-    /// of lazily creating a private pool. Several models (trees, the
-    /// `dmt-ensembles` learners) can hold the same `Arc`; dispatches
-    /// serialise on the pool's job slot and results stay bit-identical
-    /// regardless of who shares it.
-    pub fn set_worker_pool(&mut self, pool: Arc<WorkerPool>) {
-        self.pool = Some(pool);
-    }
-
-    /// The tree's current worker pool, if one exists (lazily created by the
-    /// first parallel `learn_batch`, or injected via
-    /// [`DynamicModelTree::set_worker_pool`]). Hand this to other models to
-    /// share one set of resident threads.
-    pub fn worker_pool(&self) -> Option<&Arc<WorkerPool>> {
-        self.pool.as_ref()
     }
 
     /// The configuration in use.
     pub fn config(&self) -> &DmtConfig {
         &self.config
-    }
-
-    /// The parallelism setting snapshots of this tree serialise: the value
-    /// the tree was created with, or the snapshotted value it was restored
-    /// from — *not* any `DMT_PARALLELISM` host override currently steering
-    /// [`DmtConfig::parallelism`]. Save/restore/re-save round-trips the
-    /// snapshot bytes unchanged because this value survives the override.
-    pub fn persisted_parallelism(&self) -> Parallelism {
-        self.persisted_parallelism
     }
 
     /// The stream schema the tree was built for.
@@ -485,42 +398,19 @@ impl DynamicModelTree {
         let mut indices = std::mem::take(&mut self.scratch.indices);
         indices.clear();
         indices.extend(0..xs.len());
-        // The parallel path covers the hot gathered routing; the per-instance
-        // reference (`learn_batch_reference`) always runs the serial
-        // recursion, so bit-identity tests compare threaded-hot vs
-        // serial-reference end to end. `workers == 1` — Serial, Threads(0),
-        // Threads(1) — short-circuits here: no pool is created and no
-        // dispatch machinery runs, so a "parallel" configuration with zero
-        // concurrency pays zero overhead.
-        let workers = self.config.parallelism.workers();
-        let use_parallel = routing == Routing::Gathered
-            && workers >= 2
-            && !indices.is_empty()
-            && !self.arena.is_leaf(self.root);
-        if use_parallel && self.pool.is_none() {
-            // Lazily spawn the persistent pool on the first batch that can
-            // actually use it; it is reused for every later batch (and by
-            // pool-chunked prediction) until the tree is dropped.
-            self.pool = Some(Arc::new(WorkerPool::new(workers)));
-        }
-        let allow_growth = !self.growth_frozen;
-        let decision = if use_parallel {
-            self.learn_batch_parallel(xs, ys, &mut indices, workers, allow_growth)
-        } else {
-            learn_at(
-                &mut self.arena,
-                self.root,
-                xs,
-                ys,
-                &mut indices,
-                &self.nominal_features,
-                &self.config,
-                &mut self.scratch,
-                routing,
-                allow_growth,
-                None,
-            )
-        };
+        let decision = learn_at(
+            &mut self.arena,
+            self.root,
+            xs,
+            ys,
+            &mut indices,
+            &self.nominal_features,
+            &self.config,
+            &mut self.scratch,
+            routing,
+            !self.growth_frozen,
+            None,
+        );
         self.scratch.indices = indices;
         if decision != GainDecision::Keep {
             self.decisions.push((self.observations, decision.clone()));
@@ -560,159 +450,6 @@ impl DynamicModelTree {
         decision
     }
 
-    /// The parallel form of the learn recursion (`Parallelism::Threads`),
-    /// bit-identical to the serial [`learn_at`] descent:
-    ///
-    /// 1. **Spine descent** (serial): starting from the root, the largest
-    ///    routable task is expanded — its node statistics are updated with
-    ///    its routed sub-batch (inner nodes keep full statistics and keep
-    ///    training, §IV-D) and its index range is partitioned in place with
-    ///    the exact routing of the serial path — until there are at least
-    ///    `workers` subtree tasks or nothing expandable is left. Expanded
-    ///    nodes form the *spine*; the remaining tasks tile the index range in
-    ///    left-to-right child order.
-    /// 2. **Subtree workers** (parallel): every non-empty task's subtree is
-    ///    detached into a pooled worker arena ([`NodeArena::detach_subtree`])
-    ///    and updated — splits, prunes and replacements included — by
-    ///    [`learn_at`] on a scoped worker thread with a per-worker
-    ///    [`UpdateScratch`]. Subtrees are disjoint, so no worker ever
-    ///    observes another's state; per-node arithmetic is identical to the
-    ///    serial path because each node's update depends only on its own
-    ///    routed rows.
-    /// 3. **Deterministic merge** (serial): subtrees are re-attached in child
-    ///    order, then the spine's structural checks (prune/replace, gains
-    ///    (4)–(5)) run bottom-up exactly like the serial recursion's
-    ///    post-order tail. The root's check is the returned decision.
-    ///
-    /// Only arena *slot numbering* may differ from a serial run (workers
-    /// allocate in private arenas); the tree shape, all statistics, all model
-    /// parameters and all decisions are pinned bit-identical by
-    /// `tests/integration_parallel.rs`.
-    fn learn_batch_parallel(
-        &mut self,
-        xs: Rows<'_>,
-        ys: &[usize],
-        indices: &mut [usize],
-        workers: usize,
-        allow_growth: bool,
-    ) -> GainDecision {
-        let m = self.schema.num_features();
-        let mut tasks = std::mem::take(&mut self.par_scratch.tasks);
-        let mut spine = std::mem::take(&mut self.par_scratch.spine);
-        tasks.clear();
-        spine.clear();
-        tasks.push((self.root, 0, indices.len()));
-
-        // 1. Spine descent: expand the largest inner-node task until the
-        // frontier is wide enough to feed every worker.
-        while tasks.len() < workers {
-            let mut largest: Option<usize> = None;
-            for (j, &(id, lo, hi)) in tasks.iter().enumerate() {
-                if hi > lo && !self.arena.is_leaf(id) {
-                    let bigger = match largest {
-                        None => true,
-                        Some(b) => {
-                            let (_, blo, bhi) = tasks[b];
-                            hi - lo > bhi - blo
-                        }
-                    };
-                    if bigger {
-                        largest = Some(j);
-                    }
-                }
-            }
-            let Some(j) = largest else { break };
-            let (id, lo, hi) = tasks[j];
-            self.arena.stats_mut(id).update_with_batch_indexed(
-                xs,
-                ys,
-                &indices[lo..hi],
-                &self.nominal_features,
-                &self.config,
-                &mut self.scratch,
-            );
-            let key = self.arena.split_key(id);
-            let write = partition_indices(
-                &key,
-                xs,
-                &mut indices[lo..hi],
-                &mut self.scratch,
-                Routing::Gathered,
-                m,
-            );
-            let (left, right) = self.arena.children(id).expect("spine node is inner");
-            spine.push(id);
-            tasks[j] = (left, lo, lo + write);
-            tasks.insert(j + 1, (right, lo + write, hi));
-        }
-
-        // 2. Detach every non-empty subtree into its pooled worker slot and
-        // fan the tasks out. Empty sub-batches are skipped entirely, exactly
-        // like the serial recursion's early return.
-        self.par_scratch.ensure_slots(tasks.len());
-        let mut items: Vec<(&mut WorkerSlot, &mut [usize])> = Vec::with_capacity(tasks.len());
-        let mut remaining: &mut [usize] = indices;
-        let mut slot_iter = self.par_scratch.slots.iter_mut();
-        for &(id, lo, hi) in tasks.iter() {
-            let (chunk, rest) = std::mem::take(&mut remaining).split_at_mut(hi - lo);
-            remaining = rest;
-            if hi == lo {
-                continue;
-            }
-            let slot = slot_iter.next().expect("slot pool sized to task count");
-            let droot = self.arena.detach_subtree(id, &mut slot.arena);
-            debug_assert_eq!(droot, NodeArena::FIRST);
-            items.push((slot, chunk));
-        }
-        let nominal_features = &self.nominal_features;
-        let config = &self.config;
-        let pool = Arc::clone(self.pool.as_ref().expect("parallel learn without a pool"));
-        pool.run(items, |_, (slot, chunk)| {
-            learn_at(
-                &mut slot.arena,
-                NodeArena::FIRST,
-                xs,
-                ys,
-                chunk,
-                nominal_features,
-                config,
-                &mut slot.scratch,
-                Routing::Gathered,
-                allow_growth,
-                None,
-            );
-        });
-
-        // 3. Deterministic merge: re-attach in child order, then run the
-        // spine's structural checks bottom-up (children before parents — the
-        // spine is expansion-ordered, so reversing it visits every node
-        // after all its descendants).
-        let mut slot_index = 0usize;
-        for &(id, lo, hi) in tasks.iter() {
-            if hi == lo {
-                continue;
-            }
-            let slot = &mut self.par_scratch.slots[slot_index];
-            slot_index += 1;
-            self.arena
-                .attach_subtree(id, &mut slot.arena, NodeArena::FIRST);
-        }
-        debug_assert_eq!(spine.first(), Some(&self.root));
-        let mut decision = GainDecision::Keep;
-        for &id in spine.iter().rev() {
-            decision = structural_check_inner(
-                &mut self.arena,
-                id,
-                &self.config,
-                &mut self.scratch,
-                allow_growth,
-            );
-        }
-        self.par_scratch.tasks = tasks;
-        self.par_scratch.spine = spine;
-        decision
-    }
-
     /// Class probabilities of the responsible leaf written into `out`
     /// (`out.len() == num_classes`); the allocation-free analogue of
     /// [`OnlineClassifier::predict_proba`].
@@ -730,70 +467,20 @@ impl DynamicModelTree {
     /// Bit-identical to per-instance descent, allocation-free in steady
     /// state.
     ///
-    /// Once the tree has a worker pool (the first parallel `learn_batch`
-    /// creates one; [`DynamicModelTree::set_worker_pool`] injects one) and
-    /// the batch reaches [`DmtConfig::predict_parallel_threshold`] rows, the
-    /// batch is split into contiguous row chunks — one per executor — and
-    /// each chunk descends on its own pooled scratch. Rows are independent,
-    /// so chunked prediction is bit-identical to the serial pass.
-    ///
-    /// Safe under concurrent and re-entrant calls: every call (and every
-    /// pool chunk) checks a scratch buffer out of the tree's scratch pool
-    /// and returns it afterwards — no shared mutable state.
+    /// Safe under concurrent and re-entrant calls: every call checks a
+    /// scratch buffer out of the tree's scratch pool and returns it
+    /// afterwards — no shared mutable state.
     pub fn predict_batch_into(&self, xs: Rows<'_>, out: &mut [usize]) {
-        let workers = self.config.parallelism.workers();
-        if let Some(pool) = &self.pool {
-            if workers >= 2
-                && xs.len() >= self.config.predict_parallel_threshold.max(2)
-                && !self.arena.is_leaf(self.root)
-            {
-                return self.predict_batch_parallel(pool, xs, out, workers);
-            }
-        }
         let mut scratch = self.checkout_predict_scratch();
         self.arena
             .predict_batch_into(self.root, xs, out, &mut scratch);
         self.return_predict_scratch(scratch);
     }
 
-    /// The pool-chunked form of [`DynamicModelTree::predict_batch_into`]:
-    /// split the batch into `workers` contiguous row chunks (sizes differ by
-    /// at most one row, largest first — fully deterministic), fan them out
-    /// over the pool, and let each chunk route level-by-level with its own
-    /// checked-out scratch. The output slices are disjoint `split_at_mut`
-    /// views, so workers never share mutable state.
-    fn predict_batch_parallel(
-        &self,
-        pool: &Arc<WorkerPool>,
-        xs: Rows<'_>,
-        out: &mut [usize],
-        workers: usize,
-    ) {
-        let n = xs.len();
-        let chunks = workers.min(pool.executors()).min(n).max(1);
-        let mut items: Vec<(Rows<'_>, &mut [usize])> = Vec::with_capacity(chunks);
-        let mut rest_x: Rows<'_> = xs;
-        let mut rest_out: &mut [usize] = out;
-        for c in 0..chunks {
-            let len = n / chunks + usize::from(c < n % chunks);
-            let (chunk_x, rx) = rest_x.split_at(len);
-            let (chunk_out, ro) = std::mem::take(&mut rest_out).split_at_mut(len);
-            rest_x = rx;
-            rest_out = ro;
-            items.push((chunk_x, chunk_out));
-        }
-        pool.run(items, |_, (chunk_x, chunk_out)| {
-            let mut scratch = self.checkout_predict_scratch();
-            self.arena
-                .predict_batch_into(self.root, chunk_x, chunk_out, &mut scratch);
-            self.return_predict_scratch(scratch);
-        });
-    }
-
     /// Lock the prediction scratch pool, recovering from poisoning instead
     /// of panicking: prediction is `&self` and must keep working after some
-    /// other call panicked while holding the lock (e.g. a caller-injected
-    /// panic on a worker thread). The pooled buffers are pure caches, so on
+    /// other call panicked while holding the lock (e.g. a panic on another
+    /// thread sharing the tree). The pooled buffers are pure caches, so on
     /// poison they are discarded — the pool refills on subsequent calls.
     fn lock_predict_pool(&self) -> std::sync::MutexGuard<'_, Vec<PredictScratch>> {
         match self.predict_scratch.lock() {
@@ -824,7 +511,7 @@ impl DynamicModelTree {
     /// Resident heap bytes of the whole model: the node arena (structure
     /// columns, leaf/inner model parameters, loss windows, candidate pools),
     /// the decision log, and every reusable cache the tree keeps warm
-    /// (update scratch, parallel worker slots, pooled prediction buffers).
+    /// (update scratch, pooled prediction buffers).
     /// Capacity-based and heap-only, following the
     /// [`dmt_models::memory::MemoryUsage`] conventions; this is the figure
     /// [`DmtConfig::memory_budget_bytes`] is enforced against and the benches
@@ -836,7 +523,6 @@ impl DynamicModelTree {
         };
         self.arena.memory_bytes()
             + self.scratch.memory_bytes()
-            + self.par_scratch.memory_bytes()
             + predict_pool
             + vec_bytes(&self.nominal_features)
             + vec_bytes(&self.decisions)
@@ -924,7 +610,6 @@ impl DynamicModelTree {
         // unaffected; the caches regrow to what the workload actually needs).
         self.root = self.arena.compact(self.root);
         self.scratch = UpdateScratch::new();
-        self.par_scratch = ParallelScratch::new();
         self.lock_predict_pool().clear();
         if self.memory_bytes() <= budget {
             return;

@@ -7,8 +7,6 @@
 //!   Random Forest and Leveraging Bagging.
 //! * [`page_hinkley`] — the Page-Hinkley test used by FIMT-DD to prune
 //!   branches after concept drift.
-//! * [`ddm`] — the Drift Detection Method (Gama et al., 2004), provided for
-//!   the extension experiments.
 //!
 //! The Dynamic Model Tree itself deliberately uses **none** of these — drift
 //! adaptation falls out of its loss-based gain functions (§IV-D of the
@@ -18,11 +16,9 @@
 #![deny(unsafe_code)]
 
 pub mod adwin;
-pub mod ddm;
 pub mod page_hinkley;
 
 pub use adwin::Adwin;
-pub use ddm::{Ddm, DdmState};
 pub use page_hinkley::PageHinkley;
 
 /// Common interface of the drift detectors: feed scalar observations (usually

@@ -45,8 +45,9 @@ impl Glm {
 
     /// Create a zero-parameter placeholder GLM without touching the
     /// allocator (see [`LogitModel::placeholder`]). Placeholders back-fill
-    /// moved-out tree-node payloads during parallel subtree updates and must
-    /// never be asked to predict or learn.
+    /// tree-node payloads that were moved out or never restored (arena
+    /// compaction, free-listed snapshot slots) and must never be asked to
+    /// predict or learn.
     pub fn placeholder() -> Self {
         Glm::Logit(LogitModel::placeholder())
     }

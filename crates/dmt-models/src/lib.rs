@@ -13,8 +13,6 @@
 //!   the paper.
 //! * [`naive_bayes`] — incremental Gaussian Naive Bayes, used by the
 //!   VFDT (NBA) baseline leaves.
-//! * [`perceptron`] — an averaged online perceptron, provided as an alternative
-//!   leaf model (extension).
 //! * [`mod@aic`] — Akaike Information Criterion helpers and the ε-threshold test of
 //!   eq. (11).
 //!
@@ -58,7 +56,6 @@ pub mod loss;
 pub mod memory;
 pub mod naive_bayes;
 pub mod online;
-pub mod perceptron;
 pub mod softmax;
 pub mod wire;
 
@@ -68,7 +65,6 @@ pub use logit::LogitModel;
 pub use memory::MemoryUsage;
 pub use naive_bayes::GaussianNaiveBayes;
 pub use online::{Complexity, OnlineClassifier};
-pub use perceptron::AveragedPerceptron;
 pub use softmax::SoftmaxModel;
 pub use wire::{WireError, Writer};
 
@@ -299,8 +295,8 @@ pub trait SimpleModel: Send + Sync {
     /// In [`BatchMode::Deterministic`] the parameters are bit-identical to
     /// calling [`SimpleModel::sgd_step_into`] on every row in order. The
     /// default implementation always performs that sweep (discarding each
-    /// step's loss) — models without a batched kernel (Naive Bayes,
-    /// perceptron) silently fall back to it; the GLM implementations
+    /// step's loss) — models without a batched kernel (Naive Bayes)
+    /// silently fall back to it; the GLM implementations
     /// override it with windowed summed-gradient steps over the contiguous
     /// rows, the deterministic sweep being a window of one.
     fn learn_batch_into(

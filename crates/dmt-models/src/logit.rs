@@ -56,9 +56,9 @@ impl LogitModel {
     /// Create a zero-feature, zero-parameter placeholder model.
     ///
     /// Performs **no** heap allocation (the parameter vector is empty) — used
-    /// by `dmt-core`'s arena to backfill node payloads that were moved into a
-    /// worker arena for a parallel subtree update. A placeholder must never
-    /// be asked to predict or learn.
+    /// by `dmt-core`'s arena to backfill node payloads that compaction moved
+    /// out, and the free-listed slots of a decoded snapshot. A placeholder
+    /// must never be asked to predict or learn.
     pub fn placeholder() -> Self {
         Self {
             params: Vec::new(),

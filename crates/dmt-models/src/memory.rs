@@ -74,16 +74,10 @@ impl MemoryUsage for crate::naive_bayes::GaussianNaiveBayes {
     }
 }
 
-impl MemoryUsage for crate::perceptron::AveragedPerceptron {
-    fn memory_bytes(&self) -> usize {
-        self.heap_bytes()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{AveragedPerceptron, GaussianNaiveBayes, Glm};
+    use crate::{GaussianNaiveBayes, Glm};
 
     #[test]
     fn vec_bytes_tracks_capacity_not_length() {
@@ -105,13 +99,10 @@ mod tests {
     }
 
     #[test]
-    fn naive_bayes_and_perceptron_report_nonzero_heap() {
+    fn naive_bayes_reports_nonzero_heap() {
         let nb = GaussianNaiveBayes::new(3, 2);
         // Two per-class stat vectors plus the outer vec and class counts.
         assert!(nb.memory_bytes() > 0);
-        let p = AveragedPerceptron::new(3, 2);
-        // Current + averaged weights: 2 × c(m+1) f64s.
-        assert_eq!(p.memory_bytes(), 2 * 2 * 4 * 8);
     }
 
     #[test]

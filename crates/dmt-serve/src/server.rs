@@ -251,13 +251,7 @@ mod tests {
             ..RegistryConfig::default()
         });
         let schema = StreamSchema::numeric("toy", 3, 2);
-        let tree = DynamicModelTree::new(
-            schema.clone(),
-            DmtConfig {
-                parallelism: Parallelism::Serial,
-                ..DmtConfig::default()
-            },
-        );
+        let tree = DynamicModelTree::new(schema.clone(), DmtConfig::default());
         registry
             .register("m", schema, ZooModel::Dmt(tree))
             .expect("register");

@@ -12,7 +12,7 @@
 //! | [`core`] | the Dynamic Model Tree ([`core::DynamicModelTree`], [`core::DmtConfig`]) |
 //! | [`models`] | GLMs, Naive Bayes, AIC, the [`models::OnlineClassifier`] trait |
 //! | [`stream`] | stream abstractions, generators, the Table I catalog, the named workload suite |
-//! | [`drift`] | ADWIN, Page-Hinkley, DDM drift detectors |
+//! | [`drift`] | ADWIN and Page-Hinkley drift detectors |
 //! | [`baselines`] | VFDT (MC/NBA), HT-Ada, EFDT, FIMT-DD |
 //! | [`ensembles`] | Adaptive Random Forest, Leveraging Bagging |
 //! | [`eval`] | prequential evaluation, metrics, traces |

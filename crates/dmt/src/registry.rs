@@ -67,7 +67,7 @@ pub struct RegistryConfig {
     /// the Dynamic Model Tree tenants (`None` = unbudgeted fleet).
     pub fleet_budget_bytes: Option<usize>,
     /// Parallelism of the one [`WorkerPool`] shared by every tenant that can
-    /// use it (DMT trees and ensembles). `Serial` (and `Threads(0|1)`)
+    /// use it (the ensembles' member fan-out). `Serial` (and `Threads(0|1)`)
     /// creates no pool and no threads.
     pub parallelism: Parallelism,
 }
@@ -648,13 +648,7 @@ mod tests {
 
     fn register_dmt(registry: &ModelRegistry, name: &str) {
         let schema = toy_schema();
-        let tree = DynamicModelTree::new(
-            schema.clone(),
-            DmtConfig {
-                parallelism: Parallelism::Serial,
-                ..DmtConfig::default()
-            },
-        );
+        let tree = DynamicModelTree::new(schema.clone(), DmtConfig::default());
         registry
             .register(name, schema, ZooModel::Dmt(tree))
             .expect("register");
@@ -691,13 +685,7 @@ mod tests {
         let registry = serial_registry();
         register_dmt(&registry, "m");
         let schema = toy_schema();
-        let mut twin = DynamicModelTree::new(
-            schema,
-            DmtConfig {
-                parallelism: Parallelism::Serial,
-                ..DmtConfig::default()
-            },
-        );
+        let mut twin = DynamicModelTree::new(schema, DmtConfig::default());
         let (xs, ys) = toy_batch(48);
         let xs = rows(&xs);
         for _ in 0..8 {
@@ -868,13 +856,7 @@ mod tests {
         register_dmt(&registry, "m");
         // Checkpoint a tree with a *different* schema under another tenant.
         let other_schema = StreamSchema::numeric("other", 5, 3);
-        let tree = DynamicModelTree::new(
-            other_schema.clone(),
-            DmtConfig {
-                parallelism: Parallelism::Serial,
-                ..DmtConfig::default()
-            },
-        );
+        let tree = DynamicModelTree::new(other_schema.clone(), DmtConfig::default());
         let dir = std::env::temp_dir().join("dmt-registry-schema-test");
         std::fs::create_dir_all(&dir).expect("tmp dir");
         let path = dir.join("other.dmt");

@@ -267,16 +267,16 @@ impl ZooModel {
     }
 
     /// Share a persistent [`WorkerPool`] with the model, if its kind can use
-    /// one (the DMT tree and both ensembles dispatch subtree/member work to
-    /// it; the baseline trees are single-threaded and ignore the call).
-    /// Lets a registry run thousands of tenants over one set of resident
-    /// threads instead of each model lazily spawning its own.
+    /// one (both ensembles dispatch member work to it; the DMT and the
+    /// baseline trees are single-threaded and ignore the call). Lets a
+    /// registry run thousands of tenants over one set of resident threads
+    /// instead of each model lazily spawning its own.
     pub fn set_worker_pool(&mut self, pool: Arc<WorkerPool>) {
         match self {
-            ZooModel::Dmt(m) => m.set_worker_pool(pool),
             ZooModel::Forest(m) => m.set_worker_pool(pool),
             ZooModel::Bagging(m) => m.set_worker_pool(pool),
-            ZooModel::FimtDd(_)
+            ZooModel::Dmt(_)
+            | ZooModel::FimtDd(_)
             | ZooModel::VfdtMc(_)
             | ZooModel::VfdtNba(_)
             | ZooModel::HtAda(_)

@@ -87,131 +87,8 @@ fn steady_state_hot_path_is_allocation_free_per_instance() {
         steady_state_measurement(mode);
     }
     deep_tree_measurement();
-    parallel_learn_measurement();
-    pooled_predict_measurement();
     ensemble_prediction_measurement();
     pooled_ensemble_learn_measurement();
-}
-
-/// The pooled learn path (`Parallelism::Threads(2)`) adds per-batch costs —
-/// the pool dispatch hand-shake, the task queue, subtree detach/attach — but
-/// nothing per *instance*: the allocation count per batch must stay
-/// independent of the batch size, exactly like the serial contract. (The
-/// pool's threads are spawned once, on the first parallel batch, not per
-/// batch.)
-fn parallel_learn_measurement() {
-    use dmt::core::Parallelism;
-    let schema = StreamSchema::numeric("alloc-par", 3, 2);
-    let config = DmtConfig {
-        parallelism: Parallelism::Threads(2),
-        ..DmtConfig::default()
-    };
-    let mut tree = DynamicModelTree::new(schema, config);
-
-    let (small_xs, small_ys) = make_batch(100, 0);
-    let small_rows: Vec<&[f64]> = small_xs.iter().map(|v| v.as_slice()).collect();
-    let (large_xs, large_ys) = make_batch(800, 0);
-    let large_rows: Vec<&[f64]> = large_xs.iter().map(|v| v.as_slice()).collect();
-
-    for round in 0..200 {
-        let (xs, ys) = make_batch(800, round * 800);
-        let rows: Vec<&[f64]> = xs.iter().map(|v| v.as_slice()).collect();
-        tree.learn_batch(&rows, &ys);
-    }
-    let structure_before = (tree.num_inner_nodes(), tree.num_leaves());
-
-    const ROUNDS: u64 = 50;
-    let before_small = allocations();
-    for _ in 0..ROUNDS {
-        tree.learn_batch(&small_rows, &small_ys);
-    }
-    let small_allocs = allocations() - before_small;
-
-    let before_large = allocations();
-    for _ in 0..ROUNDS {
-        tree.learn_batch(&large_rows, &large_ys);
-    }
-    let large_allocs = allocations() - before_large;
-
-    assert_eq!(
-        structure_before,
-        (tree.num_inner_nodes(), tree.num_leaves()),
-        "tree restructured during the parallel measurement; lengthen the warm-up"
-    );
-    // 8× the instances must not mean more allocations: pool dispatch
-    // bookkeeping is per batch, never per instance.
-    assert!(
-        large_allocs < small_allocs + ROUNDS * 100,
-        "parallel learn_batch allocations scale with the batch size: \
-         {small_allocs} allocs for {ROUNDS}×100 instances vs \
-         {large_allocs} allocs for {ROUNDS}×800 instances"
-    );
-}
-
-/// The pool-chunked predict path: with the parallel threshold forced to 1,
-/// every `predict_batch_into` call fans contiguous row chunks out over the
-/// pool. Dispatch bookkeeping (items/queue/result vectors) is a small
-/// constant per call; the per-chunk scratches come from the tree's warmed
-/// scratch pool — so the allocation count per call must stay independent of
-/// the batch size.
-fn pooled_predict_measurement() {
-    use dmt::core::Parallelism;
-    let schema = StreamSchema::numeric("alloc-ppredict", 3, 2);
-    let config = DmtConfig {
-        parallelism: Parallelism::Threads(2),
-        predict_parallel_threshold: 1,
-        ..DmtConfig::default()
-    };
-    let mut tree = DynamicModelTree::new(schema, config);
-
-    let (small_xs, _) = make_batch(100, 3);
-    let small_rows: Vec<&[f64]> = small_xs.iter().map(|v| v.as_slice()).collect();
-    let (large_xs, _) = make_batch(800, 3);
-    let large_rows: Vec<&[f64]> = large_xs.iter().map(|v| v.as_slice()).collect();
-
-    for round in 0..60 {
-        let (xs, ys) = make_batch(800, round * 800);
-        let rows: Vec<&[f64]> = xs.iter().map(|v| v.as_slice()).collect();
-        tree.learn_batch(&rows, &ys);
-    }
-    let mut out = vec![0usize; large_rows.len()];
-    // Warm the scratch pool up to the pool's concurrency (several pooled
-    // predicts, so every executor has checked a scratch in and out at the
-    // large-batch high-water mark).
-    for _ in 0..8 {
-        tree.predict_batch_into(&large_rows, &mut out);
-        tree.predict_batch_into(&small_rows, &mut out[..small_rows.len()]);
-    }
-
-    const CALLS: u64 = 20;
-    let before_small = allocations();
-    for _ in 0..CALLS {
-        tree.predict_batch_into(&small_rows, &mut out[..small_rows.len()]);
-    }
-    let small_allocs = allocations() - before_small;
-
-    let before_large = allocations();
-    for _ in 0..CALLS {
-        tree.predict_batch_into(&large_rows, &mut out);
-    }
-    let large_allocs = allocations() - before_large;
-
-    // 8× the rows must not mean more allocations — only the constant
-    // dispatch bookkeeping per call (plus scratch-pool jitter when an
-    // executor's first checkout of the measurement happens on a late-waking
-    // thread).
-    assert!(
-        large_allocs <= small_allocs + CALLS * 4,
-        "pooled predict_batch_into allocations scale with the batch size: \
-         {small_allocs} allocs for {CALLS}×100 rows vs \
-         {large_allocs} allocs for {CALLS}×800 rows"
-    );
-    // And the absolute per-call cost stays a small constant.
-    assert!(
-        large_allocs <= CALLS * 16,
-        "unexpectedly many allocations per pooled predict call: {}",
-        large_allocs as f64 / CALLS as f64
-    );
 }
 
 /// Pooled ensemble member training adds only the per-batch dispatch
@@ -479,13 +356,9 @@ fn steady_state_measurement(batch_mode: dmt::models::BatchMode) {
          for a tree with {node_count} nodes"
     );
 
-    // predict_batch: exactly one allocation for the result vector (plus
-    // nothing per instance). When the suite runs under DMT_PARALLELISM ≥ 2
-    // (the CI pool legs), the 800-row batch crosses the parallel-predict
-    // threshold and the pool dispatch adds its constant bookkeeping
-    // (items/queue/result vectors) — still nothing per instance.
-    let workers = dmt::core::Parallelism::from_env().workers() as u64;
-    let predict_budget = if workers >= 2 { 2 + 8 + workers } else { 2 };
+    // predict_batch: only the result vector (plus nothing per instance),
+    // under every DMT_PARALLELISM setting.
+    const PREDICT_BUDGET: u64 = 2;
     // Warm the pooled scratches at this batch shape before measuring.
     let _ = tree.predict_batch(&large_rows);
     let before_predict = allocations();
@@ -493,10 +366,9 @@ fn steady_state_measurement(batch_mode: dmt::models::BatchMode) {
     let predict_allocs = allocations() - before_predict;
     assert_eq!(predictions.len(), large_rows.len());
     assert!(
-        predict_allocs <= predict_budget,
-        "predict_batch should only allocate its result vector \
-         (+ pool dispatch bookkeeping when threaded), got {predict_allocs} \
-         (budget {predict_budget})"
+        predict_allocs <= PREDICT_BUDGET,
+        "predict_batch should only allocate its result vector, got \
+         {predict_allocs} (budget {PREDICT_BUDGET})"
     );
 
     // Single-instance predict is fully allocation-free.

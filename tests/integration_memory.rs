@@ -1,13 +1,13 @@
 //! Integration pins for memory accounting and the byte-budget degradation
 //! ladder: a budgeted tree never exceeds its budget over a whole hostile
-//! run (serial and pooled), keeps ≥ 95 % of the unbudgeted accuracy while
+//! run, keeps ≥ 95 % of the unbudgeted accuracy while
 //! doing so, a budget that never binds is bit-identical to no budget at all,
 //! and budget enforcement (compaction included) leaves snapshots byte-stable.
 //! These back the CI `memory-discipline` job.
 
 use std::path::{Path, PathBuf};
 
-use dmt::core::{DmtConfig, DynamicModelTree, Parallelism};
+use dmt::core::{DmtConfig, DynamicModelTree};
 use dmt::models::MemoryUsage;
 use dmt::prelude::*;
 use dmt::stream::workload;
@@ -104,12 +104,12 @@ fn budget_soak_stays_bounded_on_the_memory_budget_workload() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// The same soak through the worker pool: the ladder runs at the batch
-/// boundary after parallel updates too, and pooled scratch is part of the
-/// accounted (and therefore bounded) footprint.
+/// The same soak on the drift cocktail: the ladder holds the bound through
+/// abrupt and gradual drift, and a budget-enforced tree stays byte-stable
+/// through the snapshot codec.
 #[test]
-fn pooled_budget_soak_stays_bounded_on_the_drift_cocktail() {
-    let dir = scratch_dir("pooled-soak");
+fn budget_soak_stays_bounded_on_the_drift_cocktail() {
+    let dir = scratch_dir("cocktail-soak");
     let schema = workload::build_workload("drift-cocktail", &dir)
         .unwrap()
         .unwrap()
@@ -119,7 +119,6 @@ fn pooled_budget_soak_stays_bounded_on_the_drift_cocktail() {
         schema,
         DmtConfig {
             memory_budget_bytes: Some(SOAK_BUDGET),
-            parallelism: Parallelism::Threads(2),
             ..DmtConfig::default()
         },
     );
@@ -144,51 +143,42 @@ fn pooled_budget_soak_stays_bounded_on_the_drift_cocktail() {
 /// A budget that never binds must change nothing: a tree armed with an
 /// absurdly large budget learns and predicts bit-identically to a tree with
 /// no budget at all — at the pinned batch sizes (scalar edge, astride the
-/// 8-lane unroll, full multiple) and through both the serial and the pooled
-/// update path.
+/// 8-lane unroll, full multiple).
 #[test]
 fn unbinding_budget_is_bit_identical_to_no_budget() {
     for &batch in &[1usize, 7, 64] {
-        for workers in [Parallelism::Serial, Parallelism::Threads(2)] {
-            let schema = StreamSchema::numeric("budget-identity", 3, 2);
-            let mut with_budget = DynamicModelTree::new(
-                schema.clone(),
-                DmtConfig {
-                    memory_budget_bytes: Some(1 << 40),
-                    parallelism: workers,
-                    ..DmtConfig::default()
-                },
-            );
-            let mut without = DynamicModelTree::new(
-                schema,
-                DmtConfig {
-                    memory_budget_bytes: None,
-                    parallelism: workers,
-                    ..DmtConfig::default()
-                },
-            );
-            let mut stream = dmt::stream::generators::SeaGenerator::new(3, 0.1, 42);
-            for _ in 0..(2_000 / batch.max(1)).max(8) {
-                let b = stream.next_batch(batch).expect("SEA is unbounded");
-                let rows = b.rows();
-                with_budget.learn_batch(&rows, &b.ys);
-                without.learn_batch(&rows, &b.ys);
-            }
-            assert_eq!(with_budget.num_leaves(), without.num_leaves());
-            assert_eq!(with_budget.observations(), without.observations());
-            assert!(!with_budget.growth_frozen());
-            let mut probe_stream = dmt::stream::generators::SeaGenerator::new(3, 0.1, 43);
-            let probes = probe_stream.next_batch(200).unwrap();
-            for row in probes.rows() {
-                let a = with_budget.predict_proba(row);
-                let b = without.predict_proba(row);
-                for (va, vb) in a.iter().zip(b.iter()) {
-                    assert_eq!(
-                        va.to_bits(),
-                        vb.to_bits(),
-                        "batch {batch}, {workers:?}: diverged"
-                    );
-                }
+        let schema = StreamSchema::numeric("budget-identity", 3, 2);
+        let mut with_budget = DynamicModelTree::new(
+            schema.clone(),
+            DmtConfig {
+                memory_budget_bytes: Some(1 << 40),
+                ..DmtConfig::default()
+            },
+        );
+        let mut without = DynamicModelTree::new(
+            schema,
+            DmtConfig {
+                memory_budget_bytes: None,
+                ..DmtConfig::default()
+            },
+        );
+        let mut stream = dmt::stream::generators::SeaGenerator::new(3, 0.1, 42);
+        for _ in 0..(2_000 / batch.max(1)).max(8) {
+            let b = stream.next_batch(batch).expect("SEA is unbounded");
+            let rows = b.rows();
+            with_budget.learn_batch(&rows, &b.ys);
+            without.learn_batch(&rows, &b.ys);
+        }
+        assert_eq!(with_budget.num_leaves(), without.num_leaves());
+        assert_eq!(with_budget.observations(), without.observations());
+        assert!(!with_budget.growth_frozen());
+        let mut probe_stream = dmt::stream::generators::SeaGenerator::new(3, 0.1, 43);
+        let probes = probe_stream.next_batch(200).unwrap();
+        for row in probes.rows() {
+            let a = with_budget.predict_proba(row);
+            let b = without.predict_proba(row);
+            for (va, vb) in a.iter().zip(b.iter()) {
+                assert_eq!(va.to_bits(), vb.to_bits(), "batch {batch}: diverged");
             }
         }
     }

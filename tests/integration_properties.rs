@@ -2,7 +2,7 @@
 //! probability outputs, metric ranges, drift-detector sanity, candidate gain
 //! consistency and the DMT's structural bookkeeping.
 
-use dmt::core::{CandidateKey, DmtConfig, DynamicModelTree, NodeArena, NodeStats, Parallelism};
+use dmt::core::{CandidateKey, DmtConfig, DynamicModelTree, NodeArena, NodeStats};
 use dmt::drift::{Adwin, DriftDetector, PageHinkley};
 use dmt::eval::ConfusionMatrix;
 use dmt::models::linalg::{MatMut, MatRef};
@@ -522,12 +522,10 @@ proptest! {
     fn budgeted_trees_stay_bounded_and_snapshots_round_trip(
         batches in proptest::collection::vec(labelled_batch(3, 2, 40), 2..7),
         budget_kib in 64usize..256,
-        threaded in 0usize..2,
     ) {
         let budget = budget_kib * 1024;
         let config = DmtConfig {
             memory_budget_bytes: Some(budget),
-            parallelism: if threaded == 1 { Parallelism::Threads(2) } else { Parallelism::Serial },
             ..DmtConfig::default()
         };
         let schema = StreamSchema::numeric("prop-budget", 3, 2);
@@ -550,9 +548,7 @@ proptest! {
         }
         // Budget enforcement (compaction included) must leave the snapshot
         // codec bit-stable: save → load → save is the identity on bytes, and
-        // the restored tree predicts bit-identically. This holds even when
-        // `DMT_PARALLELISM` overrides the effective parallelism on load —
-        // the pre-override setting is persisted and written back out.
+        // the restored tree predicts bit-identically.
         let bytes = tree.to_snapshot_bytes();
         let restored = DynamicModelTree::from_snapshot_bytes(&bytes).expect("snapshot restores");
         let second = restored.to_snapshot_bytes();

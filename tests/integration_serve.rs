@@ -18,8 +18,8 @@
 //!    (reconnect works) on header-level corruption.
 //!
 //! The fuzz half is deterministic: fixed seed, pinned iteration counts.
-//! Run serial and with `DMT_PARALLELISM=2` / `=4` — the CI `serve-soak` job
-//! does both.
+//! Run serial and with `DMT_PARALLELISM=2` / `=4`, which gives the registry
+//! its shared worker pool — the CI `serve-soak` job does both.
 
 use std::collections::HashMap;
 use std::io::Write;
@@ -31,7 +31,7 @@ use std::sync::{Arc, Mutex};
 use dmt::registry::{ModelRegistry, RegistryConfig};
 use dmt::zoo::{build_zoo_model, ModelKind, ZooModel};
 use dmt_core::epoch::EpochCell;
-use dmt_core::{DmtConfig, DynamicModelTree, Parallelism};
+use dmt_core::{DmtConfig, DynamicModelTree};
 use dmt_models::OnlineClassifier;
 use dmt_serve::protocol::{self, FrameIssue, FrameRead, Request, Response, WireMatrix};
 use dmt_serve::{ClientError, DmtServer, ServeClient, ServeConfig, ServeError};
@@ -73,17 +73,14 @@ fn eager_config() -> DmtConfig {
     DmtConfig {
         use_aic_threshold: false,
         min_observations_split: 40,
-        parallelism: Parallelism::from_env(),
         ..DmtConfig::default()
     }
 }
 
-/// The serial lockstep-twin config: identical structure parameters, forced
-/// serial. The standing bit-identity invariant (pooled == serial) makes the
-/// twin valid ground truth for a pooled registry tenant.
+/// The lockstep-twin config: the tenant's structure parameters under the
+/// twin's own memory budget.
 fn twin_config(budget: Option<usize>) -> DmtConfig {
     DmtConfig {
-        parallelism: Parallelism::Serial,
         memory_budget_bytes: budget,
         ..eager_config()
     }
@@ -248,9 +245,7 @@ fn verify_observed(
 /// N reader threads hammer `predict` while one writer runs `learn_batch`
 /// with splits and prunes firing. Every prediction must be bit-identical to
 /// the lockstep twin's state at the epoch the prediction reports — i.e. to
-/// *some* published epoch, never a torn hybrid. The twin is serial whatever
-/// `DMT_PARALLELISM` says, so this also re-pins the pooled == serial
-/// bit-identity invariant through the whole serving stack.
+/// *some* published epoch, never a torn hybrid.
 #[test]
 fn concurrent_predicts_are_bit_identical_to_published_epochs() {
     let probes = Arc::new(probe_rows());
@@ -299,9 +294,9 @@ fn concurrent_predicts_are_bit_identical_to_published_epochs() {
 
 /// The same reader barrage with the fleet byte pool armed small enough that
 /// the budget ladder's rungs fire mid-run. Ground truth here cannot be a
-/// lockstep twin — budget enforcement keys off `memory_bytes()`, which
-/// legitimately differs between pooled and serial trees (worker scratch is
-/// accounted) — so the writer fingerprints each epoch right after
+/// lockstep twin — budget enforcement keys off `memory_bytes()`, which also
+/// counts the reusable caches (prediction scratches included) that depend
+/// on how a tree is driven — so the writer fingerprints each epoch right after
 /// publishing it: the writer is the sole learner, so the current epoch at
 /// that instant *is* the one just published. Readers must observe exactly
 /// those fingerprints, proving epoch snapshots stay immutable while the

@@ -1,11 +1,11 @@
 //! Crash-safety and fault-injection contracts of the snapshot subsystem:
 //!
 //! * save→load→predict/learn is **bit-identical** to the uninterrupted model,
-//!   pinned at batch sizes 1/7/64 for both the serial and the pooled build,
-//!   through streams that force splits, replacements *and* prunes;
+//!   pinned at batch sizes 1/7/64, through streams that force splits,
+//!   replacements *and* prunes;
 //! * the restored arena preserves the structural bookkeeping (slot count,
-//!   free list, live count, `validate`) across random split/prune/drift/
-//!   parallel-learn histories (proptest);
+//!   free list, live count, `validate`) across random split/prune/drift
+//!   histories (proptest);
 //! * a fixed-seed corruption fuzz (byte flips, truncations, splices) over
 //!   valid snapshots: every corrupted buffer loads as a typed `Err` — zero
 //!   panics across the whole suite;
@@ -13,7 +13,8 @@
 //!   variants, and cross-model confusion (ensemble bytes into the tree
 //!   loader and vice versa) is rejected;
 //! * an injected job panic propagates out of `WorkerPool::run` but leaves
-//!   the pool dispatchable and the tree learnable, valid and snapshottable.
+//!   the pool dispatchable and the ensemble training on it learnable,
+//!   bit-identical to its serial twin and snapshottable.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
@@ -55,8 +56,8 @@ impl SplitMix64 {
     }
 }
 
-/// The three-phase step stream of the parallel pins: phase 0 forces splits,
-/// phase 1 forces replacements, phase 2 invites prunes.
+/// A three-phase step stream: phase 0 forces splits, phase 1 forces
+/// replacements, phase 2 invites prunes.
 fn step_batch(round: usize, phase: usize, n: usize) -> (Vec<Vec<f64>>, Vec<usize>) {
     let xs: Vec<Vec<f64>> = (0..n)
         .map(|i| {
@@ -76,11 +77,10 @@ fn step_batch(round: usize, phase: usize, n: usize) -> (Vec<Vec<f64>>, Vec<usize
     (xs, ys)
 }
 
-fn eager_config(parallelism: Parallelism) -> DmtConfig {
+fn eager_config() -> DmtConfig {
     DmtConfig {
         use_aic_threshold: false,
         min_observations_split: 40,
-        parallelism,
         ..DmtConfig::default()
     }
 }
@@ -88,9 +88,9 @@ fn eager_config(parallelism: Parallelism) -> DmtConfig {
 /// Train a tree through all three concept phases so its snapshot carries
 /// non-trivial structure: inner nodes, a populated free list and a decision
 /// log with splits, replacements and prunes.
-fn train_structured(parallelism: Parallelism, batch_size: usize) -> DynamicModelTree {
+fn train_structured(batch_size: usize) -> DynamicModelTree {
     let schema = StreamSchema::numeric("snapshot-pin", 2, 2);
-    let mut tree = DynamicModelTree::new(schema, eager_config(parallelism));
+    let mut tree = DynamicModelTree::new(schema, eager_config());
     let phase_len = (2_000 / batch_size).max(60);
     for round in 0..3 * phase_len {
         let (xs, ys) = step_batch(round, round / phase_len, batch_size);
@@ -124,62 +124,51 @@ fn assert_predictions_bit_identical(a: &DynamicModelTree, b: &DynamicModelTree, 
 
 #[test]
 fn snapshot_round_trip_is_bit_identical_at_pinned_sizes() {
-    for parallelism in [Parallelism::Serial, Parallelism::Threads(2)] {
-        for &batch_size in &PINNED_BATCH_SIZES {
-            let context = format!("{parallelism:?}, batch {batch_size}");
-            let mut original = train_structured(parallelism, batch_size);
-            assert!(
-                original.num_inner_nodes() > 0,
-                "{context}: the stream never split, the pin is vacuous"
-            );
-            let bytes = original.to_snapshot_bytes();
-            let mut restored = DynamicModelTree::from_snapshot_bytes(&bytes)
-                .unwrap_or_else(|e| panic!("{context}: load failed: {e}"));
+    for &batch_size in &PINNED_BATCH_SIZES {
+        let context = format!("batch {batch_size}");
+        let mut original = train_structured(batch_size);
+        assert!(
+            original.num_inner_nodes() > 0,
+            "{context}: the stream never split, the pin is vacuous"
+        );
+        let bytes = original.to_snapshot_bytes();
+        let mut restored = DynamicModelTree::from_snapshot_bytes(&bytes)
+            .unwrap_or_else(|e| panic!("{context}: load failed: {e}"));
 
-            // save → load → save is the identity on bytes, even when a
-            // `DMT_PARALLELISM` override steered the restore (the CI
-            // cross-check does exactly that): worker threads are a host
-            // property, and the persisted parallelism survives the override.
-            assert_eq!(
-                bytes,
-                restored.to_snapshot_bytes(),
-                "{context}: restore round trip rewrote the snapshot bytes"
-            );
+        // save → load → save is the identity on bytes.
+        assert_eq!(
+            bytes,
+            restored.to_snapshot_bytes(),
+            "{context}: restore round trip rewrote the snapshot bytes"
+        );
 
-            // The restored tree answers identically...
-            assert_eq!(restored.observations(), original.observations());
-            assert_predictions_bit_identical(&original, &restored, &context);
+        // The restored tree answers identically...
+        assert_eq!(restored.observations(), original.observations());
+        assert_predictions_bit_identical(&original, &restored, &context);
 
-            // ...and *continues learning* identically through another
-            // split-heavy phase.
-            for round in 0..120 {
-                let (xs, ys) = step_batch(50_000 + round, round / 40, batch_size.max(16));
-                let rows: Vec<&[f64]> = xs.iter().map(|v| v.as_slice()).collect();
-                original.learn_batch(&rows, &ys);
-                restored.learn_batch(&rows, &ys);
-            }
-            restored.arena().validate(restored.root_id()).unwrap();
-            assert_predictions_bit_identical(&original, &restored, &context);
-            // After continued learning, re-serialising both must agree byte
-            // for byte — unless `DMT_PARALLELISM` overrode the restored
-            // parallelism: the trees stay semantically bit-identical
-            // (pinned above), but workers allocate in private arenas, so a
-            // different worker count may permute arena slot numbering and
-            // with it the serialised slot order.
-            if std::env::var_os("DMT_PARALLELISM").is_none() {
-                assert_eq!(
-                    original.to_snapshot_bytes(),
-                    restored.to_snapshot_bytes(),
-                    "{context}: re-serialised snapshots diverged"
-                );
-            }
+        // ...and *continues learning* identically through another
+        // split-heavy phase.
+        for round in 0..120 {
+            let (xs, ys) = step_batch(50_000 + round, round / 40, batch_size.max(16));
+            let rows: Vec<&[f64]> = xs.iter().map(|v| v.as_slice()).collect();
+            original.learn_batch(&rows, &ys);
+            restored.learn_batch(&rows, &ys);
         }
+        restored.arena().validate(restored.root_id()).unwrap();
+        assert_predictions_bit_identical(&original, &restored, &context);
+        // After continued learning, re-serialising both must agree byte for
+        // byte.
+        assert_eq!(
+            original.to_snapshot_bytes(),
+            restored.to_snapshot_bytes(),
+            "{context}: re-serialised snapshots diverged"
+        );
     }
 }
 
 #[test]
 fn snapshot_preserves_arena_bookkeeping() {
-    let tree = train_structured(Parallelism::Threads(2), 48);
+    let tree = train_structured(48);
     let bytes = tree.to_snapshot_bytes();
     let restored = DynamicModelTree::from_snapshot_bytes(&bytes).unwrap();
     assert_eq!(restored.arena().num_slots(), tree.arena().num_slots());
@@ -196,7 +185,7 @@ fn snapshot_preserves_arena_bookkeeping() {
 
 #[test]
 fn corrupted_snapshots_fail_typed_and_never_panic() {
-    let tree = train_structured(Parallelism::Serial, 32);
+    let tree = train_structured(32);
     let valid = tree.to_snapshot_bytes();
     assert!(DynamicModelTree::from_snapshot_bytes(&valid).is_ok());
     let mut rng = SplitMix64(FUZZ_SEED);
@@ -263,7 +252,7 @@ fn corrupted_snapshots_fail_typed_and_never_panic() {
 
 #[test]
 fn hostile_envelopes_map_to_their_error_variants() {
-    let tree = train_structured(Parallelism::Serial, 32);
+    let tree = train_structured(32);
     let valid = tree.to_snapshot_bytes();
 
     // Wrong magic: not a snapshot at all.
@@ -330,7 +319,7 @@ fn hostile_envelopes_map_to_their_error_variants() {
 fn cross_model_snapshots_are_rejected() {
     // A checksum-valid snapshot of one model kind must not load as another.
     let schema = StreamSchema::numeric("cross", 2, 2);
-    let tree = train_structured(Parallelism::Serial, 32);
+    let tree = train_structured(32);
     let tree_bytes = tree.to_snapshot_bytes();
 
     let mut bagging = LeveragingBagging::new(schema.clone(), LeveragingBaggingConfig::default());
@@ -374,13 +363,17 @@ fn worker_pool_survives_injected_job_panics() {
 }
 
 #[test]
-fn tree_stays_valid_and_snapshottable_after_a_pool_panic() {
-    // Train pooled, inject a panic through the tree's own pool, then keep
-    // learning on the same pool: the tree must stay bit-identical to a
+fn ensemble_stays_valid_and_snapshottable_after_a_pool_panic() {
+    // Train pooled, inject a panic through the ensemble's own pool, then keep
+    // learning on the same pool: the ensemble must stay bit-identical to a
     // serial twin and still snapshot/restore cleanly.
     let schema = StreamSchema::numeric("pool-fault", 2, 2);
-    let mut pooled = DynamicModelTree::new(schema.clone(), eager_config(Parallelism::Threads(2)));
-    let mut serial = DynamicModelTree::new(schema, eager_config(Parallelism::Serial));
+    let config = |parallelism| LeveragingBaggingConfig {
+        parallelism,
+        ..LeveragingBaggingConfig::default()
+    };
+    let mut pooled = LeveragingBagging::new(schema.clone(), config(Parallelism::Threads(2)));
+    let mut serial = LeveragingBagging::new(schema, config(Parallelism::Serial));
     for round in 0..150 {
         let (xs, ys) = step_batch(round, round / 75, 48);
         let rows: Vec<&[f64]> = xs.iter().map(|v| v.as_slice()).collect();
@@ -403,32 +396,33 @@ fn tree_stays_valid_and_snapshottable_after_a_pool_panic() {
         pooled.learn_batch(&rows, &ys);
         serial.learn_batch(&rows, &ys);
     }
-    pooled.arena().validate(pooled.root_id()).unwrap();
-    assert_predictions_bit_identical(&pooled, &serial, "after pool panic");
-
-    let restored = DynamicModelTree::from_snapshot_bytes(&pooled.to_snapshot_bytes()).unwrap();
-    assert_predictions_bit_identical(&pooled, &restored, "snapshot after pool panic");
+    let restored = LeveragingBagging::from_snapshot_bytes(&pooled.to_snapshot_bytes()).unwrap();
+    for phase in 0..3 {
+        let (xs, _) = step_batch(9_000 + phase, phase, 64);
+        for x in &xs {
+            let expected = pooled.predict_proba(x);
+            for twin in [serial.predict_proba(x), restored.predict_proba(x)] {
+                for (a, b) in expected.iter().zip(twin.iter()) {
+                    assert_eq!(a.to_bits(), b.to_bits(), "votes diverged after pool panic");
+                }
+            }
+        }
+    }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// Random split/prune/drift/parallel-learn histories: snapshotting at an
-    /// arbitrary point preserves the arena bookkeeping and the learning
-    /// trajectory bit for bit.
+    /// Random split/prune/drift histories: snapshotting at an arbitrary
+    /// point preserves the arena bookkeeping and the learning trajectory bit
+    /// for bit.
     #[test]
     fn snapshot_round_trips_across_random_histories(
-        workers in 1usize..4,
         phases in proptest::collection::vec(0usize..3, 1..5),
         batch_size in 1usize..65,
     ) {
-        let parallelism = if workers == 1 {
-            Parallelism::Serial
-        } else {
-            Parallelism::Threads(workers)
-        };
         let schema = StreamSchema::numeric("snapshot-prop", 2, 2);
-        let mut tree = DynamicModelTree::new(schema, eager_config(parallelism));
+        let mut tree = DynamicModelTree::new(schema, eager_config());
         for (block, &phase) in phases.iter().enumerate() {
             let rounds = (600 / batch_size).max(30);
             for round in 0..rounds {
