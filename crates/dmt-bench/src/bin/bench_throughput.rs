@@ -23,16 +23,12 @@
 //!     --warmup 2000 --instances 40000 --batch 100 --out BENCH_4.json
 //! ```
 
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
 use std::time::Instant;
 
 use dmt::eval::json::{Json, ToJson};
 use dmt::prelude::*;
-use dmt::zoo::ZooModel;
 use dmt_bench::THROUGHPUT_STREAMS;
 use dmt_bench::{bench_seed, throughput_stream};
-use dmt_serve::{DmtServer, ServeClient, ServeConfig};
 
 struct Options {
     warmup: usize,
@@ -210,148 +206,6 @@ fn run_cell(kind: ModelKind, stream_name: &str, options: &Options) -> CellResult
     }
 }
 
-/// Predict requests per serve-latency phase.
-const SERVE_REQUESTS: usize = 2_000;
-
-/// One serve-latency measurement: a client firing predict RPCs at a
-/// `dmt-serve` plane, per-request latency quantiles in microseconds.
-struct ServeLatency {
-    mode: String,
-    stream: String,
-    requests: u64,
-    p50_us: f64,
-    p99_us: f64,
-    max_us: f64,
-    instances_per_sec: f64,
-}
-
-impl ToJson for ServeLatency {
-    fn to_json(&self) -> Json {
-        Json::Obj(vec![
-            ("mode".to_string(), self.mode.to_json()),
-            ("stream".to_string(), self.stream.to_json()),
-            ("requests".to_string(), self.requests.to_json()),
-            ("p50_us".to_string(), self.p50_us.to_json()),
-            ("p99_us".to_string(), self.p99_us.to_json()),
-            ("max_us".to_string(), self.max_us.to_json()),
-            (
-                "instances_per_sec".to_string(),
-                self.instances_per_sec.to_json(),
-            ),
-        ])
-    }
-}
-
-fn percentile(sorted_us: &[f64], q: f64) -> f64 {
-    if sorted_us.is_empty() {
-        return 0.0;
-    }
-    let idx = ((sorted_us.len() - 1) as f64 * q).round() as usize;
-    sorted_us[idx]
-}
-
-fn serve_latency_cell(
-    mode: &str,
-    stream_name: &str,
-    client: &mut ServeClient,
-    batch: &Batch,
-) -> ServeLatency {
-    let rows = batch.rows();
-    let mut latencies_us = Vec::with_capacity(SERVE_REQUESTS);
-    let start = Instant::now();
-    for _ in 0..SERVE_REQUESTS {
-        let request_start = Instant::now();
-        let (_, predictions) = client.predict("bench", &rows).expect("predict rpc");
-        std::hint::black_box(&predictions);
-        latencies_us.push(request_start.elapsed().as_secs_f64() * 1e6);
-    }
-    let seconds = start.elapsed().as_secs_f64();
-    latencies_us.sort_by(|a, b| a.partial_cmp(b).expect("finite latency"));
-    ServeLatency {
-        mode: mode.to_string(),
-        stream: stream_name.to_string(),
-        requests: SERVE_REQUESTS as u64,
-        p50_us: percentile(&latencies_us, 0.50),
-        p99_us: percentile(&latencies_us, 0.99),
-        max_us: percentile(&latencies_us, 1.0),
-        instances_per_sec: (SERVE_REQUESTS * rows.len()) as f64 / seconds,
-    }
-}
-
-/// The serving-plane rows: per-request predict latency through `dmt-serve`
-/// over TCP, first with the tenant idle, then with a second client running
-/// `learn_batch` RPCs (splits included) the whole time. Because predictions
-/// answer from pinned epoch snapshots and never take the writer lock, the
-/// two latency distributions should be indistinguishable — the epoch
-/// refactor's whole point, measured end to end.
-fn run_serve_rows(options: &Options) -> Vec<ServeLatency> {
-    let stream_name = THROUGHPUT_STREAMS[0];
-    let mut stream =
-        throughput_stream(stream_name, bench_seed::STREAM).expect("known bench stream");
-    let schema = stream.schema().clone();
-    let warmup: Vec<Batch> = (0..options.warmup.div_ceil(options.batch))
-        .filter_map(|_| stream.next_batch(options.batch))
-        .collect();
-    let learn_feed: Vec<Batch> = (0..options.instances.div_ceil(options.batch))
-        .filter_map(|_| stream.next_batch(options.batch))
-        .collect();
-    let probe = warmup.last().expect("warmup batches").clone();
-
-    let registry = Arc::new(ModelRegistry::new(RegistryConfig::default()));
-    let tree = DynamicModelTree::new(
-        schema,
-        DmtConfig {
-            seed: bench_seed::MODEL,
-            ..DmtConfig::default()
-        },
-    );
-    registry
-        .register("bench", stream.schema().clone(), ZooModel::Dmt(tree))
-        .expect("register bench tenant");
-    let server = DmtServer::start(
-        ServeConfig {
-            threads: 2,
-            ..ServeConfig::default()
-        },
-        Arc::clone(&registry),
-    )
-    .expect("start serve plane");
-    let addr = server.local_addr();
-
-    let mut client = ServeClient::connect(addr).expect("connect");
-    for batch in &warmup {
-        client
-            .learn("bench", &batch.rows(), &batch.ys)
-            .expect("warmup learn rpc");
-    }
-
-    let idle = serve_latency_cell("predict-only", stream_name, &mut client, &probe);
-
-    // Same measurement with a writer hammering learn RPCs concurrently.
-    let stop = Arc::new(AtomicBool::new(false));
-    let learner = {
-        let stop = Arc::clone(&stop);
-        std::thread::spawn(move || {
-            let mut writer = ServeClient::connect(addr).expect("learner connect");
-            loop {
-                for batch in &learn_feed {
-                    if stop.load(Ordering::Relaxed) {
-                        return;
-                    }
-                    writer
-                        .learn("bench", &batch.rows(), &batch.ys)
-                        .expect("learn rpc");
-                }
-            }
-        })
-    };
-    let contended = serve_latency_cell("concurrent-learn", stream_name, &mut client, &probe);
-    stop.store(true, Ordering::Relaxed);
-    learner.join().expect("learner thread");
-
-    vec![idle, contended]
-}
-
 fn main() {
     let options = parse_options();
     let mut results: Vec<CellResult> = Vec::new();
@@ -377,22 +231,6 @@ fn main() {
         }
     }
 
-    // Serving-plane latency: predict RPC quantiles with and without a
-    // concurrent writer. Lives under its own JSON key so the blessed
-    // `results` rows (and the `bench_compare` gate that walks them) are
-    // untouched.
-    let serve_rows = run_serve_rows(&options);
-    println!(
-        "\n{:<18}{:<10}{:>12}{:>12}{:>12}{:>16}",
-        "Serve mode", "Stream", "p50 µs", "p99 µs", "max µs", "inst/sec"
-    );
-    for row in &serve_rows {
-        println!(
-            "{:<18}{:<10}{:>12.1}{:>12.1}{:>12.1}{:>16.0}",
-            row.mode, row.stream, row.p50_us, row.p99_us, row.max_us, row.instances_per_sec
-        );
-    }
-
     let doc = Json::Obj(vec![
         ("bench".to_string(), "throughput_v2".to_json()),
         (
@@ -407,8 +245,7 @@ fn main() {
                 ("warmup_instances".to_string(), options.warmup.to_json()),
                 ("timed_instances".to_string(), options.instances.to_json()),
                 ("batch_size".to_string(), options.batch.to_json()),
-                // Core count of the machine this file was produced on (the
-                // serve rows run a two-thread server beside a learner).
+                // Core count of the machine this file was produced on.
                 (
                     "available_parallelism".to_string(),
                     std::thread::available_parallelism()
@@ -419,7 +256,6 @@ fn main() {
             ]),
         ),
         ("results".to_string(), results.to_json()),
-        ("serve".to_string(), serve_rows.to_json()),
     ]);
     std::fs::write(&options.out, doc.to_pretty_string()).expect("write bench output");
     eprintln!("wrote {}", options.out);

@@ -147,83 +147,32 @@ impl SplitCandidate {
 /// For numeric features the 25 %, 50 % and 75 % quantiles of the batch values
 /// are proposed; for nominal features every distinct value in the batch is
 /// proposed. Proposals already present in `existing` are skipped.
-pub fn propose_from_batch(
-    xs: &[&[f64]],
-    nominal_features: &[bool],
-    existing: &[SplitCandidate],
-) -> Vec<CandidateKey> {
-    let idx: Vec<usize> = (0..xs.len()).collect();
-    let mut values = Vec::new();
-    propose_from_batch_indexed(xs, &idx, nominal_features, existing, &mut values)
-}
-
-/// [`propose_from_batch`] over the sub-batch selected by `idx`.
-///
-/// `values` is a reusable sort buffer provided by the caller (the tree passes
-/// its scratch space), so proposal generation itself allocates only for the
-/// proposals it returns.
-pub fn propose_from_batch_indexed(
-    xs: &[&[f64]],
-    idx: &[usize],
-    nominal_features: &[bool],
-    existing: &[SplitCandidate],
-    values: &mut Vec<f64>,
-) -> Vec<CandidateKey> {
-    if idx.is_empty() {
-        return Vec::new();
-    }
-    let m = xs[idx[0]].len();
-    let mut proposals = Vec::new();
-    #[allow(clippy::needless_range_loop)] // `feature` indexes a column across rows
-    for feature in 0..m {
-        values.clear();
-        values.extend(idx.iter().map(|&i| xs[i][feature]));
-        push_feature_proposals(values, feature, nominal_features, existing, &mut proposals);
-    }
-    proposals
-}
-
-/// [`propose_from_batch`] over a gathered, contiguous row-major batch:
-/// feature columns are read straight out of the matrix, the numeric
-/// quantiles come from an O(n) selection instead of a full sort, and nominal
-/// columns are reduced to their distinct category codes by one
-/// O(n · categories) scan before the (now tiny) proposal sort.
 ///
 /// This is the *standalone* form of the §V-D proposal rules. The tree's hot
 /// path does **not** call it: `dmt_core::node` fuses proposal generation
 /// into its combined per-feature accumulation pass (reusing the column sort
 /// / category buckets it needs anyway) and is pinned by tests to produce
 /// exactly the keys this function produces.
-pub fn propose_from_rows(
-    xs: MatRef<'_>,
+pub fn propose_from_batch(
+    xs: &[&[f64]],
     nominal_features: &[bool],
     existing: &[SplitCandidate],
-    values: &mut Vec<f64>,
 ) -> Vec<CandidateKey> {
-    if xs.is_empty() {
+    let Some(first) = xs.first() else {
         return Vec::new();
-    }
-    let m = xs.cols();
-    let data = xs.as_slice();
+    };
+    let mut values = Vec::with_capacity(xs.len());
     let mut proposals = Vec::new();
-    for feature in 0..m {
+    for feature in 0..first.len() {
         values.clear();
-        if nominal_features.get(feature).copied().unwrap_or(false) {
-            // Distinct category codes (matched by exact bit pattern) in
-            // first-occurrence order; `push_feature_proposals` sorts and
-            // tolerance-dedups this handful of codes, producing exactly the
-            // keys the full-column sort produced.
-            for r in 0..xs.rows() {
-                let v = data[r * m + feature];
-                let bits = v.to_bits();
-                if !values.iter().any(|u| u.to_bits() == bits) {
-                    values.push(v);
-                }
-            }
-        } else {
-            values.extend((0..xs.rows()).map(|r| data[r * m + feature]));
-        }
-        push_feature_proposals(values, feature, nominal_features, existing, &mut proposals);
+        values.extend(xs.iter().map(|x| x[feature]));
+        push_feature_proposals(
+            &mut values,
+            feature,
+            nominal_features,
+            existing,
+            &mut proposals,
+        );
     }
     proposals
 }
@@ -406,29 +355,6 @@ mod tests {
     #[test]
     fn empty_batch_proposes_nothing() {
         assert!(propose_from_batch(&[], &[false], &[]).is_empty());
-        let empty = MatRef::new(&[], 0, 0);
-        assert!(propose_from_rows(empty, &[false], &[], &mut Vec::new()).is_empty());
-    }
-
-    #[test]
-    fn propose_from_rows_matches_scattered_proposals() {
-        // Mixed numeric + nominal batch, compared against the row-pointer
-        // variant: identical keys in identical order.
-        let xs: Vec<Vec<f64>> = (0..50)
-            .map(|i| vec![(i * 7 % 50) as f64 / 50.0, (i % 5) as f64, i as f64])
-            .collect();
-        let rows: Vec<&[f64]> = xs.iter().map(|v| v.as_slice()).collect();
-        let nominal = [false, true, false];
-        let scattered = propose_from_batch(&rows, &nominal, &[]);
-        let flat: Vec<f64> = xs.iter().flatten().copied().collect();
-        let mat = MatRef::new(&flat, 50, 3);
-        let contiguous = propose_from_rows(mat, &nominal, &[], &mut Vec::new());
-        assert_eq!(scattered.len(), contiguous.len());
-        for (a, b) in scattered.iter().zip(contiguous.iter()) {
-            assert_eq!(a.feature, b.feature);
-            assert_eq!(a.is_nominal, b.is_nominal);
-            assert_eq!(a.value.to_bits(), b.value.to_bits());
-        }
     }
 
     #[test]

@@ -29,9 +29,9 @@
 //! (struct-of-arrays split keys, [`NodeId`]-based links, free-list slot
 //! reuse on prune); prediction and learning both route whole batches through
 //! it in a single level-by-level pass — see the [`arena`] module docs. The
-//! tree learns and predicts on the calling thread; the persistent
-//! [`WorkerPool`] of the [`parallel`] module serves the ensembles' member
-//! fan-out ([`Parallelism::Threads`]).
+//! tree learns and predicts on the calling thread: this crate spawns no
+//! threads and forbids `unsafe` code. Concurrent readers share a tree
+//! through the copy-on-write epochs of the [`epoch`] module.
 //!
 //! ```
 //! use dmt_core::{DmtConfig, DynamicModelTree};
@@ -51,7 +51,7 @@
 //! ```
 
 #![warn(missing_docs)]
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 
 pub mod arena;
 pub mod candidate;
@@ -61,7 +61,6 @@ pub mod explain;
 pub mod export;
 pub mod lockrank;
 pub mod node;
-pub mod parallel;
 pub mod scratch;
 pub mod snapshot;
 pub mod tree;
@@ -74,7 +73,6 @@ pub use explain::{DecisionStep, LeafExplanation};
 pub use export::TreeSummary;
 pub use lockrank::{LockRank, RankToken, Ranked};
 pub use node::{GainDecision, NodeStats};
-pub use parallel::{Parallelism, WorkerPool, MAX_WORKERS};
 pub use scratch::{PredictScratch, UpdateScratch};
 pub use snapshot::SnapshotError;
 pub use tree::{DmtConfig, DynamicModelTree};

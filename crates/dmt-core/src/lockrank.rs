@@ -1,14 +1,15 @@
 //! Lock-rank discipline: a `cfg(debug_assertions)` runtime checker that
 //! turns latent lock-order inversions into immediate, deterministic panics.
 //!
-//! The workspace has exactly four ordered locks on the serving plane, and
-//! every thread must acquire them in **strictly increasing rank order**:
+//! The workspace has exactly four ordered locks (three on the serving plane
+//! plus the ensembles' worker-pool slot), and every thread must acquire them
+//! in **strictly increasing rank order**:
 //!
 //! | rank | lock                | lives in                         |
 //! |------|---------------------|----------------------------------|
 //! | 1    | `RegistryMap`       | `dmt::registry` shard `RwLock`s  |
 //! | 2    | `TenantWriter`      | `dmt::registry` tenant `Mutex`   |
-//! | 3    | `PoolJobSlot`       | `dmt_core::parallel` pool state  |
+//! | 3    | `PoolJobSlot`       | `dmt_ensembles::parallel` pool   |
 //! | 4    | `EpochCell`         | `dmt_core::epoch` current-epoch  |
 //!
 //! A deadlock needs a cycle; a global acquisition order makes cycles
@@ -35,7 +36,7 @@ pub enum LockRank {
     RegistryMap = 1,
     /// A tenant's writer mutex (`dmt::registry`).
     TenantWriter = 2,
-    /// The worker pool's job-slot state mutex (`dmt_core::parallel`).
+    /// The worker pool's job-slot state mutex (`dmt_ensembles::parallel`).
     PoolJobSlot = 3,
     /// An epoch cell's current-snapshot lock (`dmt_core::epoch`).
     EpochCell = 4,

@@ -28,7 +28,6 @@ use std::path::Path;
 use std::sync::Arc;
 
 use dmt_core::snapshot::{self as core_snapshot, SnapshotError};
-use dmt_core::{Parallelism, WorkerPool};
 use dmt_drift::{Adwin, DriftDetector};
 use dmt_models::memory::vec_bytes;
 use dmt_models::online::{Complexity, OnlineClassifier};
@@ -42,6 +41,7 @@ use rand_distr::{Distribution, Poisson};
 use dmt_baselines::vfdt::{HoeffdingTreeClassifier, VfdtConfig};
 
 use crate::member_stream_seed;
+use crate::parallel::{Parallelism, WorkerPool};
 use crate::snapshot::{decode_rng, encode_rng, MAX_ENSEMBLE_MEMBERS, SNAPSHOT_KIND_BAGGING};
 
 /// Configuration of the Leveraging Bagging ensemble.

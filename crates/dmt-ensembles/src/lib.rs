@@ -18,21 +18,29 @@
 //! Both ensembles train their members **independently per batch**: every
 //! member owns its tree, its detectors and a private deterministic RNG
 //! stream, so `learn_batch` can fan the members out over a persistent
-//! [`dmt_core::WorkerPool`] (configured via the `parallelism` field of
-//! either config, shared across models via `set_worker_pool`) with results
+//! [`WorkerPool`] (configured via the `parallelism` field of either config,
+//! shared across models via `set_worker_pool`) with results
 //! **bit-identical** to a serial member-order loop. See the module docs of
 //! [`bagging`] (batch-boundary drift replacement) and [`arf`] (fully
 //! member-local updates) for the exact batch semantics.
+//!
+//! The pool lives in [`parallel`], the workspace's one module with threads
+//! of its own and its one `unsafe` hand-off. [`Parallelism::from_env`]
+//! reads `DMT_PARALLELISM`, so that variable sizes ensemble pools and
+//! nothing else: the Dynamic Model Tree learns and predicts on the calling
+//! thread.
 
 #![warn(missing_docs)]
 #![deny(unsafe_code)]
 
 pub mod arf;
 pub mod bagging;
+pub mod parallel;
 pub(crate) mod snapshot;
 
 pub use arf::{AdaptiveRandomForest, ArfConfig};
 pub use bagging::{LeveragingBagging, LeveragingBaggingConfig};
+pub use parallel::{Parallelism, WorkerPool, MAX_WORKERS};
 
 /// Minimum batch size (rows) before ensemble member training fans out over
 /// the worker pool; smaller batches — in particular the classic

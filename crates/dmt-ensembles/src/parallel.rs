@@ -44,16 +44,15 @@
 //! closure** (the `running` count under the pool mutex) and the job is
 //! retired before returning — so the erased closure, the item queue and the
 //! result slots on the caller's stack strictly outlive every dereference.
-//! The rest of the workspace keeps `deny(unsafe_code)`; the two `allow`s here
-//! carry the safety comments.
+//! The rest of the workspace keeps `deny(unsafe_code)` (`dmt-core` forbids
+//! it outright); the two `allow`s here carry the safety comments.
 //!
 //! # Sharing
 //!
 //! The pool is cheap to share: each ensemble lazily creates one
-//! `Arc<WorkerPool>`, and its `set_worker_pool` hook (which the multi-tenant
-//! registry calls for every tenant) lets several models dispatch onto the
-//! **same** resident threads instead of spawning a pool each. Dispatches
-//! from multiple owners
+//! `Arc<WorkerPool>`, and its `set_worker_pool` hook lets several models
+//! dispatch onto the **same** resident threads instead of spawning a pool
+//! each. Dispatches from multiple owners
 //! serialise on the pool's job slot; a dispatch issued from *inside* a pool
 //! task (nested parallelism) is detected and runs serially inline, so
 //! sharing can never deadlock the pool.
@@ -66,7 +65,7 @@ use std::sync::Weak;
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 
-use crate::lockrank::{LockRank, RankToken};
+use dmt_core::lockrank::{LockRank, RankToken};
 
 /// Hard ceiling on the resolved worker count: a configuration or environment
 /// value beyond this is clamped, so `DMT_PARALLELISM=100000` can never ask
@@ -74,8 +73,7 @@ use crate::lockrank::{LockRank, RankToken};
 pub const MAX_WORKERS: usize = 64;
 
 /// How an ensemble trains its members (the `parallelism` field of the
-/// `dmt-ensembles` configs) and how many executors the multi-tenant
-/// registry's shared [`WorkerPool`] gets.
+/// ensemble configs).
 ///
 /// The parallel mode is **bit-identical** to the serial mode: members train
 /// independently and their results merge in member order (pinned by
@@ -83,7 +81,7 @@ pub const MAX_WORKERS: usize = 64;
 /// 1/2/4). Only wall-clock time differs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Parallelism {
-    /// Single-threaded recursive descent (the default).
+    /// The serial member loop (the default).
     #[default]
     Serial,
     /// Up to `n` worker threads over independent ensemble members.
@@ -110,7 +108,7 @@ impl Parallelism {
     /// huge values are clamped to [`MAX_WORKERS`] when the setting is
     /// resolved ([`Parallelism::workers`]).
     ///
-    /// The ensemble and registry config defaults go through this hook so CI
+    /// The ensemble config defaults go through this hook so CI
     /// can run the whole test suite under `Threads(n)` without patching
     /// every test; explicit `parallelism:` settings are unaffected.
     pub fn from_env() -> Self {

@@ -15,8 +15,6 @@
 //!   tables.
 //! * [`json`] — a dependency-free JSON value/parser/writer used to persist
 //!   results (the environment has no crates-registry access for `serde`).
-//! * [`checkpoint`] — a JSON-serialisable trace of checkpoint/restore events
-//!   recorded by long evaluation runs alongside their results.
 //!
 //! The metrics follow §VI-D1 of the paper (macro F1 over a per-batch
 //! confusion matrix):
@@ -48,14 +46,12 @@
 #![warn(missing_docs)]
 #![deny(unsafe_code)]
 
-pub mod checkpoint;
 pub mod json;
 pub mod metrics;
 pub mod prequential;
 pub mod stats;
 pub mod trace;
 
-pub use checkpoint::{CheckpointEvent, CheckpointOutcome, CheckpointTrace};
 pub use json::{FromJson, Json, JsonError, ToJson};
 pub use metrics::ConfusionMatrix;
 pub use prequential::{PrequentialConfig, PrequentialResult, PrequentialRun};

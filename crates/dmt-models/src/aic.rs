@@ -5,25 +5,9 @@
 //! decision: a split (or prune/replacement) is only performed when the gain
 //! exceeds `k_new − k_old − log(ε)`, where `k` counts free parameters and
 //! `ε ∈ [0, 1]` bounds the tolerated probability that the more complex model
-//! is not actually the information-optimal one.
-
-/// Akaike Information Criterion `AIC = 2k − 2ℓ(Θ)` where `ℓ` is the
-/// log-likelihood and `k` the number of free parameters (eq. 8).
-///
-/// Callers in this workspace track the *negative* log-likelihood `L = −ℓ`, so
-/// the convenience form `AIC = 2k + 2L` is also provided via
-/// [`aic_from_nll`].
-#[inline]
-pub fn aic(num_params: usize, log_likelihood: f64) -> f64 {
-    2.0 * num_params as f64 - 2.0 * log_likelihood
-}
-
-/// AIC computed from a negative log-likelihood (the loss tracked by DMT
-/// nodes): `AIC = 2k + 2·NLL`.
-#[inline]
-pub fn aic_from_nll(num_params: usize, nll: f64) -> f64 {
-    2.0 * num_params as f64 + 2.0 * nll
-}
+//! is not actually the information-optimal one. The tree only ever compares
+//! two models' `AIC = 2k − 2ℓ(Θ)` (eq. 8), so the threshold on their
+//! difference is all this module computes.
 
 /// The gain threshold of eq. (11).
 ///
@@ -44,14 +28,6 @@ pub fn aic_split_threshold(k_new: usize, k_old: usize, epsilon: f64) -> f64 {
         "epsilon must lie in (0, 1], got {epsilon}"
     );
     k_new as f64 - k_old as f64 - epsilon.ln()
-}
-
-/// Relative AIC evidence `exp((AIC_i − AIC_j) / 2)`: proportional to the
-/// probability that model `j` (the one with the larger AIC) actually
-/// minimises the information loss (§V-C).
-#[inline]
-pub fn relative_likelihood(aic_better: f64, aic_worse: f64) -> f64 {
-    ((aic_better - aic_worse) / 2.0).exp()
 }
 
 /// Stateless helper bundling the ε hyperparameter for repeated tests.
@@ -101,20 +77,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn aic_formula() {
-        // k = 3, ℓ = -10 → AIC = 6 + 20 = 26
-        assert!((aic(3, -10.0) - 26.0).abs() < 1e-12);
-        assert!((aic_from_nll(3, 10.0) - 26.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn aic_from_nll_agrees_with_aic() {
-        for &(k, nll) in &[(1usize, 0.5f64), (10, 123.4), (0, 7.0)] {
-            assert!((aic_from_nll(k, nll) - aic(k, -nll)).abs() < 1e-12);
-        }
-    }
-
-    #[test]
     fn threshold_grows_as_epsilon_shrinks() {
         let loose = aic_split_threshold(10, 5, 1.0);
         let strict = aic_split_threshold(10, 5, 1e-8);
@@ -142,12 +104,6 @@ mod tests {
     #[should_panic(expected = "epsilon must lie in (0, 1]")]
     fn epsilon_above_one_is_rejected() {
         let _ = AicTest::new(1.5);
-    }
-
-    #[test]
-    fn relative_likelihood_is_one_for_equal_aic() {
-        assert!((relative_likelihood(10.0, 10.0) - 1.0).abs() < 1e-12);
-        assert!(relative_likelihood(5.0, 20.0) < 1.0);
     }
 
     #[test]

@@ -59,7 +59,7 @@ pub mod online;
 pub mod softmax;
 pub mod wire;
 
-pub use aic::{aic, aic_split_threshold, AicTest};
+pub use aic::{aic_split_threshold, AicTest};
 pub use glm::Glm;
 pub use logit::LogitModel;
 pub use memory::MemoryUsage;

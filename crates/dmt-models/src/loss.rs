@@ -17,37 +17,6 @@ pub fn nll_single(proba: &[f64], y: usize) -> f64 {
     -clamp_proba(p).ln()
 }
 
-/// Sum of negative log-likelihoods over a batch of predictions.
-pub fn nll_batch(probas: &[Vec<f64>], ys: &[usize]) -> f64 {
-    probas
-        .iter()
-        .zip(ys.iter())
-        .map(|(p, &y)| nll_single(p, y))
-        .sum()
-}
-
-/// Zero-one loss (misclassification indicator).
-#[inline]
-pub fn zero_one(pred: usize, y: usize) -> f64 {
-    if pred == y {
-        0.0
-    } else {
-        1.0
-    }
-}
-
-/// Brier score (mean squared error of the probability vector against the
-/// one-hot target) for a single prediction. Provided for diagnostics and the
-/// extension experiments; the paper itself uses the NLL.
-pub fn brier_single(proba: &[f64], y: usize) -> f64 {
-    let mut acc = 0.0;
-    for (i, &p) in proba.iter().enumerate() {
-        let target = if i == y { 1.0 } else { 0.0 };
-        acc += (p - target) * (p - target);
-    }
-    acc
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -75,26 +44,5 @@ mod tests {
     fn nll_out_of_range_class_is_treated_as_zero_probability() {
         let loss = nll_single(&[0.5, 0.5], 7);
         assert!(loss.is_finite());
-    }
-
-    #[test]
-    fn nll_batch_sums_individuals() {
-        let probas = vec![vec![0.9, 0.1], vec![0.2, 0.8]];
-        let ys = vec![0, 1];
-        let total = nll_batch(&probas, &ys);
-        let expected = nll_single(&probas[0], 0) + nll_single(&probas[1], 1);
-        assert!((total - expected).abs() < 1e-12);
-    }
-
-    #[test]
-    fn zero_one_loss() {
-        assert_eq!(zero_one(1, 1), 0.0);
-        assert_eq!(zero_one(0, 1), 1.0);
-    }
-
-    #[test]
-    fn brier_is_zero_for_perfect_prediction() {
-        assert!(brier_single(&[0.0, 1.0, 0.0], 1) < 1e-12);
-        assert!((brier_single(&[1.0, 0.0], 1) - 2.0).abs() < 1e-12);
     }
 }

@@ -97,8 +97,8 @@ impl ServeClient {
     }
 
     /// Predict a feature batch; returns the serving epoch the predictions
-    /// are bit-identical to (`None` for lock-path tenants) and one class per
-    /// row.
+    /// are bit-identical to and one class per row. The epoch is optional on
+    /// the wire; this server always sends it.
     pub fn predict(
         &mut self,
         tenant: &str,
@@ -114,8 +114,8 @@ impl ServeClient {
         }
     }
 
-    /// Learn a labelled batch; returns the newly published epoch (if the
-    /// tenant serves epochs) and the tenant's total observation count.
+    /// Learn a labelled batch; returns the newly published epoch and the
+    /// tenant's total observation count.
     pub fn learn(
         &mut self,
         tenant: &str,
@@ -149,7 +149,7 @@ impl ServeClient {
     }
 
     /// Hot-swap the tenant's model from a server-side snapshot file; returns
-    /// the republished epoch, if any.
+    /// the republished epoch.
     pub fn swap(&mut self, tenant: &str, path: &str) -> Result<Option<u64>, ClientError> {
         let response = self.request(&Request::Swap {
             tenant: tenant.to_string(),

@@ -1,13 +1,17 @@
 //! The typed error surface of the serving plane.
 //!
 //! Every failure a request can hit — hostile frames, malformed bodies,
-//! unknown tenants, rejected batches, unsupported checkpoints — maps onto
-//! one [`ServeError`] variant with a stable wire code, so a client can match
-//! on the *kind* of failure without parsing messages, and the fuzz battery
-//! can assert that no hostile input ever produces anything but one of these.
+//! unknown tenants, rejected batches, broken snapshot files — maps onto one
+//! [`ServeError`] variant with a stable wire code, so a client can match on
+//! the *kind* of failure without parsing messages, and the fuzz battery can
+//! assert that no hostile input ever produces anything but one of these.
+//!
+//! Codes are never reused. Code 8 once meant "checkpoint unsupported", for
+//! registry tenants that were not Dynamic Model Trees; the registry serves
+//! DMTs only, so the code is reserved and a client decodes it as a typed
+//! [`ServeError::BadResponse`].
 
 use dmt::registry::RegistryError;
-use dmt::zoo::CheckpointError;
 
 /// Why a serve request failed. Transported on the wire as a stable one-byte
 /// code plus a human-readable message; see [`ServeError::code`].
@@ -33,9 +37,6 @@ pub enum ServeError {
     /// The model rejected the batch (shape, non-finite values, label range);
     /// the tenant is untouched and keeps serving.
     RejectedBatch(String),
-    /// The tenant's model kind has no snapshot codec — checkpoint and swap
-    /// are typed failures, never panics (HT-Ada, EFDT, FIMT-DD).
-    CheckpointUnsupported(String),
     /// Checkpoint or swap failed in the snapshot machinery (I/O, corruption,
     /// version skew, forged state).
     Checkpoint(String),
@@ -57,7 +58,7 @@ impl ServeError {
             ServeError::UnknownTenant(_) => 5,
             ServeError::DuplicateTenant(_) => 6,
             ServeError::RejectedBatch(_) => 7,
-            ServeError::CheckpointUnsupported(_) => 8,
+            // 8 is reserved (see the module docs).
             ServeError::Checkpoint(_) => 9,
             ServeError::SchemaMismatch(_) => 10,
             ServeError::BadResponse(_) => 11,
@@ -76,7 +77,6 @@ impl ServeError {
             | ServeError::UnknownTenant(m)
             | ServeError::DuplicateTenant(m)
             | ServeError::RejectedBatch(m)
-            | ServeError::CheckpointUnsupported(m)
             | ServeError::Checkpoint(m)
             | ServeError::SchemaMismatch(m)
             | ServeError::BadResponse(m) => m.clone(),
@@ -84,9 +84,9 @@ impl ServeError {
     }
 
     /// Rebuild a variant from its wire code and message (the client side of
-    /// [`ServeError::code`]). Unknown codes collapse to [`ServeError::BadResponse`]
-    /// — a server speaking a newer error vocabulary still yields a typed
-    /// error, not a panic.
+    /// [`ServeError::code`]). Unknown codes, the reserved code 8 among them,
+    /// collapse to [`ServeError::BadResponse`] — a server speaking a newer
+    /// or an older error vocabulary still yields a typed error, not a panic.
     pub fn from_code(code: u8, message: String) -> Self {
         match code {
             1 => ServeError::BadFrame(message),
@@ -96,7 +96,6 @@ impl ServeError {
             5 => ServeError::UnknownTenant(message),
             6 => ServeError::DuplicateTenant(message),
             7 => ServeError::RejectedBatch(message),
-            8 => ServeError::CheckpointUnsupported(message),
             9 => ServeError::Checkpoint(message),
             10 => ServeError::SchemaMismatch(message),
             11 => ServeError::BadResponse(message),
@@ -123,9 +122,6 @@ impl std::fmt::Display for ServeError {
             ServeError::UnknownTenant(m) => write!(f, "unknown tenant: {m}"),
             ServeError::DuplicateTenant(m) => write!(f, "duplicate tenant: {m}"),
             ServeError::RejectedBatch(m) => write!(f, "rejected batch: {m}"),
-            ServeError::CheckpointUnsupported(m) => {
-                write!(f, "checkpoint unsupported: {m}")
-            }
             ServeError::Checkpoint(m) => write!(f, "checkpoint failed: {m}"),
             ServeError::SchemaMismatch(m) => write!(f, "schema mismatch: {m}"),
             ServeError::BadResponse(m) => write!(f, "bad response: {m}"),
@@ -140,10 +136,10 @@ impl From<RegistryError> for ServeError {
         match e {
             RegistryError::UnknownTenant(name) => ServeError::UnknownTenant(name),
             RegistryError::DuplicateTenant(name) => ServeError::DuplicateTenant(name),
+            // No opcode registers a tenant, so this arm is reachable only
+            // from in-process callers.
+            RegistryError::UnsupportedKind(_) => ServeError::BadRequest(e.to_string()),
             RegistryError::Model(err) => ServeError::RejectedBatch(err.to_string()),
-            RegistryError::Checkpoint(CheckpointError::Unsupported(kind)) => {
-                ServeError::CheckpointUnsupported(kind.display_name().to_string())
-            }
             RegistryError::Checkpoint(err) => ServeError::Checkpoint(err.to_string()),
             RegistryError::SchemaMismatch { expected, found } => {
                 ServeError::SchemaMismatch(format!("tenant has {expected}, snapshot has {found}"))
@@ -156,6 +152,7 @@ impl From<RegistryError> for ServeError {
 mod tests {
     use super::*;
     use dmt::zoo::ModelKind;
+    use dmt_core::SnapshotError;
 
     #[test]
     fn codes_round_trip_for_every_variant() {
@@ -166,7 +163,6 @@ mod tests {
             ServeError::UnknownTenant("m".into()),
             ServeError::DuplicateTenant("m".into()),
             ServeError::RejectedBatch("m".into()),
-            ServeError::CheckpointUnsupported("m".into()),
             ServeError::Checkpoint("m".into()),
             ServeError::SchemaMismatch("m".into()),
             ServeError::BadResponse("m".into()),
@@ -180,21 +176,23 @@ mod tests {
         let original = ServeError::UnknownOpcode(9);
         let rebuilt = ServeError::from_code(original.code(), original.message());
         assert_eq!(rebuilt, original);
-        // Unknown future codes degrade to a typed BadResponse.
-        assert!(matches!(
-            ServeError::from_code(200, "???".into()),
-            ServeError::BadResponse(_)
-        ));
+        // Unknown future codes, and the reserved code 8, degrade to a typed
+        // BadResponse.
+        for code in [8, 200] {
+            assert!(matches!(
+                ServeError::from_code(code, "???".into()),
+                ServeError::BadResponse(_)
+            ));
+        }
     }
 
     #[test]
     fn registry_errors_map_onto_typed_wire_errors() {
-        let unsupported: ServeError =
-            RegistryError::Checkpoint(CheckpointError::Unsupported(ModelKind::HtAda)).into();
-        assert_eq!(
-            unsupported,
-            ServeError::CheckpointUnsupported("HT-ADA".to_string())
-        );
+        let broken: ServeError =
+            RegistryError::Checkpoint(SnapshotError::Invalid("forged".to_string())).into();
+        assert!(matches!(broken, ServeError::Checkpoint(_)), "{broken:?}");
+        let refused: ServeError = RegistryError::UnsupportedKind(ModelKind::HtAda).into();
+        assert!(matches!(refused, ServeError::BadRequest(_)), "{refused:?}");
         let unknown: ServeError = RegistryError::UnknownTenant("ghost".to_string()).into();
         assert!(matches!(unknown, ServeError::UnknownTenant(_)));
     }
@@ -207,7 +205,7 @@ mod tests {
             ServeError::BadRequest("m".into()),
             ServeError::UnknownTenant("m".into()),
             ServeError::RejectedBatch("m".into()),
-            ServeError::CheckpointUnsupported("m".into()),
+            ServeError::Checkpoint("m".into()),
         ] {
             assert!(!survivable.closes_connection(), "{survivable:?}");
         }

@@ -300,7 +300,8 @@ mod tag {
 /// A decoded response frame.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Response {
-    /// Predictions computed from `epoch` (`None` for lock-path tenants).
+    /// Predictions computed from `epoch`. The epoch is an option on the wire
+    /// for compatibility; a server always sends `Some`.
     Predictions {
         /// Epoch the predictions are bit-identical to.
         epoch: Option<u64>,
@@ -309,7 +310,7 @@ pub enum Response {
     },
     /// The batch was learned; `epoch` is the newly published snapshot.
     Learned {
-        /// Newly published epoch, if the tenant serves epochs.
+        /// Newly published epoch (always `Some` from a server).
         epoch: Option<u64>,
         /// Total rows consumed by the tenant.
         observations: u64,
@@ -318,7 +319,7 @@ pub enum Response {
     Checkpointed,
     /// The model was hot-swapped; `epoch` is the republished snapshot.
     Swapped {
-        /// Newly published epoch, if the tenant serves epochs.
+        /// Newly published epoch (always `Some` from a server).
         epoch: Option<u64>,
     },
     /// Tenant stats.

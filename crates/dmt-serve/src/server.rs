@@ -3,7 +3,7 @@
 //! No async runtime — each worker thread owns a clone of one listening
 //! socket, accepts connections, and serves each to completion with blocking
 //! I/O. Predict traffic scales because the hot path never blocks on the
-//! model writer: DMT tenants answer from a pinned epoch snapshot
+//! model writer: tenants answer from a pinned epoch snapshot
 //! (see [`dmt_core::epoch`]), so a client hammering `predict` observes the
 //! same latency whether or not a `learn` batch is splitting nodes next door.
 //!
@@ -203,7 +203,7 @@ fn execute(registry: &ModelRegistry, request: Request) -> Response {
             .map(|()| Response::Checkpointed),
         Request::Swap { tenant, path } => registry
             .swap_from_snapshot(&tenant, &path)
-            .map(|epoch| Response::Swapped { epoch }),
+            .map(|epoch| Response::Swapped { epoch: Some(epoch) }),
         Request::Stats { tenant } => registry.stats(&tenant).map(|stats| {
             Response::Stats(WireStats {
                 name: stats.name,
@@ -240,16 +240,13 @@ mod tests {
     use super::*;
     use dmt::registry::RegistryConfig;
     use dmt::zoo::ZooModel;
-    use dmt_core::{DmtConfig, DynamicModelTree, Parallelism};
+    use dmt_core::{DmtConfig, DynamicModelTree};
     use dmt_stream::StreamSchema;
 
     use crate::client::{ClientError, ServeClient};
 
     fn registry_with_dmt() -> Arc<ModelRegistry> {
-        let registry = ModelRegistry::new(RegistryConfig {
-            parallelism: Parallelism::Serial,
-            ..RegistryConfig::default()
-        });
+        let registry = ModelRegistry::new(RegistryConfig::default());
         let schema = StreamSchema::numeric("toy", 3, 2);
         let tree = DynamicModelTree::new(schema.clone(), DmtConfig::default());
         registry

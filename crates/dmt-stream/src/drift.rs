@@ -12,8 +12,6 @@
 //! * [`GradualDriftStream`] — over a transition window centred at the drift
 //!   position, instances are drawn from stream B with a probability that
 //!   follows a sigmoid in the position, producing incremental/gradual drift.
-//! * [`LabelNoise`] — flips labels uniformly at random with a fixed
-//!   probability (the paper's "0.1 probability of noisy inputs").
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -149,48 +147,6 @@ impl<A: DataStream, B: DataStream> DataStream for GradualDriftStream<A, B> {
     }
 }
 
-/// Uniform label noise: flips the label to a different class with probability
-/// `p`.
-pub struct LabelNoise<S> {
-    inner: S,
-    probability: f64,
-    rng: StdRng,
-}
-
-impl<S: DataStream> LabelNoise<S> {
-    /// Wrap `inner` with label-flip probability `probability`.
-    pub fn new(inner: S, probability: f64, seed: u64) -> Self {
-        assert!((0.0..=1.0).contains(&probability));
-        Self {
-            inner,
-            probability,
-            rng: StdRng::seed_from_u64(seed),
-        }
-    }
-}
-
-impl<S: DataStream> DataStream for LabelNoise<S> {
-    fn schema(&self) -> &StreamSchema {
-        self.inner.schema()
-    }
-
-    fn next_instance(&mut self) -> Option<Instance> {
-        let mut instance = self.inner.next_instance()?;
-        if self.probability > 0.0 && self.rng.gen::<f64>() < self.probability {
-            let c = self.schema().num_classes;
-            if c > 1 {
-                let offset = self.rng.gen_range(1..c);
-                instance.y = (instance.y + offset) % c;
-            }
-        }
-        Some(instance)
-    }
-
-    fn remaining_hint(&self) -> Option<u64> {
-        self.inner.remaining_hint()
-    }
-}
-
 fn check_compatible<A: DataStream, B: DataStream>(a: &A, b: &B) -> StreamSchema {
     let schema = a.schema().clone();
     assert_eq!(
@@ -209,7 +165,6 @@ fn check_compatible<A: DataStream, B: DataStream>(a: &A, b: &B) -> StreamSchema 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::generators::sea::SeaGenerator;
     use crate::instance::Instance;
     use crate::stream::MaterializedStream;
 
@@ -301,53 +256,11 @@ mod tests {
     }
 
     #[test]
-    fn label_noise_flips_expected_fraction_and_keeps_classes_valid() {
-        let base = SeaGenerator::new(0, 0.0, 5);
-        let mut noisy = LabelNoise::new(SeaGenerator::new(0, 0.0, 5), 0.25, 9);
-        let mut clean = base;
-        let n = 20_000;
-        let mut flips = 0;
-        for _ in 0..n {
-            let a = clean.next_instance().unwrap();
-            let b = noisy.next_instance().unwrap();
-            assert!(b.y < 2);
-            if a.y != b.y {
-                flips += 1;
-            }
-        }
-        let rate = flips as f64 / n as f64;
-        assert!((rate - 0.25).abs() < 0.02, "flip rate {rate}");
-    }
-
-    #[test]
-    fn zero_noise_changes_nothing() {
-        let mut noisy = LabelNoise::new(constant_stream(50, 1), 0.0, 3);
-        for _ in 0..50 {
-            assert_eq!(noisy.next_instance().unwrap().y, 1);
-        }
-        assert!(noisy.next_instance().is_none());
-    }
-
-    #[test]
     #[should_panic(expected = "share the class count")]
     fn incompatible_schemas_panic() {
         let a = constant_stream(5, 0);
         let schema = StreamSchema::numeric("other", 1, 3);
         let b = MaterializedStream::new(schema, vec![]);
         let _ = AbruptDriftStream::new(a, b, 1);
-    }
-
-    #[test]
-    fn multiclass_noise_never_produces_the_original_label() {
-        // With probability 1.0 every label must change.
-        let schema = StreamSchema::numeric("mc", 1, 5);
-        let data = (0..200).map(|i| Instance::new(vec![0.0], i % 5)).collect();
-        let inner = MaterializedStream::new(schema, data);
-        let mut noisy = LabelNoise::new(inner, 1.0, 11);
-        for i in 0..200 {
-            let inst = noisy.next_instance().unwrap();
-            assert_ne!(inst.y, i % 5);
-            assert!(inst.y < 5);
-        }
     }
 }

@@ -76,42 +76,6 @@ impl Batch {
             .zip(self.ys.iter().copied())
     }
 
-    /// Split the batch into the subset whose row indices are listed in `idx`
-    /// and the complementary subset, preserving order.
-    pub fn partition_by_indices(&self, idx: &[usize]) -> (Batch, Batch) {
-        let mut mask = vec![false; self.len()];
-        for &i in idx {
-            if i < mask.len() {
-                mask[i] = true;
-            }
-        }
-        let mut left = Batch::with_capacity(idx.len());
-        let mut right = Batch::with_capacity(self.len().saturating_sub(idx.len()));
-        for (i, (x, y)) in self.iter().enumerate() {
-            if mask[i] {
-                left.push(Instance::new(x.to_vec(), y));
-            } else {
-                right.push(Instance::new(x.to_vec(), y));
-            }
-        }
-        (left, right)
-    }
-
-    /// Split the batch according to a per-row predicate; rows satisfying the
-    /// predicate go left.
-    pub fn partition_by<F: Fn(&[f64]) -> bool>(&self, pred: F) -> (Batch, Batch) {
-        let mut left = Batch::default();
-        let mut right = Batch::default();
-        for (x, y) in self.iter() {
-            if pred(x) {
-                left.push(Instance::new(x.to_vec(), y));
-            } else {
-                right.push(Instance::new(x.to_vec(), y));
-            }
-        }
-        (left, right)
-    }
-
     /// Per-class counts over the batch labels (length = `num_classes`).
     pub fn class_counts(&self, num_classes: usize) -> Vec<u64> {
         let mut counts = vec![0u64; num_classes];
@@ -170,34 +134,6 @@ mod tests {
         let rows = b.rows();
         assert_eq!(rows.len(), 4);
         assert_eq!(rows[2], &[2.0, 2.0]);
-    }
-
-    #[test]
-    fn partition_by_predicate() {
-        let b = toy_batch();
-        let (left, right) = b.partition_by(|x| x[0] <= 1.0);
-        assert_eq!(left.len(), 2);
-        assert_eq!(right.len(), 2);
-        assert_eq!(left.ys, vec![0, 1]);
-        assert_eq!(right.ys, vec![1, 0]);
-    }
-
-    #[test]
-    fn partition_by_indices_keeps_order_and_complements() {
-        let b = toy_batch();
-        let (left, right) = b.partition_by_indices(&[3, 0]);
-        assert_eq!(left.len(), 2);
-        assert_eq!(left.xs[0], vec![0.0, 1.0]);
-        assert_eq!(left.xs[1], vec![3.0, 1.0]);
-        assert_eq!(right.len(), 2);
-    }
-
-    #[test]
-    fn partition_by_indices_ignores_out_of_range() {
-        let b = toy_batch();
-        let (left, right) = b.partition_by_indices(&[10, 1]);
-        assert_eq!(left.len(), 1);
-        assert_eq!(right.len(), 3);
     }
 
     #[test]

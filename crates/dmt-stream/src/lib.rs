@@ -4,13 +4,12 @@
 //!
 //! * [`schema`] — feature/label schema descriptions ([`schema::StreamSchema`]).
 //! * [`instance`] — [`instance::Instance`] and [`instance::Batch`] containers.
-//! * [`stream`] — the [`stream::DataStream`] trait plus in-memory and chained
-//!   streams.
+//! * [`stream`] — the [`stream::DataStream`] trait plus an in-memory stream.
 //! * [`generators`] — faithful re-implementations of the scikit-multiflow
 //!   synthetic generators used in the paper (SEA, Agrawal, Hyperplane) and a
 //!   few extras (RandomRBF, STAGGER, LED) for extension experiments.
-//! * [`drift`] — drift composition: abrupt concept switches, gradual
-//!   (sigmoid-weighted) transitions and label/feature noise wrappers.
+//! * [`drift`] — drift composition: abrupt concept switches and gradual
+//!   (sigmoid-weighted) transitions.
 //! * [`realworld`] — synthetic *simulators* for the real-world tabular data
 //!   sets of Table I (Electricity, Airlines, Bank, TüEyeQ, Poker, KDD,
 //!   Covertype, Gas, Insects). The originals are not redistributable /
@@ -43,10 +42,10 @@ pub mod stream;
 pub mod transform;
 pub mod workload;
 
-pub use drift::{AbruptDriftStream, GradualDriftStream, LabelNoise};
+pub use drift::{AbruptDriftStream, GradualDriftStream};
 pub use instance::{Batch, Instance};
 pub use realworld::{load_csv, parse_csv, CsvError};
 pub use schema::{FeatureSpec, FeatureType, StreamSchema};
-pub use stream::{ChainStream, DataStream, MaterializedStream};
+pub use stream::{DataStream, MaterializedStream};
 pub use transform::{BoxedStream, MinMaxNormalize, TakeStream};
 pub use workload::{build_workload, build_workload_default, WorkloadInfo, WORKLOADS};

@@ -61,19 +61,6 @@ impl MaterializedStream {
         }
     }
 
-    /// Materialize up to `n` instances of any other stream.
-    pub fn collect_from<S: DataStream + ?Sized>(source: &mut S, n: u64) -> Self {
-        let schema = source.schema().clone();
-        let mut data = Vec::new();
-        for _ in 0..n {
-            match source.next_instance() {
-                Some(instance) => data.push(instance),
-                None => break,
-            }
-        }
-        Self::new(schema, data)
-    }
-
     /// Number of instances left to emit.
     pub fn remaining(&self) -> usize {
         self.data.len() - self.cursor
@@ -136,56 +123,6 @@ impl DataStream for MaterializedStream {
     }
 }
 
-/// Concatenation of two streams with identical schemas: emits every instance
-/// of the first stream, then every instance of the second.
-pub struct ChainStream<A, B> {
-    first: A,
-    second: B,
-    schema: StreamSchema,
-}
-
-impl<A: DataStream, B: DataStream> ChainStream<A, B> {
-    /// Chain `first` and `second`. Both must have the same number of features
-    /// and classes.
-    pub fn new(first: A, second: B) -> Self {
-        let schema = first.schema().clone();
-        assert_eq!(
-            schema.num_features(),
-            second.schema().num_features(),
-            "chained streams must share the feature count"
-        );
-        assert_eq!(
-            schema.num_classes,
-            second.schema().num_classes,
-            "chained streams must share the class count"
-        );
-        Self {
-            first,
-            second,
-            schema,
-        }
-    }
-}
-
-impl<A: DataStream, B: DataStream> DataStream for ChainStream<A, B> {
-    fn schema(&self) -> &StreamSchema {
-        &self.schema
-    }
-
-    fn next_instance(&mut self) -> Option<Instance> {
-        self.first
-            .next_instance()
-            .or_else(|| self.second.next_instance())
-    }
-
-    fn remaining_hint(&self) -> Option<u64> {
-        match (self.first.remaining_hint(), self.second.remaining_hint()) {
-            (Some(a), Some(b)) => Some(a + b),
-            _ => None,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -231,14 +168,6 @@ mod tests {
     }
 
     #[test]
-    fn collect_from_materializes_bounded_prefix() {
-        let mut source = toy_stream(10, 1);
-        let collected = MaterializedStream::collect_from(&mut source, 4);
-        assert_eq!(collected.total_len(), 4);
-        assert_eq!(collected.instances()[3].x[0], 3.0);
-    }
-
-    #[test]
     fn with_schema_replaces_metadata_but_not_data() {
         use crate::schema::FeatureSpec;
         let s = toy_stream(3, 1);
@@ -268,26 +197,5 @@ mod tests {
         let data = vec![Instance::new(vec![0.0], 3)];
         let s = MaterializedStream::new(schema, data);
         let _ = s.with_schema(StreamSchema::numeric("bad", 1, 2));
-    }
-
-    #[test]
-    fn chain_stream_concatenates() {
-        let a = toy_stream(2, 0);
-        let b = toy_stream(3, 1);
-        let mut chained = ChainStream::new(a, b);
-        assert_eq!(chained.remaining_hint(), Some(5));
-        let labels: Vec<usize> = std::iter::from_fn(|| chained.next_instance())
-            .map(|i| i.y)
-            .collect();
-        assert_eq!(labels, vec![0, 0, 1, 1, 1]);
-    }
-
-    #[test]
-    #[should_panic(expected = "feature count")]
-    fn chain_with_mismatched_features_panics() {
-        let a = toy_stream(1, 0);
-        let schema = StreamSchema::numeric("other", 3, 2);
-        let b = MaterializedStream::new(schema, vec![]);
-        let _ = ChainStream::new(a, b);
     }
 }

@@ -47,9 +47,9 @@ pub struct WorkspaceConfig {
 /// The committed policy for this workspace.
 pub fn workspace_config() -> WorkspaceConfig {
     WorkspaceConfig {
-        unsafe_allowed_files: &["crates/dmt-core/src/parallel.rs"],
+        unsafe_allowed_files: &["crates/dmt-ensembles/src/parallel.rs"],
         spawn_allowed_files: &[
-            "crates/dmt-core/src/parallel.rs",
+            "crates/dmt-ensembles/src/parallel.rs",
             "crates/dmt-serve/src/server.rs",
         ],
         panic_free_crates: &[

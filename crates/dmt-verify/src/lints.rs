@@ -83,7 +83,7 @@ pub fn lint_unsafe(file: &SourceFile<'_>, cfg: &WorkspaceConfig, out: &mut Vec<D
                 &file.rel_path,
                 t.line,
                 "forbidden-unsafe",
-                "`unsafe` is allowed only in crates/dmt-core/src/parallel.rs \
+                "`unsafe` is allowed only in crates/dmt-ensembles/src/parallel.rs \
                  (the worker pool's documented lifetime hand-off)"
                     .to_string(),
             ));
@@ -547,13 +547,13 @@ mod tests {
     fn unsafe_in_parallel_rs_needs_a_safety_comment() {
         let cfg = workspace_config();
         let covered = "// SAFETY: argued in the module docs.\nunsafe impl Send for Job {}\n";
-        let f = parse("crates/dmt-core/src/parallel.rs", covered);
+        let f = parse("crates/dmt-ensembles/src/parallel.rs", covered);
         let mut out = Vec::new();
         lint_unsafe(&f, &cfg, &mut out);
         assert!(out.is_empty(), "{out:?}");
 
         let bare = "unsafe impl Send for Job {}\n";
-        let f = parse("crates/dmt-core/src/parallel.rs", bare);
+        let f = parse("crates/dmt-ensembles/src/parallel.rs", bare);
         let mut out = Vec::new();
         lint_unsafe(&f, &cfg, &mut out);
         assert_eq!(out.len(), 1);
@@ -568,7 +568,7 @@ unsafe impl GlobalAlloc for A {
     unsafe fn alloc(&self, l: Layout) -> *mut u8 { unsafe { System.alloc(l) } }
 }
 ";
-        let f = parse("crates/dmt-core/src/parallel.rs", src);
+        let f = parse("crates/dmt-ensembles/src/parallel.rs", src);
         let mut out = Vec::new();
         lint_unsafe(&f, &workspace_config(), &mut out);
         assert!(out.is_empty(), "{out:?}");
@@ -595,7 +595,7 @@ unsafe impl GlobalAlloc for A {
         lint_spawn(&f, &cfg, &mut out);
         assert!(out.is_empty());
         let f = parse(
-            "crates/dmt-core/src/parallel.rs",
+            "crates/dmt-ensembles/src/parallel.rs",
             "fn f() { std::thread::Builder::new().spawn(|| {}); }",
         );
         let mut out = Vec::new();

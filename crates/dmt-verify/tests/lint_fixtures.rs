@@ -43,7 +43,7 @@ fn each_lint_trips_on_its_fixture() {
     expect_one(
         &diags,
         "missing-safety",
-        "crates/dmt-core/src/parallel.rs",
+        "crates/dmt-ensembles/src/parallel.rs",
         7,
     );
     expect_one(&diags, "forbidden-spawn", "crates/dmt-eval/src/lib.rs", 5);

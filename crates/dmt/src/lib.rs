@@ -3,7 +3,9 @@
 //! This is the facade crate of the workspace: it re-exports the public API of
 //! every sub-crate and provides the [`zoo`] module, a small factory that
 //! builds any of the paper's classifiers by name (used by the reproduction
-//! harness, the examples and downstream users who want to compare models).
+//! harness, the examples and downstream users who want to compare models),
+//! and the [`registry`] of named Dynamic Model Trees behind the serving
+//! plane.
 //!
 //! ## Crate map
 //!
@@ -14,7 +16,7 @@
 //! | [`stream`] | stream abstractions, generators, the Table I catalog, the named workload suite |
 //! | [`drift`] | ADWIN and Page-Hinkley drift detectors |
 //! | [`baselines`] | VFDT (MC/NBA), HT-Ada, EFDT, FIMT-DD |
-//! | [`ensembles`] | Adaptive Random Forest, Leveraging Bagging |
+//! | [`ensembles`] | Adaptive Random Forest, Leveraging Bagging, their worker pool ([`ensembles::Parallelism`]) |
 //! | [`eval`] | prequential evaluation, metrics, traces |
 //!
 //! ## Quickstart
@@ -50,7 +52,8 @@ pub mod zoo;
 
 /// The most common imports in one place.
 pub mod prelude {
-    pub use crate::core::{DmtConfig, DynamicModelTree, Parallelism};
+    pub use crate::core::{DmtConfig, DynamicModelTree};
+    pub use crate::ensembles::Parallelism;
     pub use crate::eval::{PrequentialConfig, PrequentialResult, PrequentialRun};
     pub use crate::models::{BatchMode, Complexity, OnlineClassifier, SimpleModel};
     pub use crate::registry::{ModelRegistry, RegistryConfig, RegistryError};

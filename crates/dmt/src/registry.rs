@@ -1,20 +1,20 @@
 //! Sharded multi-tenant model registry: the state behind the serving plane.
 //!
-//! A [`ModelRegistry`] holds many named models ("tenants") behind one shared
-//! [`WorkerPool`], and separates each tenant's two traffic classes:
+//! A [`ModelRegistry`] holds many named Dynamic Model Trees ("tenants") and
+//! separates each tenant's two traffic classes:
 //!
 //! * **Learn traffic** serialises on the tenant's writer lock — one
 //!   `learn_batch` at a time per tenant, exactly like a single-threaded
 //!   training loop.
-//! * **Predict traffic** for Dynamic Model Tree tenants never touches the
-//!   writer lock: after every learn batch the writer publishes an immutable
-//!   **epoch snapshot** (a near-memcpy clone of the flat SoA arena) through
-//!   an [`EpochCell`], and predictions pin whichever epoch is current — see
-//!   [`dmt_core::epoch`]. A prediction is therefore always bit-identical to
-//!   *some* published epoch, and its latency is independent of any
-//!   concurrent `learn_batch`. Tenants of other kinds (the baselines) have
-//!   no epoch machinery and predict under the writer lock — correct, but
-//!   coupled; the DMT is the serving-grade model.
+//! * **Predict traffic** never touches the writer lock: after every learn
+//!   batch the writer publishes an immutable **epoch snapshot** (a
+//!   near-memcpy clone of the flat SoA arena) through an [`EpochCell`], and
+//!   predictions pin whichever epoch is current — see [`dmt_core::epoch`]. A
+//!   prediction is therefore always bit-identical to *some* published epoch,
+//!   and its latency is independent of any concurrent `learn_batch`.
+//!
+//! The registry serves Dynamic Model Trees only; [`ModelRegistry::register`]
+//! refuses every other zoo kind with [`RegistryError::UnsupportedKind`].
 //!
 //! Tenant lookup is sharded (hash of the name → shard, each shard its own
 //! `RwLock`) so concurrent requests for different tenants do not contend on
@@ -23,23 +23,21 @@
 //! ## Fleet-wide memory arbitration
 //!
 //! A registry can carry a fleet-wide byte pool
-//! ([`RegistryConfig::fleet_budget_bytes`]): every Dynamic Model Tree tenant
-//! receives an equal share of the pool as its
+//! ([`RegistryConfig::fleet_budget_bytes`]): every tenant receives an equal
+//! share of the pool as its
 //! [`DmtConfig::memory_budget_bytes`](dmt_core::DmtConfig::memory_budget_bytes),
 //! re-arbitrated whenever tenants join or leave (or the pool is resized), so
 //! a fleet of thousands of models degrades gracefully instead of any one
-//! tree growing unbounded. Non-DMT tenants have no budget ladder and are
-//! excluded from arbitration.
+//! tree growing unbounded.
 //!
 //! ## Crash safety and hot swap
 //!
 //! [`ModelRegistry::checkpoint`] writes a tenant's sealed snapshot
 //! atomically; [`ModelRegistry::swap_from_snapshot`] hot-swaps a tenant's
-//! model from a snapshot file (same kind, same schema) and republishes the
-//! serving epoch, so a fleet can roll back or promote a model without
-//! dropping predict traffic. Kinds without a snapshot codec (HT-Ada, EFDT,
-//! FIMT-DD) surface [`CheckpointError::Unsupported`] as the typed
-//! [`RegistryError::Checkpoint`] — never a panic, never a silent drop.
+//! tree from a snapshot file (same schema) and republishes the serving
+//! epoch, so a fleet can roll back or promote a model without dropping
+//! predict traffic. I/O failures, corruption and version skew surface as the
+//! typed [`RegistryError::Checkpoint`] — never a panic, never a silent drop.
 
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
@@ -50,11 +48,11 @@ use std::sync::{Arc, Mutex, MutexGuard, RwLock};
 
 use dmt_core::epoch::EpochCell;
 use dmt_core::lockrank::{LockRank, RankToken, Ranked};
-use dmt_core::{DmtError, DynamicModelTree, Parallelism, WorkerPool};
+use dmt_core::{DmtError, DynamicModelTree, SnapshotError};
 use dmt_models::Rows;
 use dmt_stream::StreamSchema;
 
-use crate::zoo::{CheckpointError, ModelKind, ZooModel};
+use crate::zoo::{ModelKind, ZooModel};
 
 /// Configuration of a [`ModelRegistry`].
 #[derive(Debug, Clone)]
@@ -64,12 +62,8 @@ pub struct RegistryConfig {
     /// between unrelated tenants.
     pub shards: usize,
     /// Fleet-wide resident-memory pool in bytes, arbitrated equally across
-    /// the Dynamic Model Tree tenants (`None` = unbudgeted fleet).
+    /// the tenants (`None` = unbudgeted fleet).
     pub fleet_budget_bytes: Option<usize>,
-    /// Parallelism of the one [`WorkerPool`] shared by every tenant that can
-    /// use it (the ensembles' member fan-out). `Serial` (and `Threads(0|1)`)
-    /// creates no pool and no threads.
-    pub parallelism: Parallelism,
 }
 
 impl Default for RegistryConfig {
@@ -77,7 +71,6 @@ impl Default for RegistryConfig {
         Self {
             shards: 8,
             fleet_budget_bytes: None,
-            parallelism: Parallelism::from_env(),
         }
     }
 }
@@ -91,13 +84,16 @@ pub enum RegistryError {
     UnknownTenant(String),
     /// [`ModelRegistry::register`] was called with a name already in use.
     DuplicateTenant(String),
+    /// [`ModelRegistry::register`] was handed a model that is not a Dynamic
+    /// Model Tree: the registry serves DMTs only.
+    UnsupportedKind(ModelKind),
     /// The batch was rejected by the model's input validation (mismatched
     /// lengths, wrong feature dimension, non-finite values, out-of-range
     /// labels). The tenant is untouched.
     Model(DmtError),
-    /// Checkpoint or swap failed — including the typed
-    /// [`CheckpointError::Unsupported`] for kinds without a snapshot codec.
-    Checkpoint(CheckpointError),
+    /// Checkpoint or swap failed in the snapshot machinery (I/O,
+    /// corruption, forged state, version skew).
+    Checkpoint(SnapshotError),
     /// A swapped-in snapshot disagrees with the tenant's registered stream
     /// schema (feature count or class count).
     SchemaMismatch {
@@ -115,6 +111,11 @@ impl std::fmt::Display for RegistryError {
             RegistryError::DuplicateTenant(name) => {
                 write!(f, "tenant {name:?} is already registered")
             }
+            RegistryError::UnsupportedKind(kind) => write!(
+                f,
+                "{} cannot be registered: the registry serves Dynamic Model Trees only",
+                kind.display_name()
+            ),
             RegistryError::Model(e) => write!(f, "rejected batch: {e}"),
             RegistryError::Checkpoint(e) => write!(f, "checkpoint: {e}"),
             RegistryError::SchemaMismatch { expected, found } => {
@@ -143,8 +144,8 @@ impl From<DmtError> for RegistryError {
     }
 }
 
-impl From<CheckpointError> for RegistryError {
-    fn from(e: CheckpointError) -> Self {
+impl From<SnapshotError> for RegistryError {
+    fn from(e: SnapshotError) -> Self {
         RegistryError::Checkpoint(e)
     }
 }
@@ -152,9 +153,8 @@ impl From<CheckpointError> for RegistryError {
 /// The result of a predict request.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PredictOutcome {
-    /// The epoch the predictions were computed from (`None` for tenants
-    /// without epoch serving — the baselines, which predict under the
-    /// writer lock).
+    /// The epoch the predictions were computed from (always `Some`; the
+    /// wire format keeps the option).
     pub epoch: Option<u64>,
     /// One predicted class per input row.
     pub predictions: Vec<usize>,
@@ -163,10 +163,11 @@ pub struct PredictOutcome {
 /// The result of a learn request.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LearnOutcome {
-    /// The epoch published from the post-batch model state (`None` for
-    /// tenants without epoch serving).
+    /// The epoch published from the post-batch tree (always `Some`; the
+    /// wire format keeps the option).
     pub epoch: Option<u64>,
-    /// Total rows the tenant has consumed since registration.
+    /// Total rows the tenant has consumed since registration, up to and
+    /// including the batch that built `epoch`.
     pub observations: u64,
 }
 
@@ -177,12 +178,12 @@ pub struct TenantStats {
     pub name: String,
     /// Model kind display name (the paper's row name).
     pub kind: String,
-    /// Current serving epoch (0 for tenants without epoch serving).
+    /// Current serving epoch.
     pub epoch: u64,
     /// Epoch snapshots currently resident: the served one plus any
     /// superseded epochs still pinned by in-flight predictions.
     pub live_epochs: u64,
-    /// Resident heap bytes of the writer model.
+    /// Resident heap bytes of the writer tree.
     pub memory_bytes: u64,
     /// Total rows consumed since registration.
     pub observations: u64,
@@ -192,25 +193,26 @@ pub struct TenantStats {
 
 struct Tenant {
     name: String,
-    kind: ModelKind,
     schema: StreamSchema,
-    /// The learning model. Learn/checkpoint/swap serialise here; DMT predict
+    /// The learning tree. Learn/checkpoint/swap serialise here; predict
     /// traffic never takes this lock.
-    writer: Mutex<ZooModel>,
-    /// Epoch publication point — `Some` only for DMT tenants.
-    epochs: Option<EpochCell<DynamicModelTree>>,
+    writer: Mutex<DynamicModelTree>,
+    /// Epoch publication point.
+    epochs: EpochCell<DynamicModelTree>,
+    /// Rows consumed since registration. Written and read only under the
+    /// writer lock, so it always pairs with the epoch published there.
     observations: AtomicU64,
 }
 
 impl Tenant {
-    fn lock_writer(&self) -> Ranked<MutexGuard<'_, ZooModel>> {
+    fn lock_writer(&self) -> Ranked<MutexGuard<'_, DynamicModelTree>> {
         // The rank token must exist before blocking on the lock so an
         // out-of-order acquisition asserts instead of deadlocking.
         let token = RankToken::acquire(LockRank::TenantWriter);
-        // Model code behind this lock is panic-audited (typed errors on
+        // Tree code behind this lock is panic-audited (typed errors on
         // hostile input), but a poisoned lock must not wedge the tenant
-        // forever: the model state is still consistent (learn validates
-        // before mutating), so recover the guard.
+        // forever: the tree is still consistent (learn validates before
+        // mutating), so recover the guard.
         let guard = match self.writer.lock() {
             Ok(guard) => guard,
             Err(poisoned) => poisoned.into_inner(),
@@ -219,31 +221,20 @@ impl Tenant {
     }
 }
 
-/// A sharded, thread-safe registry of named models (see the
+/// A sharded, thread-safe registry of named Dynamic Model Trees (see the
 /// [module docs](self)).
 pub struct ModelRegistry {
     shards: Vec<RwLock<HashMap<String, Arc<Tenant>>>>,
-    /// The one worker pool shared by every pool-capable tenant (`None` when
-    /// the registry runs serial).
-    pool: Option<Arc<WorkerPool>>,
-    parallelism: Parallelism,
     fleet_budget: Mutex<Option<usize>>,
 }
 
 impl ModelRegistry {
-    /// Create an empty registry. A shared [`WorkerPool`] is spun up only if
-    /// `config.parallelism` asks for 2+ executors.
+    /// Create an empty registry.
     pub fn new(config: RegistryConfig) -> Self {
-        let pool = match config.parallelism.workers() {
-            n if n >= 2 => Some(Arc::new(WorkerPool::new(n))),
-            _ => None,
-        };
         Self {
             shards: (0..config.shards.max(1))
                 .map(|_| RwLock::new(HashMap::new()))
                 .collect(),
-            pool,
-            parallelism: config.parallelism,
             fleet_budget: Mutex::new(config.fleet_budget_bytes),
         }
     }
@@ -283,29 +274,25 @@ impl ModelRegistry {
             .ok_or_else(|| RegistryError::UnknownTenant(name.to_string()))
     }
 
-    /// Register `model` under `name`, sharing the registry's worker pool
-    /// with it and re-arbitrating the fleet budget. DMT tenants immediately
-    /// publish epoch 0 (the freshly registered state) and serve predictions
-    /// from it.
+    /// Register a Dynamic Model Tree under `name` and re-arbitrate the fleet
+    /// budget. The tenant immediately publishes epoch 0 (the freshly
+    /// registered state) and serves predictions from it. Any other zoo kind
+    /// is refused with [`RegistryError::UnsupportedKind`].
     pub fn register(
         &self,
         name: &str,
         schema: StreamSchema,
-        mut model: ZooModel,
+        model: ZooModel,
     ) -> Result<(), RegistryError> {
-        if let Some(pool) = &self.pool {
-            model.set_worker_pool(Arc::clone(pool));
-        }
-        let epochs = match &model {
-            ZooModel::Dmt(tree) => Some(EpochCell::new(tree.clone())),
-            _ => None,
+        let tree = match model {
+            ZooModel::Dmt(tree) => tree,
+            other => return Err(RegistryError::UnsupportedKind(other.kind())),
         };
         let tenant = Arc::new(Tenant {
             name: name.to_string(),
-            kind: model.kind(),
             schema,
-            writer: Mutex::new(model),
-            epochs,
+            epochs: EpochCell::new(tree.clone()),
+            writer: Mutex::new(tree),
             observations: AtomicU64::new(0),
         });
         {
@@ -354,92 +341,22 @@ impl ModelRegistry {
         self.len() == 0
     }
 
-    /// The shared worker pool, if the registry runs threaded.
-    pub fn worker_pool(&self) -> Option<&Arc<WorkerPool>> {
-        self.pool.as_ref()
-    }
-
-    /// Validate a batch against `schema` the way the DMT's checked entry
-    /// points do, so non-DMT tenants reject hostile input with the same
-    /// typed errors instead of panicking inside model code.
-    fn validate_batch(
-        schema: &StreamSchema,
-        xs: Rows<'_>,
-        ys: Option<&[usize]>,
-    ) -> Result<(), RegistryError> {
-        if let Some(ys) = ys {
-            if xs.len() != ys.len() {
-                return Err(DmtError::LengthMismatch {
-                    xs: xs.len(),
-                    ys: ys.len(),
-                }
-                .into());
-            }
-            if xs.is_empty() {
-                return Err(DmtError::EmptyBatch.into());
-            }
-        }
-        let expected = schema.num_features();
-        for (row, x) in xs.iter().enumerate() {
-            if x.len() != expected {
-                return Err(DmtError::FeatureDimension {
-                    row,
-                    got: x.len(),
-                    expected,
-                }
-                .into());
-            }
-            for (feature, v) in x.iter().enumerate() {
-                if !v.is_finite() {
-                    return Err(DmtError::NonFiniteFeature { row, feature }.into());
-                }
-            }
-        }
-        if let Some(ys) = ys {
-            for (row, &label) in ys.iter().enumerate() {
-                if label >= schema.num_classes {
-                    return Err(DmtError::LabelOutOfRange {
-                        row,
-                        label,
-                        num_classes: schema.num_classes,
-                    }
-                    .into());
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// Predict a batch for a tenant.
-    ///
-    /// DMT tenants answer from the pinned current epoch without touching the
-    /// writer lock; every returned prediction vector is bit-identical to
-    /// what that epoch's snapshot predicts in isolation. Other kinds predict
-    /// under the writer lock.
+    /// Predict a batch for a tenant from the pinned current epoch, without
+    /// touching the writer lock. Every returned prediction vector is
+    /// bit-identical to what that epoch's snapshot predicts in isolation.
     pub fn predict(&self, name: &str, xs: Rows<'_>) -> Result<PredictOutcome, RegistryError> {
         let tenant = self.tenant(name)?;
         let mut predictions = vec![0usize; xs.len()];
-        if let Some(cell) = &tenant.epochs {
-            let epoch = cell.pin();
-            epoch.try_predict_batch_into(xs, &mut predictions)?;
-            return Ok(PredictOutcome {
-                epoch: Some(epoch.seq()),
-                predictions,
-            });
-        }
-        Self::validate_batch(&tenant.schema, xs, None)?;
-        let guard = tenant.lock_writer();
-        guard
-            .as_classifier()
-            .predict_batch_into(xs, &mut predictions);
+        let epoch = tenant.epochs.pin();
+        epoch.try_predict_batch_into(xs, &mut predictions)?;
         Ok(PredictOutcome {
-            epoch: None,
+            epoch: Some(epoch.seq()),
             predictions,
         })
     }
 
-    /// Learn a batch for a tenant and, for DMT tenants, publish the
-    /// post-batch state as the next serving epoch.
+    /// Learn a batch for a tenant and publish the post-batch tree as the
+    /// next serving epoch.
     ///
     /// Hostile batches are rejected with a typed error before any state is
     /// touched — the tenant keeps serving its current epoch.
@@ -450,115 +367,83 @@ impl ModelRegistry {
         ys: &[usize],
     ) -> Result<LearnOutcome, RegistryError> {
         let tenant = self.tenant(name)?;
-        let mut guard = tenant.lock_writer();
-        let epoch = match (&mut *guard, &tenant.epochs) {
-            (ZooModel::Dmt(tree), Some(cell)) => {
-                tree.try_learn_batch(xs, ys)?;
-                Some(cell.publish(tree.clone()))
-            }
-            (model, _) => {
-                Self::validate_batch(&tenant.schema, xs, Some(ys))?;
-                model.as_classifier_mut().learn_batch(xs, ys);
-                None
-            }
-        };
-        drop(guard);
-        let observations = tenant
-            .observations
-            .fetch_add(xs.len() as u64, Ordering::Relaxed)
-            + xs.len() as u64;
+        let mut tree = tenant.lock_writer();
+        tree.try_learn_batch(xs, ys)?;
+        let epoch = tenant.epochs.publish(tree.clone());
+        // Counted before the writer lock drops, so two learners on one
+        // tenant each get the row count of the epoch they published.
+        let rows = xs.len() as u64;
+        let observations = tenant.observations.fetch_add(rows, Ordering::Relaxed) + rows;
         Ok(LearnOutcome {
-            epoch,
+            epoch: Some(epoch),
             observations,
         })
     }
 
-    /// Write a crash-safe checkpoint of a tenant's current model.
-    ///
-    /// Kinds without a snapshot codec (HT-Ada, EFDT, FIMT-DD) return the
-    /// typed [`RegistryError::Checkpoint`]`(`[`CheckpointError::Unsupported`]`)`
-    /// without touching the filesystem.
+    /// Write a crash-safe checkpoint of a tenant's current tree.
     pub fn checkpoint<P: AsRef<Path>>(&self, name: &str, path: P) -> Result<(), RegistryError> {
         let tenant = self.tenant(name)?;
-        let guard = tenant.lock_writer();
-        guard.checkpoint(path)?;
+        tenant.lock_writer().save_snapshot(path)?;
         Ok(())
     }
 
-    /// Hot-swap a tenant's model from a snapshot file written by
-    /// [`ModelRegistry::checkpoint`] (or any [`ZooModel::checkpoint`]).
+    /// Hot-swap a tenant's tree from a snapshot file written by
+    /// [`ModelRegistry::checkpoint`] (or any
+    /// [`DynamicModelTree::save_snapshot`]).
     ///
-    /// The snapshot must be of the tenant's registered kind and schema;
-    /// mismatches and unsupported kinds are typed errors and leave the
-    /// tenant serving its current model. On success the restored model
-    /// inherits the shared worker pool and its fleet-budget share, and DMT
-    /// tenants publish it as the next epoch — in-flight predictions pinned
-    /// on older epochs finish undisturbed. Returns the new epoch, if any.
+    /// The snapshot must carry the tenant's registered schema; a mismatch
+    /// or a broken file is a typed error and leaves the tenant serving its
+    /// current tree. On success the restored tree takes over the tenant's
+    /// fleet-budget share (not the budget the snapshot was saved with) and
+    /// is published as the next epoch — in-flight predictions pinned on
+    /// older epochs finish undisturbed. Returns the new epoch.
     pub fn swap_from_snapshot<P: AsRef<Path>>(
         &self,
         name: &str,
         path: P,
-    ) -> Result<Option<u64>, RegistryError> {
+    ) -> Result<u64, RegistryError> {
         let tenant = self.tenant(name)?;
-        let mut restored = ZooModel::restore(tenant.kind, &tenant.schema, path)?;
-        if let ZooModel::Dmt(tree) = &restored {
-            if *tree.schema() != tenant.schema {
-                return Err(RegistryError::SchemaMismatch {
-                    expected: format!(
-                        "{} features / {} classes",
-                        tenant.schema.num_features(),
-                        tenant.schema.num_classes
-                    ),
-                    found: format!(
-                        "{} features / {} classes",
-                        tree.schema().num_features(),
-                        tree.schema().num_classes
-                    ),
-                });
-            }
+        let mut restored = DynamicModelTree::load_snapshot(path)?;
+        if *restored.schema() != tenant.schema {
+            return Err(RegistryError::SchemaMismatch {
+                expected: format!(
+                    "{} features / {} classes",
+                    tenant.schema.num_features(),
+                    tenant.schema.num_classes
+                ),
+                found: format!(
+                    "{} features / {} classes",
+                    restored.schema().num_features(),
+                    restored.schema().num_classes
+                ),
+            });
         }
-        if let Some(pool) = &self.pool {
-            restored.set_worker_pool(Arc::clone(pool));
-        }
-        let epoch = {
-            let mut guard = tenant.lock_writer();
-            *guard = restored;
-            match (&*guard, &tenant.epochs) {
-                (ZooModel::Dmt(tree), Some(cell)) => Some(cell.publish(tree.clone())),
-                _ => None,
-            }
-        };
-        self.rebalance();
-        Ok(epoch)
+        let mut tree = tenant.lock_writer();
+        // The share is copied under the writer lock, so no learn ever runs
+        // the budget ladder against the saver's budget.
+        restored.set_memory_budget(tree.config().memory_budget_bytes);
+        *tree = restored;
+        Ok(tenant.epochs.publish(tree.clone()))
     }
 
-    /// Stats snapshot for one tenant.
+    /// Stats snapshot for one tenant. Every field is read under the writer
+    /// lock, so the epoch and the observation count describe one state.
     pub fn stats(&self, name: &str) -> Result<TenantStats, RegistryError> {
         let tenant = self.tenant(name)?;
-        let guard = tenant.lock_writer();
-        let memory_bytes = guard.memory_bytes() as u64;
-        let budget_bytes = match &*guard {
-            ZooModel::Dmt(tree) => tree.config().memory_budget_bytes.map(|b| b as u64),
-            _ => None,
-        };
-        drop(guard);
-        let (epoch, live_epochs) = match &tenant.epochs {
-            Some(cell) => (cell.current_seq(), cell.live_epochs() as u64),
-            None => (0, 0),
-        };
+        let tree = tenant.lock_writer();
         Ok(TenantStats {
             name: tenant.name.clone(),
-            kind: tenant.kind.display_name().to_string(),
-            epoch,
-            live_epochs,
-            memory_bytes,
+            kind: ModelKind::Dmt.display_name().to_string(),
+            epoch: tenant.epochs.current_seq(),
+            live_epochs: tenant.epochs.live_epochs() as u64,
+            memory_bytes: tree.memory_bytes() as u64,
             observations: tenant.observations.load(Ordering::Relaxed),
-            budget_bytes,
+            budget_bytes: tree.config().memory_budget_bytes.map(|b| b as u64),
         })
     }
 
     /// Resize (or disarm, with `None`) the fleet-wide byte pool and
-    /// re-arbitrate every DMT tenant's share.
+    /// re-arbitrate every tenant's share.
     pub fn set_fleet_budget(&self, bytes: Option<usize>) {
         {
             let mut guard = match self.fleet_budget.lock() {
@@ -578,12 +463,13 @@ impl ModelRegistry {
         }
     }
 
-    /// Re-arbitrate the fleet byte pool across the DMT tenants: each
-    /// receives an equal share `fleet / n`, applied through
+    /// Re-arbitrate the fleet byte pool across the tenants: each receives an
+    /// equal share `fleet / n`, applied through
     /// [`DynamicModelTree::set_memory_budget`] (the budget ladder enforces
     /// it at the tenant's next learn batch). With no fleet budget every
-    /// tenant is disarmed. Runs automatically on register, remove, swap and
-    /// [`ModelRegistry::set_fleet_budget`].
+    /// tenant is disarmed. Runs automatically on register, remove and
+    /// [`ModelRegistry::set_fleet_budget`]; a swap keeps the tenant count,
+    /// so it keeps the share too.
     pub fn rebalance(&self) {
         let fleet = self.fleet_budget();
         let tenants: Vec<Arc<Tenant>> = self
@@ -592,7 +478,6 @@ impl ModelRegistry {
             .flat_map(|shard| {
                 Self::read_shard(shard)
                     .values()
-                    .filter(|t| t.kind == ModelKind::Dmt)
                     .cloned()
                     .collect::<Vec<_>>()
             })
@@ -602,24 +487,15 @@ impl ModelRegistry {
         }
         let share = fleet.map(|bytes| bytes / tenants.len());
         for tenant in tenants {
-            let mut guard = tenant.lock_writer();
-            if let ZooModel::Dmt(tree) = &mut *guard {
-                tree.set_memory_budget(share);
-            }
+            tenant.lock_writer().set_memory_budget(share);
         }
-    }
-
-    /// The parallelism the registry was built with (what the shared pool
-    /// runs, or `Serial`).
-    pub fn parallelism(&self) -> Parallelism {
-        self.parallelism
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::zoo::build_zoo_model;
+    use crate::zoo::{build_zoo_model, ALL_MODELS};
     use dmt_core::DmtConfig;
     use dmt_models::OnlineClassifier;
 
@@ -639,11 +515,8 @@ mod tests {
         xs.iter().map(|v| v.as_slice()).collect()
     }
 
-    fn serial_registry() -> ModelRegistry {
-        ModelRegistry::new(RegistryConfig {
-            parallelism: Parallelism::Serial,
-            ..RegistryConfig::default()
-        })
+    fn registry() -> ModelRegistry {
+        ModelRegistry::new(RegistryConfig::default())
     }
 
     fn register_dmt(registry: &ModelRegistry, name: &str) {
@@ -656,7 +529,7 @@ mod tests {
 
     #[test]
     fn register_predict_learn_advances_epochs() {
-        let registry = serial_registry();
+        let registry = registry();
         register_dmt(&registry, "m");
         let (xs, ys) = toy_batch(64);
         let xs = rows(&xs);
@@ -682,7 +555,7 @@ mod tests {
 
     #[test]
     fn epoch_predictions_match_an_isolated_twin() {
-        let registry = serial_registry();
+        let registry = registry();
         register_dmt(&registry, "m");
         let schema = toy_schema();
         let mut twin = DynamicModelTree::new(schema, DmtConfig::default());
@@ -700,7 +573,7 @@ mod tests {
 
     #[test]
     fn unknown_and_duplicate_tenants_are_typed_errors() {
-        let registry = serial_registry();
+        let registry = registry();
         let (xs, _) = toy_batch(4);
         match registry.predict("ghost", &rows(&xs)) {
             Err(RegistryError::UnknownTenant(name)) => assert_eq!(name, "ghost"),
@@ -716,60 +589,56 @@ mod tests {
     }
 
     #[test]
-    fn hostile_batches_are_rejected_typed_for_every_tenant_kind() {
-        let registry = serial_registry();
-        register_dmt(&registry, "dmt");
+    fn non_dmt_kinds_are_refused_typed() {
+        let registry = registry();
         let schema = toy_schema();
-        registry
-            .register(
-                "hat",
-                schema.clone(),
-                build_zoo_model(ModelKind::HtAda, &schema, 1),
-            )
-            .expect("register hat");
-        for name in ["dmt", "hat"] {
-            let bad_dim: Vec<&[f64]> = vec![&[0.5]];
-            match registry.predict(name, &bad_dim) {
-                Err(RegistryError::Model(DmtError::FeatureDimension { .. })) => {}
-                other => panic!("{name}: expected FeatureDimension, got {other:?}"),
+        for kind in ALL_MODELS.into_iter().filter(|&k| k != ModelKind::Dmt) {
+            match registry.register("m", schema.clone(), build_zoo_model(kind, &schema, 1)) {
+                Err(RegistryError::UnsupportedKind(k)) => assert_eq!(k, kind),
+                other => panic!("{kind:?}: expected UnsupportedKind, got {other:?}"),
             }
-            let nan: Vec<&[f64]> = vec![&[0.5, f64::NAN]];
-            match registry.learn(name, &nan, &[0]) {
-                Err(RegistryError::Model(DmtError::NonFiniteFeature { .. })) => {}
-                other => panic!("{name}: expected NonFiniteFeature, got {other:?}"),
-            }
-            let (xs, _) = toy_batch(3);
-            match registry.learn(name, &rows(&xs), &[0, 9, 1]) {
-                Err(RegistryError::Model(DmtError::LabelOutOfRange { .. })) => {}
-                other => panic!("{name}: expected LabelOutOfRange, got {other:?}"),
-            }
-            // The tenant still serves after every rejection.
-            let (xs, ys) = toy_batch(8);
-            registry.learn(name, &rows(&xs), &ys).expect("learn");
-            registry.predict(name, &rows(&xs)).expect("predict");
         }
+        assert!(registry.is_empty(), "a refused model must not register");
+        register_dmt(&registry, "m");
+        assert_eq!(registry.stats("m").expect("stats").kind, "DMT (ours)");
+    }
+
+    #[test]
+    fn hostile_batches_are_rejected_typed_for_every_tenant_kind() {
+        let registry = registry();
+        register_dmt(&registry, "dmt");
+        let bad_dim: Vec<&[f64]> = vec![&[0.5]];
+        match registry.predict("dmt", &bad_dim) {
+            Err(RegistryError::Model(DmtError::FeatureDimension { .. })) => {}
+            other => panic!("expected FeatureDimension, got {other:?}"),
+        }
+        let nan: Vec<&[f64]> = vec![&[0.5, f64::NAN]];
+        match registry.learn("dmt", &nan, &[0]) {
+            Err(RegistryError::Model(DmtError::NonFiniteFeature { .. })) => {}
+            other => panic!("expected NonFiniteFeature, got {other:?}"),
+        }
+        let (xs, _) = toy_batch(3);
+        match registry.learn("dmt", &rows(&xs), &[0, 9, 1]) {
+            Err(RegistryError::Model(DmtError::LabelOutOfRange { .. })) => {}
+            other => panic!("expected LabelOutOfRange, got {other:?}"),
+        }
+        // The tenant still serves after every rejection.
+        let (xs, ys) = toy_batch(8);
+        registry.learn("dmt", &rows(&xs), &ys).expect("learn");
+        registry.predict("dmt", &rows(&xs)).expect("predict");
     }
 
     #[test]
     fn fleet_budget_is_arbitrated_equally_across_dmt_tenants() {
         let registry = ModelRegistry::new(RegistryConfig {
             fleet_budget_bytes: Some(1 << 20),
-            parallelism: Parallelism::Serial,
             ..RegistryConfig::default()
         });
         register_dmt(&registry, "a");
-        let schema = toy_schema();
-        registry
-            .register(
-                "hat",
-                schema.clone(),
-                build_zoo_model(ModelKind::HtAda, &schema, 1),
-            )
-            .expect("register hat");
         assert_eq!(
             registry.stats("a").expect("stats").budget_bytes,
             Some(1 << 20),
-            "a lone DMT tenant owns the whole pool (non-DMT tenants excluded)"
+            "a lone tenant owns the whole pool"
         );
         register_dmt(&registry, "b");
         for name in ["a", "b"] {
@@ -785,42 +654,68 @@ mod tests {
         );
         registry.set_fleet_budget(None);
         assert_eq!(registry.stats("a").expect("stats").budget_bytes, None);
-        // Non-DMT tenants never get a budget.
-        assert_eq!(registry.stats("hat").expect("stats").budget_bytes, None);
     }
 
     #[test]
-    fn checkpoint_unsupported_is_a_typed_registry_error() {
-        let registry = serial_registry();
-        let schema = toy_schema();
-        for kind in [ModelKind::HtAda, ModelKind::Efdt, ModelKind::FimtDd] {
-            let name = format!("{kind:?}");
-            registry
-                .register(&name, schema.clone(), build_zoo_model(kind, &schema, 1))
-                .expect("register");
-            let path = std::env::temp_dir().join("dmt-registry-unsupported.dmt");
-            match registry.checkpoint(&name, &path) {
-                Err(RegistryError::Checkpoint(CheckpointError::Unsupported(k))) => {
-                    assert_eq!(k, kind)
-                }
-                other => panic!("{kind:?}: expected Unsupported, got {other:?}"),
+    fn concurrent_learners_pair_each_epoch_with_its_row_count() {
+        const BATCHES: u64 = 40;
+        const ROWS: usize = 12;
+        let registry = registry();
+        register_dmt(&registry, "m");
+        let (xs, ys) = toy_batch(ROWS);
+        let xs = rows(&xs);
+        // Both learners enter every round together, so each round contends
+        // on the writer lock.
+        let round = std::sync::Barrier::new(2);
+        std::thread::scope(|scope| {
+            for _ in 0..2 {
+                scope.spawn(|| {
+                    for _ in 0..BATCHES {
+                        round.wait();
+                        let outcome = registry.learn("m", &xs, &ys).expect("learn");
+                        let epoch = outcome.epoch.expect("every learn publishes");
+                        assert_eq!(outcome.observations, epoch * ROWS as u64);
+                    }
+                });
             }
-            match registry.swap_from_snapshot(&name, &path) {
-                Err(RegistryError::Checkpoint(CheckpointError::Unsupported(k))) => {
-                    assert_eq!(k, kind)
-                }
-                other => panic!("{kind:?}: expected Unsupported, got {other:?}"),
-            }
-            // The tenant keeps serving after both rejections.
-            let (xs, ys) = toy_batch(8);
-            registry.learn(&name, &rows(&xs), &ys).expect("learn");
-            registry.predict(&name, &rows(&xs)).expect("predict");
-        }
+        });
+        let stats = registry.stats("m").expect("stats");
+        assert_eq!(stats.epoch, 2 * BATCHES);
+        assert_eq!(stats.observations, stats.epoch * ROWS as u64);
+    }
+
+    #[test]
+    fn swap_keeps_the_tenant_share_not_the_snapshot_budget() {
+        const FLEET: usize = 1 << 20;
+        let registry = ModelRegistry::new(RegistryConfig {
+            fleet_budget_bytes: Some(FLEET),
+            ..RegistryConfig::default()
+        });
+        register_dmt(&registry, "a");
+        let (xs, ys) = toy_batch(32);
+        registry.learn("a", &rows(&xs), &ys).expect("learn");
+        let dir = std::env::temp_dir().join("dmt-registry-swap-share-test");
+        std::fs::create_dir_all(&dir).expect("tmp dir");
+        let path = dir.join("a.dmt");
+        // Saved while "a" owns the whole pool.
+        registry.checkpoint("a", &path).expect("checkpoint");
+        register_dmt(&registry, "b");
+        registry.swap_from_snapshot("a", &path).expect("swap");
+        let half = Some((FLEET / 2) as u64);
+        assert_eq!(registry.stats("a").expect("stats").budget_bytes, half);
+        // The published epoch already carries the share: no learn can run
+        // on the saver's budget between the swap and a later rebalance.
+        let tenant = registry.tenant("a").expect("tenant");
+        assert_eq!(
+            tenant.epochs.pin().config().memory_budget_bytes,
+            Some(FLEET / 2)
+        );
+        std::fs::remove_file(&path).ok();
     }
 
     #[test]
     fn hot_swap_from_snapshot_republishes_the_serving_epoch() {
-        let registry = serial_registry();
+        let registry = registry();
         register_dmt(&registry, "m");
         let (xs, ys) = toy_batch(64);
         let xs = rows(&xs);
@@ -838,7 +733,7 @@ mod tests {
             registry.learn("m", &xs, &ys).expect("learn");
         }
         let epoch = registry.swap_from_snapshot("m", &path).expect("swap");
-        assert_eq!(epoch, Some(11), "6 learns + 4 learns + 1 swap publish");
+        assert_eq!(epoch, 11, "6 learns + 4 learns + 1 swap publish");
         let rolled_back = registry.predict("m", &xs).expect("predict");
         assert_eq!(rolled_back.epoch, Some(11));
         assert_eq!(
@@ -852,7 +747,7 @@ mod tests {
 
     #[test]
     fn swapping_a_mismatched_schema_is_rejected() {
-        let registry = serial_registry();
+        let registry = registry();
         register_dmt(&registry, "m");
         // Checkpoint a tree with a *different* schema under another tenant.
         let other_schema = StreamSchema::numeric("other", 5, 3);
@@ -873,7 +768,7 @@ mod tests {
 
     #[test]
     fn names_and_len_cover_all_shards() {
-        let registry = serial_registry();
+        let registry = registry();
         assert!(registry.is_empty());
         for i in 0..20 {
             register_dmt(&registry, &format!("tenant-{i:02}"));

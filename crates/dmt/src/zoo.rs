@@ -17,14 +17,13 @@
 //! [`CheckpointError::Unsupported`] instead of failing at some later point.
 
 use std::path::Path;
-use std::sync::Arc;
 
 use dmt_baselines::{
     EfdtClassifier, EfdtConfig, FimtDdClassifier, FimtDdConfig, HatConfig, HoeffdingAdaptiveTree,
     HoeffdingTreeClassifier, VfdtConfig,
 };
 use dmt_core::snapshot::{self as core_snapshot, SnapshotError};
-use dmt_core::{DmtConfig, DynamicModelTree, WorkerPool};
+use dmt_core::{DmtConfig, DynamicModelTree};
 use dmt_ensembles::{AdaptiveRandomForest, ArfConfig, LeveragingBagging, LeveragingBaggingConfig};
 use dmt_models::wire::{Reader, Writer};
 use dmt_models::OnlineClassifier;
@@ -264,24 +263,6 @@ impl ZooModel {
     /// accounting, so this is never the trait's "unaccounted" zero.
     pub fn memory_bytes(&self) -> usize {
         self.as_classifier().memory_bytes()
-    }
-
-    /// Share a persistent [`WorkerPool`] with the model, if its kind can use
-    /// one (both ensembles dispatch member work to it; the DMT and the
-    /// baseline trees are single-threaded and ignore the call). Lets a
-    /// registry run thousands of tenants over one set of resident threads
-    /// instead of each model lazily spawning its own.
-    pub fn set_worker_pool(&mut self, pool: Arc<WorkerPool>) {
-        match self {
-            ZooModel::Forest(m) => m.set_worker_pool(pool),
-            ZooModel::Bagging(m) => m.set_worker_pool(pool),
-            ZooModel::Dmt(_)
-            | ZooModel::FimtDd(_)
-            | ZooModel::VfdtMc(_)
-            | ZooModel::VfdtNba(_)
-            | ZooModel::HtAda(_)
-            | ZooModel::Efdt(_) => {}
-        }
     }
 
     /// Box the model behind the classifier trait (what [`build_model`]

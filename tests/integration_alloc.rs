@@ -97,9 +97,8 @@ fn steady_state_hot_path_is_allocation_free_per_instance() {
 /// differ per *batch* (queue/result vectors) but never per instance or per
 /// member beyond what the serial path does.
 fn pooled_ensemble_learn_measurement() {
-    use dmt::core::Parallelism;
     use dmt::ensembles::{
-        AdaptiveRandomForest, ArfConfig, LeveragingBagging, LeveragingBaggingConfig,
+        AdaptiveRandomForest, ArfConfig, LeveragingBagging, LeveragingBaggingConfig, Parallelism,
     };
 
     let schema = StreamSchema::numeric("alloc-pens", 3, 2);

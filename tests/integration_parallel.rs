@@ -11,8 +11,11 @@
 
 use std::sync::Arc;
 
-use dmt::core::{DmtConfig, DynamicModelTree, Parallelism, WorkerPool};
-use dmt::ensembles::{AdaptiveRandomForest, ArfConfig, LeveragingBagging, LeveragingBaggingConfig};
+use dmt::core::{DmtConfig, DynamicModelTree};
+use dmt::ensembles::{
+    AdaptiveRandomForest, ArfConfig, LeveragingBagging, LeveragingBaggingConfig, Parallelism,
+    WorkerPool,
+};
 use dmt::models::OnlineClassifier;
 use dmt::stream::schema::StreamSchema;
 
@@ -256,5 +259,5 @@ fn parallelism_parse_covers_the_env_edge_cases() {
     // env value can never demand an absurd number of threads.
     let huge = Parallelism::parse(Some("1000000"));
     assert_eq!(huge, Parallelism::Threads(1_000_000));
-    assert_eq!(huge.workers(), dmt::core::MAX_WORKERS);
+    assert_eq!(huge.workers(), dmt::ensembles::MAX_WORKERS);
 }

@@ -21,8 +21,11 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use dmt::core::snapshot::{
     open_payload, seal_payload, SNAPSHOT_HEADER_LEN, SNAPSHOT_MAGIC, SNAPSHOT_VERSION,
 };
-use dmt::core::{DmtConfig, DynamicModelTree, Parallelism, SnapshotError, WorkerPool};
-use dmt::ensembles::{AdaptiveRandomForest, ArfConfig, LeveragingBagging, LeveragingBaggingConfig};
+use dmt::core::{DmtConfig, DynamicModelTree, SnapshotError};
+use dmt::ensembles::{
+    AdaptiveRandomForest, ArfConfig, LeveragingBagging, LeveragingBaggingConfig, Parallelism,
+    WorkerPool,
+};
 use dmt::models::OnlineClassifier;
 use dmt::stream::schema::StreamSchema;
 use proptest::prelude::*;
