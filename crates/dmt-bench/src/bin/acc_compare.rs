@@ -142,8 +142,10 @@ fn run(options: &Options) -> Result<bool, String> {
         ),
     ];
 
+    // Wide enough for `paper:Insects-Incremental`, `bytes_per_model` and
+    // seven-digit byte counts, so no two columns run together.
     println!(
-        "{:<14}{:<16}{:<10}{:>10}{:>10}{:>10}  status",
+        "{:<14}{:<27}{:<17}{:>15}{:>15}{:>15}  status",
         "Model", "Workload", "Metric", "baseline", "current", "delta"
     );
     let mut failed = false;
@@ -174,7 +176,7 @@ fn run(options: &Options) -> Result<bool, String> {
                 "ok"
             };
             println!(
-                "{:<14}{:<16}{:<10}{:>10.4}{:>10.4}{:>+10.4}  {}",
+                "{:<14}{:<27}{:<17}{:>15.4}{:>15.4}{:>+15.4}  {}",
                 model,
                 workload,
                 metric,

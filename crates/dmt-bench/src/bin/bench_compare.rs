@@ -6,7 +6,8 @@
 //! `instances_per_sec` and — when both files carry it — the predict-only
 //! `predict_instances_per_sec`, so serving-path regressions cannot hide
 //! behind learn-path wins (baselines blessed before the predict-only row
-//! existed are compared on the train metric alone).
+//! existed are compared on the train metric alone). `bench_throughput`
+//! writes both as medians over repeated runs of the cell.
 //!
 //! Raw instances/sec depends on the machine, so the comparison is also
 //! normalised by a *control* model: for every stream and metric, the ratio
@@ -24,7 +25,7 @@
 //!
 //! ```bash
 //! cargo run --release -p dmt-bench --bin bench_compare -- \
-//!     --baseline BENCH_5.json --current /tmp/bench.json \
+//!     --baseline BENCH_6.json --current /tmp/bench.json \
 //!     --tolerance 0.15 --models "DMT (ours)"
 //! ```
 
@@ -48,7 +49,7 @@ struct Options {
 impl Default for Options {
     fn default() -> Self {
         Self {
-            baseline: "BENCH_5.json".to_string(),
+            baseline: "BENCH_6.json".to_string(),
             current: "/tmp/bench_current.json".to_string(),
             tolerance: 0.15,
             control: "VFDT (MC)".to_string(),

@@ -6,29 +6,55 @@
 //! learn it) but times nothing except the models: all stream batches are
 //! materialised before the clock starts. Table V of the paper reports this
 //! cost per iteration; here it is normalised to instances/sec so successive
-//! PRs can be compared directly. A second, predict-only pass over the same
-//! batches (model frozen at its final state, one reused predictions buffer)
-//! isolates the descent/serving cost from training, so inference-path
-//! regressions cannot hide behind learn-path wins.
+//! changes can be compared directly. A second, predict-only pass over the
+//! same batches (model frozen at its final state, one reused predictions
+//! buffer) isolates the descent/serving cost from training, so
+//! inference-path regressions cannot hide behind learn-path wins.
+//!
+//! Every cell runs [`REPEATS`] times, each from a freshly built model, in
+//! round-robin order over the cells, so a slow spell of the machine lands on
+//! one repeat of many cells instead of every repeat of one. The JSON
+//! `instances_per_sec` and `predict_instances_per_sec` fields hold the
+//! median of the repeats and the `*_iqr` fields their interquartile range:
+//! the CI gate reads medians, never a single timing window.
+//!
+//! A second table, written under the `micro` JSON key, times what the model
+//! rows do not isolate: instance generation by the paper's generators and
+//! simulators, drift-detector updates, and DMT explanations. Each of its
+//! rows performs `--instances` operations per repeat.
 //!
 //! Streams and seeds come from the shared harness
-//! ([`dmt_bench::throughput_stream`], [`dmt_bench::bench_seed`]): the stream
-//! is rebuilt with the same seed for every model row, so all rows of one run
-//! consume identical instance sequences. CI re-runs this binary on the same
-//! pinned configuration and gates regressions with `bench_compare`.
+//! ([`dmt_bench::throughput_stream`], [`dmt_bench::bench_seed`]): each stream
+//! is materialised once and every model row consumes the identical instance
+//! sequence. CI re-runs this binary on the same pinned configuration and
+//! gates regressions with `bench_compare`.
 //!
 //! ```bash
 //! cargo run -p dmt-bench --release --bin bench_throughput
 //! cargo run -p dmt-bench --release --bin bench_throughput -- \
-//!     --warmup 2000 --instances 40000 --batch 100 --out BENCH_4.json
+//!     --warmup 2000 --instances 40000 --batch 100 --out BENCH_6.json
 //! ```
 
+use std::hint::black_box;
 use std::time::Instant;
 
+use dmt::drift::{Adwin, DriftDetector, PageHinkley};
 use dmt::eval::json::{Json, ToJson};
 use dmt::prelude::*;
+use dmt::stream::generators::{AgrawalGenerator, HyperplaneGenerator, SeaGenerator};
+use dmt::stream::realworld::{covertype_sim, electricity_sim};
 use dmt_bench::THROUGHPUT_STREAMS;
 use dmt_bench::{bench_seed, throughput_stream};
+
+/// Timed repeats of every model cell and micro row. One more than a
+/// multiple of four, so the median and both quartiles are samples.
+const REPEATS: usize = 5;
+const _: () = assert!(REPEATS % 4 == 1);
+
+/// Prediction is an order of magnitude faster than test-then-train, so the
+/// predict-only pass sweeps the timed batches several times: a single sweep
+/// finishes in a few milliseconds, too short a window for a stable gate.
+const PREDICT_SWEEPS: usize = 10;
 
 struct Options {
     warmup: usize,
@@ -43,7 +69,7 @@ impl Default for Options {
             warmup: 2_000,
             instances: 40_000,
             batch: 100,
-            out: "BENCH_5.json".to_string(),
+            out: "BENCH_6.json".to_string(),
         }
     }
 }
@@ -86,168 +112,361 @@ fn parse_options() -> Options {
     options
 }
 
-struct CellResult {
-    model: String,
-    stream: String,
-    instances: u64,
-    seconds: f64,
-    instances_per_sec: f64,
-    micros_per_batch: f64,
-    predict_seconds: f64,
-    predict_instances_per_sec: f64,
-    final_splits: f64,
-    final_params: f64,
-    /// Resident heap bytes of the finished model (capacity-based accounting;
-    /// informational in the timing file — the accuracy gate owns the ceiling).
-    bytes_per_model: u64,
+/// Median and interquartile range of one metric over the repeats.
+struct Spread {
+    median: f64,
+    iqr: f64,
 }
 
-impl ToJson for CellResult {
+impl Spread {
+    fn of(samples: impl Iterator<Item = f64>) -> Self {
+        let mut sorted: Vec<f64> = samples.collect();
+        sorted.sort_by(f64::total_cmp);
+        let quartile = |q: usize| sorted[q * (sorted.len() - 1) / 4];
+        Self {
+            median: quartile(2),
+            iqr: quartile(3) - quartile(1),
+        }
+    }
+
+    /// The interquartile range as a percentage of the median.
+    fn iqr_percent(&self) -> f64 {
+        100.0 * self.iqr / self.median
+    }
+}
+
+/// One stream's batches, materialised once and shared by every model row.
+struct StreamBatches {
+    name: &'static str,
+    schema: StreamSchema,
+    warmup: Vec<Batch>,
+    timed: Vec<Batch>,
+}
+
+impl StreamBatches {
+    fn materialise(name: &'static str, options: &Options) -> Self {
+        let mut stream = throughput_stream(name, bench_seed::STREAM)
+            .unwrap_or_else(|| panic!("unknown bench stream {name}"));
+        let mut take = |instances: usize| -> Vec<Batch> {
+            (0..instances.div_ceil(options.batch))
+                .filter_map(|_| stream.next_batch(options.batch))
+                .collect()
+        };
+        let warmup = take(options.warmup);
+        let timed = take(options.instances);
+        Self {
+            name,
+            schema: stream.schema().clone(),
+            warmup,
+            timed,
+        }
+    }
+}
+
+/// One (model, stream) cell and the timings of its repeats so far.
+struct Cell<'a> {
+    kind: ModelKind,
+    data: &'a StreamBatches,
+    /// Test-then-train and predict-only seconds, one pair per repeat.
+    seconds: Vec<(f64, f64)>,
+    /// The finished model's shape. Every repeat ends in the same state: the
+    /// model is seeded and the batches are identical.
+    complexity: Complexity,
+    bytes: usize,
+}
+
+impl<'a> Cell<'a> {
+    fn new(kind: ModelKind, data: &'a StreamBatches) -> Self {
+        Self {
+            kind,
+            data,
+            seconds: Vec::with_capacity(REPEATS),
+            complexity: Complexity::default(),
+            bytes: 0,
+        }
+    }
+
+    /// One repeat from a freshly built model.
+    fn run_repeat(&mut self, batch_size: usize) {
+        let mut model = build_model(self.kind, &self.data.schema, bench_seed::MODEL);
+        for batch in &self.data.warmup {
+            model.learn_batch(&batch.rows(), &batch.ys);
+        }
+
+        let start = Instant::now();
+        for batch in &self.data.timed {
+            let rows = batch.rows();
+            black_box(model.predict_batch(&rows));
+            model.learn_batch(&rows, &batch.ys);
+        }
+        let seconds = start.elapsed().as_secs_f64();
+
+        // Predict-only sweeps with the model frozen at its final state,
+        // reusing one predictions buffer.
+        let mut predictions = vec![0usize; batch_size];
+        let predict_start = Instant::now();
+        for _ in 0..PREDICT_SWEEPS {
+            for batch in &self.data.timed {
+                let rows = batch.rows();
+                predictions.clear();
+                predictions.resize(rows.len(), 0);
+                model.predict_batch_into(&rows, &mut predictions);
+                black_box(&predictions);
+            }
+        }
+        self.seconds
+            .push((seconds, predict_start.elapsed().as_secs_f64()));
+        self.complexity = model.complexity();
+        self.bytes = model.memory_bytes();
+    }
+
+    fn instances(&self) -> u64 {
+        self.data
+            .timed
+            .iter()
+            .map(|batch| batch.ys.len() as u64)
+            .sum()
+    }
+
+    /// Mean test-then-train microseconds per batch at the median rate.
+    fn micros_per_batch(&self, train: &Spread) -> f64 {
+        1e6 * self.instances() as f64 / train.median / self.data.timed.len().max(1) as f64
+    }
+
+    /// Test-then-train and predict-only instances/sec over the repeats.
+    fn rates(&self) -> (Spread, Spread) {
+        let train = self.instances() as f64;
+        let predict = train * PREDICT_SWEEPS as f64;
+        (
+            Spread::of(self.seconds.iter().map(|&(t, _)| train / t)),
+            Spread::of(self.seconds.iter().map(|&(_, p)| predict / p)),
+        )
+    }
+}
+
+impl ToJson for Cell<'_> {
     fn to_json(&self) -> Json {
-        Json::Obj(vec![
-            ("model".to_string(), self.model.to_json()),
-            ("stream".to_string(), self.stream.to_json()),
-            ("instances".to_string(), self.instances.to_json()),
-            ("seconds".to_string(), self.seconds.to_json()),
-            (
-                "instances_per_sec".to_string(),
-                self.instances_per_sec.to_json(),
-            ),
-            (
-                "micros_per_batch".to_string(),
-                self.micros_per_batch.to_json(),
-            ),
-            (
-                "predict_seconds".to_string(),
-                self.predict_seconds.to_json(),
-            ),
-            (
-                "predict_instances_per_sec".to_string(),
-                self.predict_instances_per_sec.to_json(),
-            ),
-            ("final_splits".to_string(), self.final_splits.to_json()),
-            ("final_params".to_string(), self.final_params.to_json()),
-            (
-                "bytes_per_model".to_string(),
-                self.bytes_per_model.to_json(),
-            ),
+        let (train, predict) = self.rates();
+        let instances = self.instances();
+        // The windows of the median repeat.
+        let seconds = instances as f64 / train.median;
+        let predict_seconds = (instances * PREDICT_SWEEPS as u64) as f64 / predict.median;
+        obj([
+            ("model", self.kind.display_name().to_json()),
+            ("stream", self.data.name.to_json()),
+            ("instances", instances.to_json()),
+            ("seconds", seconds.to_json()),
+            ("instances_per_sec", train.median.to_json()),
+            ("instances_per_sec_iqr", train.iqr.to_json()),
+            ("micros_per_batch", self.micros_per_batch(&train).to_json()),
+            ("predict_seconds", predict_seconds.to_json()),
+            ("predict_instances_per_sec", predict.median.to_json()),
+            ("predict_instances_per_sec_iqr", predict.iqr.to_json()),
+            ("final_splits", self.complexity.splits.to_json()),
+            ("final_params", self.complexity.parameters.to_json()),
+            // Resident heap bytes of the finished model (capacity-based;
+            // informational here, the accuracy gate owns the ceiling).
+            ("bytes_per_model", (self.bytes as u64).to_json()),
         ])
     }
 }
 
-fn run_cell(kind: ModelKind, stream_name: &str, options: &Options) -> CellResult {
-    let mut stream = throughput_stream(stream_name, bench_seed::STREAM)
-        .unwrap_or_else(|| panic!("unknown bench stream {stream_name}"));
-    let schema = stream.schema().clone();
-    let mut model = build_model(kind, &schema, bench_seed::MODEL);
+/// A JSON object from `(key, value)` pairs, in order.
+fn obj<const N: usize>(members: [(&str, Json); N]) -> Json {
+    Json::Obj(
+        members
+            .map(|(key, value)| (key.to_string(), value))
+            .to_vec(),
+    )
+}
 
-    // Materialise everything up front; only the model is timed.
-    let warmup: Vec<Batch> = (0..options.warmup.div_ceil(options.batch))
-        .filter_map(|_| stream.next_batch(options.batch))
-        .collect();
-    let timed: Vec<Batch> = (0..options.instances.div_ceil(options.batch))
-        .filter_map(|_| stream.next_batch(options.batch))
-        .collect();
+/// Time `REPEATS` calls of `run`, each performing `ops` operations, then
+/// print the row and return its JSON. A call builds its generator or
+/// detector inside the window, a fixed cost spread over the `ops`.
+fn micro(group: &str, name: &str, ops: usize, mut run: impl FnMut()) -> Json {
+    let rate = Spread::of((0..REPEATS).map(|_| {
+        let start = Instant::now();
+        run();
+        ops as f64 / start.elapsed().as_secs_f64()
+    }));
+    let ns_per_op = 1e9 / rate.median;
+    println!(
+        "{group:<24}{name:<20}{ops:>10}{:>16.0}{:>8.1}{ns_per_op:>10.1}",
+        rate.median,
+        rate.iqr_percent()
+    );
+    obj([
+        ("group", group.to_json()),
+        ("name", name.to_json()),
+        ("ops", ops.to_json()),
+        ("ops_per_sec", rate.median.to_json()),
+        ("ops_per_sec_iqr", rate.iqr.to_json()),
+        ("ns_per_op", ns_per_op.to_json()),
+    ])
+}
 
-    for batch in &warmup {
-        let rows = batch.rows();
-        model.learn_batch(&rows, &batch.ys);
+fn generate(mut stream: impl DataStream, ops: usize) {
+    for _ in 0..ops {
+        black_box(
+            stream
+                .next_instance()
+                .expect("the stream outlasts the window"),
+        );
     }
+}
 
-    let mut instances = 0u64;
-    let mut batches = 0u64;
-    let start = Instant::now();
-    for batch in &timed {
-        let rows = batch.rows();
-        let predictions = model.predict_batch(&rows);
-        std::hint::black_box(&predictions);
-        model.learn_batch(&rows, &batch.ys);
-        instances += rows.len() as u64;
-        batches += 1;
+fn detect(mut detector: impl DriftDetector, errors: &[f64]) {
+    for &error in errors {
+        black_box(detector.update(error));
     }
-    let seconds = start.elapsed().as_secs_f64();
+}
 
-    // Predict-only passes over the same batches with the model frozen at its
-    // final state, reusing one predictions buffer: isolates the serving-path
-    // (descent + leaf kernel) cost from training. Prediction is an order of
-    // magnitude faster than test-then-train, so the batches are swept
-    // several times — a single sweep finishes in a few milliseconds, far too
-    // short a window for a stable regression gate on a noisy machine.
-    const PREDICT_SWEEPS: usize = 10;
-    let mut predictions = vec![0usize; options.batch];
-    let mut predict_instances = 0u64;
-    let predict_start = Instant::now();
-    for _ in 0..PREDICT_SWEEPS {
-        for batch in &timed {
-            let rows = batch.rows();
-            predictions.clear();
-            predictions.resize(rows.len(), 0);
-            model.predict_batch_into(&rows, &mut predictions);
-            std::hint::black_box(&predictions);
-            predict_instances += rows.len() as u64;
-        }
-    }
-    let predict_seconds = predict_start.elapsed().as_secs_f64();
+/// A 0/1 error stream at a 10 % error rate, jumping to 60 % halfway through
+/// when `drifting`.
+fn error_stream(n: usize, drifting: bool) -> Vec<f64> {
+    let mut state = 0x1234_5678_9abc_def0u64;
+    let mut next = || {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        (state >> 11) as f64 / (1u64 << 53) as f64
+    };
+    (0..n)
+        .map(|i| {
+            let rate = if drifting && i > n / 2 { 0.6 } else { 0.1 };
+            f64::from(u8::from(next() < rate))
+        })
+        .collect()
+}
 
-    let complexity = model.complexity();
-    let bytes_per_model = model.memory_bytes() as u64;
-    CellResult {
-        model: kind.display_name().to_string(),
-        stream: stream_name.to_string(),
-        instances,
-        seconds,
-        instances_per_sec: instances as f64 / seconds,
-        micros_per_batch: seconds * 1e6 / batches.max(1) as f64,
-        predict_seconds,
-        predict_instances_per_sec: predict_instances as f64 / predict_seconds,
-        final_splits: complexity.splits,
-        final_params: complexity.parameters,
-        bytes_per_model,
+fn run_micro(sea: &StreamBatches, n: usize) -> Vec<Json> {
+    // The simulators stop after their scaled published row count, and
+    // Electricity's 45,312 rows are the fewest, so scale past `n`.
+    let scale = 1.0 + n as f64 / 45_312.0;
+    let stationary = error_stream(n, false);
+    let drifting = error_stream(n, true);
+
+    // Explain every timed SEA instance on a DMT trained on the whole stream.
+    let mut tree = DynamicModelTree::new(sea.schema.clone(), DmtConfig::default());
+    for batch in sea.warmup.iter().chain(&sea.timed) {
+        tree.learn_batch(&batch.rows(), &batch.ys);
     }
+    let probes: Vec<&[f64]> = sea.timed.iter().flat_map(|batch| batch.rows()).collect();
+
+    let (generators, detectors) = ("generate_instances", "drift_detector_updates");
+    vec![
+        micro(generators, "sea", n, || {
+            generate(SeaGenerator::new(0, 0.1, 1), n)
+        }),
+        micro(generators, "agrawal", n, || {
+            generate(AgrawalGenerator::new(5, 0.1, 1), n)
+        }),
+        micro(generators, "hyperplane_50d", n, || {
+            generate(HyperplaneGenerator::paper_default(1), n)
+        }),
+        micro(generators, "electricity_sim", n, || {
+            generate(electricity_sim(scale, 1), n)
+        }),
+        micro(generators, "covertype_sim_54d", n, || {
+            generate(covertype_sim(scale, 1), n)
+        }),
+        micro(detectors, "adwin_stationary", n, || {
+            detect(Adwin::default(), &stationary)
+        }),
+        micro(detectors, "adwin_drifting", n, || {
+            detect(Adwin::default(), &drifting)
+        }),
+        micro(detectors, "page_hinkley", n, || {
+            detect(PageHinkley::default(), &drifting)
+        }),
+        micro("dmt_explain", "single_instance", probes.len(), || {
+            for x in &probes {
+                black_box(tree.explain(x));
+            }
+        }),
+    ]
 }
 
 fn main() {
     let options = parse_options();
-    let mut results: Vec<CellResult> = Vec::new();
-
-    println!(
-        "{:<14}{:<10}{:>16}{:>16}{:>18}{:>12}{:>12}",
-        "Model", "Stream", "inst/sec", "µs/batch", "predict inst/sec", "splits", "KiB"
-    );
-    for stream in THROUGHPUT_STREAMS {
-        for &kind in &STANDALONE_MODELS {
-            let cell = run_cell(kind, stream, &options);
-            println!(
-                "{:<14}{:<10}{:>16.0}{:>16.1}{:>18.0}{:>12.1}{:>12.1}",
-                cell.model,
-                cell.stream,
-                cell.instances_per_sec,
-                cell.micros_per_batch,
-                cell.predict_instances_per_sec,
-                cell.final_splits,
-                cell.bytes_per_model as f64 / 1024.0
-            );
-            results.push(cell);
+    let streams: Vec<StreamBatches> = THROUGHPUT_STREAMS
+        .iter()
+        .map(|&name| StreamBatches::materialise(name, &options))
+        .collect();
+    let mut cells: Vec<Cell> = streams
+        .iter()
+        .flat_map(|data| {
+            STANDALONE_MODELS
+                .iter()
+                .map(move |&kind| Cell::new(kind, data))
+        })
+        .collect();
+    // Round-robin, so a slow spell of the machine lands on one repeat of
+    // many cells instead of every repeat of one.
+    for _ in 0..REPEATS {
+        for cell in &mut cells {
+            cell.run_repeat(options.batch);
         }
     }
 
-    let doc = Json::Obj(vec![
-        ("bench".to_string(), "throughput_v2".to_json()),
+    println!(
+        "{:<14}{:<10}{:>14}{:>8}{:>12}{:>18}{:>8}{:>10}{:>10}",
+        "Model",
+        "Stream",
+        "inst/sec",
+        "IQR %",
+        "µs/batch",
+        "predict inst/sec",
+        "IQR %",
+        "splits",
+        "KiB"
+    );
+    for cell in &cells {
+        let (train, predict) = cell.rates();
+        println!(
+            "{:<14}{:<10}{:>14.0}{:>8.1}{:>12.1}{:>18.0}{:>8.1}{:>10.1}{:>10.1}",
+            cell.kind.display_name(),
+            cell.data.name,
+            train.median,
+            train.iqr_percent(),
+            cell.micros_per_batch(&train),
+            predict.median,
+            predict.iqr_percent(),
+            cell.complexity.splits,
+            cell.bytes as f64 / 1024.0
+        );
+    }
+
+    let sea = streams
+        .iter()
+        .find(|data| data.name == "SEA")
+        .expect("SEA is a throughput stream");
+    println!(
+        "\n{:<24}{:<20}{:>10}{:>16}{:>8}{:>10}",
+        "Group", "Row", "ops", "ops/sec", "IQR %", "ns/op"
+    );
+    let micro_results = run_micro(sea, options.instances);
+
+    let doc = obj([
+        ("bench", "throughput_v3".to_json()),
         (
-            "protocol".to_string(),
+            "protocol",
             "test-then-train; batches pre-materialised; wall clock covers predict_batch + learn_batch only; \
-             predict_* fields re-run the batches predict-only on the final model"
+             predict_* fields re-run the batches predict-only on the final model; every cell runs \
+             `repeats` times from a fresh model and its rates are medians with *_iqr interquartile \
+             ranges; micro rows time --instances operations per repeat"
                 .to_json(),
         ),
         (
-            "config".to_string(),
-            Json::Obj(vec![
-                ("warmup_instances".to_string(), options.warmup.to_json()),
-                ("timed_instances".to_string(), options.instances.to_json()),
-                ("batch_size".to_string(), options.batch.to_json()),
+            "config",
+            obj([
+                ("warmup_instances", options.warmup.to_json()),
+                ("timed_instances", options.instances.to_json()),
+                ("batch_size", options.batch.to_json()),
+                ("repeats", REPEATS.to_json()),
                 // Core count of the machine this file was produced on.
                 (
-                    "available_parallelism".to_string(),
+                    "available_parallelism",
                     std::thread::available_parallelism()
                         .map(|n| n.get())
                         .unwrap_or(1)
@@ -255,7 +474,8 @@ fn main() {
                 ),
             ]),
         ),
-        ("results".to_string(), results.to_json()),
+        ("results", cells.to_json()),
+        ("micro", Json::Arr(micro_results)),
     ]);
     std::fs::write(&options.out, doc.to_pretty_string()).expect("write bench output");
     eprintln!("wrote {}", options.out);

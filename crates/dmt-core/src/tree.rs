@@ -317,7 +317,9 @@ impl DynamicModelTree {
     /// non-finite features, out-of-range labels — as a typed [`DmtError`]
     /// instead of panicking (or worse, poisoning the candidate accumulators
     /// with NaNs mid-update). On `Err` the tree is exactly as it was, so a
-    /// stream with occasional bad rows can drop them and keep learning.
+    /// stream with occasional bad rows can drop them and keep learning. On
+    /// `Ok` it returns the structural decision taken at the root node, the
+    /// one [`DynamicModelTree::decision_log`] records.
     pub fn try_learn_batch(
         &mut self,
         xs: Rows<'_>,
@@ -363,17 +365,7 @@ impl DynamicModelTree {
         Ok(())
     }
 
-    /// Learn a batch and return the structural decision taken at the **root
-    /// node** (useful for monitoring). Only that root-level decision is
-    /// appended to [`DynamicModelTree::decision_log`]; structural changes
-    /// deeper in the tree are visible through the structure itself
-    /// ([`DynamicModelTree::summary`], [`DynamicModelTree::arena`]) but are
-    /// not individually logged.
-    pub fn learn_batch_traced(&mut self, xs: Rows<'_>, ys: &[usize]) -> GainDecision {
-        self.learn_batch_inner(xs, ys, Routing::Gathered)
-    }
-
-    /// Reference form of [`DynamicModelTree::learn_batch_traced`] whose
+    /// Reference form of [`DynamicModelTree::try_learn_batch`] whose
     /// inner-node routing re-reads every tested feature through the original
     /// per-instance row pointers — exactly the value source a
     /// one-instance-at-a-time descent would use — instead of the gathered

@@ -136,7 +136,7 @@ fn batched_descent_stays_bit_identical_through_splits_and_prunes() {
 
             // Train half: gathered routing == per-instance routing.
             let nodes_before = hot.num_inner_nodes();
-            let decision_hot = hot.learn_batch_traced(&rows, &ys);
+            let decision_hot = hot.try_learn_batch(&rows, &ys).expect("valid batch");
             let decision_ref = reference.learn_batch_reference(&rows, &ys);
             assert_eq!(decision_hot, decision_ref);
             grew |= hot.num_inner_nodes() > nodes_before;
@@ -241,7 +241,7 @@ proptest! {
         for batch in &batches {
             let (xs, ys): (Vec<Vec<f64>>, Vec<usize>) = batch.iter().cloned().unzip();
             let rows: Vec<&[f64]> = xs.iter().map(|v| v.as_slice()).collect();
-            let a = hot.learn_batch_traced(&rows, &ys);
+            let a = hot.try_learn_batch(&rows, &ys).expect("valid batch");
             let b = reference.learn_batch_reference(&rows, &ys);
             prop_assert_eq!(a, b);
         }

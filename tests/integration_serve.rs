@@ -293,23 +293,30 @@ fn concurrent_predicts_are_bit_identical_to_published_epochs() {
 }
 
 /// The same reader barrage with the fleet byte pool armed small enough that
-/// the budget ladder's rungs fire mid-run. Ground truth here cannot be a
-/// lockstep twin — budget enforcement keys off `memory_bytes()`, which also
-/// counts the reusable caches (prediction scratches included) that depend
-/// on how a tree is driven — so the writer fingerprints each epoch right after
-/// publishing it: the writer is the sole learner, so the current epoch at
-/// that instant *is* the one just published. Readers must observe exactly
-/// those fingerprints, proving epoch snapshots stay immutable while the
-/// writer degrades the live tree under memory pressure.
+/// the budget ladder's rungs fire mid-run. Ground truth is a lockstep twin
+/// built under the tenant's whole share of the fleet budget: the tree is
+/// single-threaded and deterministic, so the twin sheds exactly what the
+/// writer sheds, and every published epoch must answer the probes as the
+/// twin does. The twin is fingerprinted through a clone: predicting grows
+/// a tree's pooled prediction scratch, which `memory_bytes()` counts, so
+/// probing the twin itself would move where its budget ladder sheds.
+/// Readers must observe exactly those fingerprints, proving epoch snapshots
+/// stay immutable while the writer degrades the live tree under memory
+/// pressure.
 #[test]
 fn budget_rungs_fire_under_concurrent_predict_load() {
     let probes = Arc::new(probe_rows());
     let registry = registry_with_dmt_tenant(Some(STRESS_FLEET_BUDGET));
     let probe_refs = rows(&probes);
+    let mut twin = DynamicModelTree::new(serve_schema(), twin_config(Some(STRESS_FLEET_BUDGET)));
 
     let expected: Arc<Mutex<HashMap<u64, Vec<usize>>>> = Arc::new(Mutex::new(HashMap::new()));
     let epoch0 = registry.predict("m", &probe_refs).expect("predict");
     assert_eq!(epoch0.epoch, Some(0));
+    assert_eq!(
+        epoch0.predictions,
+        probe_predictions(&twin.clone(), &probes)
+    );
     expected.lock().unwrap().insert(0, epoch0.predictions);
 
     let stop = Arc::new(AtomicBool::new(false));
@@ -317,13 +324,20 @@ fn budget_rungs_fire_under_concurrent_predict_load() {
 
     for round in 0..STRESS_ROUNDS {
         let (xs, ys) = step_batch(round, round / (STRESS_ROUNDS / 3), STRESS_BATCH);
-        let outcome = registry.learn("m", &rows(&xs), &ys).expect("learn");
+        let xs = rows(&xs);
+        let outcome = registry.learn("m", &xs, &ys).expect("learn");
         let epoch = outcome.epoch.expect("DMT learn publishes");
+        twin.try_learn_batch(&xs, &ys).expect("twin learn");
         let fingerprint = registry.predict("m", &probe_refs).expect("fingerprint");
         assert_eq!(
             fingerprint.epoch,
             Some(epoch),
             "sole learner: the current epoch right after learn is the published one"
+        );
+        assert_eq!(
+            fingerprint.predictions,
+            probe_predictions(&twin.clone(), &probes),
+            "epoch {epoch}: the published tree left its budgeted lockstep twin"
         );
         expected
             .lock()
@@ -344,6 +358,11 @@ fn budget_rungs_fire_under_concurrent_predict_load() {
         stats.memory_bytes <= STRESS_FLEET_BUDGET as u64,
         "writer at {} bytes, budget {STRESS_FLEET_BUDGET}",
         stats.memory_bytes
+    );
+    assert_eq!(
+        stats.memory_bytes,
+        twin.memory_bytes() as u64,
+        "the writer's bytes left its budgeted lockstep twin's"
     );
 
     // The budget rungs really fired: an unbudgeted (serial) replay of the
