@@ -8,11 +8,11 @@
 //! pointer-chasing `Box<Node>` layout turns each step into a dependent cache
 //! miss. [`NodeArena`] stores all nodes of a tree in parallel `Vec`s indexed
 //! by [`NodeId`], so the fields descent actually touches — split feature,
-//! split value, split kind and the two child ids — live in four dense arrays
-//! (a struct-of-arrays "SoA" layout). A batch of instances routed
-//! level-by-level then streams through those arrays instead of scattering
-//! across the heap, which is the standard layout in high-throughput tree
-//! learners (VFDT/MOA-style systems).
+//! split value, split kind and the two child ids — live in dense arrays (a
+//! struct-of-arrays "SoA" layout). Each row's descent
+//! ([`NodeArena::leaf_for`]) then reads a few adjacent entries of those
+//! arrays instead of scattering across the heap, which is the standard
+//! layout in high-throughput tree learners (VFDT/MOA-style systems).
 //!
 //! # Free-list reuse and canonical order
 //!
@@ -41,13 +41,11 @@
 //! rather than through node references: ids are `Copy` and never dangle
 //! across structural edits of *other* subtrees.
 
-use dmt_models::linalg::MatRef;
 use dmt_models::memory::{slice_deep_bytes, vec_bytes};
-use dmt_models::{argmax, MemoryUsage, Rows, SimpleModel as _};
+use dmt_models::MemoryUsage;
 
 use crate::candidate::CandidateKey;
 use crate::node::NodeStats;
-use crate::scratch::PredictScratch;
 
 /// Sentinel child index marking a leaf.
 const NONE: u32 = u32::MAX;
@@ -77,10 +75,10 @@ impl NodeId {
 /// Flat struct-of-arrays node pool of one Dynamic Model Tree.
 ///
 /// Split keys are stored SoA — feature index, threshold/code and test kind in
-/// parallel arrays next to the child ids — so batched descent touches only
-/// the hot routing fields. The cold per-node payload ([`NodeStats`]: the GLM,
-/// the loss/gradient window and the candidate pool) lives in its own array
-/// and is only dereferenced once a batch *reaches* a node.
+/// parallel arrays next to the child ids — so descent touches only the hot
+/// routing fields. The cold per-node payload ([`NodeStats`]: the GLM, the
+/// loss/gradient window and the candidate pool) lives in its own array and
+/// is only dereferenced once a row or batch *reaches* a node.
 #[derive(Debug, Clone)]
 pub struct NodeArena {
     /// Tested feature per slot (unused while the slot is a leaf).
@@ -535,89 +533,6 @@ impl NodeArena {
         }
         Ok(())
     }
-
-    /// Single-pass batched descent: predict the most probable class of every
-    /// row of `xs` into `out` (`out.len() == xs.len()`).
-    ///
-    /// The whole batch is routed level-by-level with the same stable in-place
-    /// index partition the learn path uses (left-routed indices keep their
-    /// relative order as the prefix, right-routed as the suffix), so each
-    /// leaf receives its routed sub-batch as one contiguous index range. The
-    /// group's rows are gathered once and handed to a single
-    /// [`dmt_models::SimpleModel::predict_proba_batch_into`] call — one model
-    /// dispatch per *reached leaf* instead of one descent plus dispatch per
-    /// instance. Per-row results are bit-identical to per-instance descent
-    /// (the batched GLM kernels are pinned to the scalar path).
-    ///
-    /// `scratch` buffers are resized on demand and reused across calls; in
-    /// steady state the routing pass performs no heap allocation.
-    pub fn predict_batch_into(
-        &self,
-        root: NodeId,
-        xs: Rows<'_>,
-        out: &mut [usize],
-        scratch: &mut PredictScratch,
-    ) {
-        assert_eq!(xs.len(), out.len(), "xs and out must have the same length");
-        let n = xs.len();
-        if n == 0 {
-            return;
-        }
-        let m = xs[0].len();
-        let PredictScratch {
-            indices,
-            pen,
-            stack,
-            xbuf,
-            probs,
-        } = scratch;
-        indices.clear();
-        indices.extend(0..n);
-        stack.clear();
-        stack.push((root.0, 0u32, n as u32));
-        while let Some((slot, lo, hi)) = stack.pop() {
-            let (lo, hi) = (lo as usize, hi as usize);
-            if lo == hi {
-                continue;
-            }
-            let i = slot as usize;
-            if self.left[i] == NONE {
-                // Leaf group: gather the routed rows into one contiguous
-                // matrix and run a single batched prediction kernel.
-                let group = &indices[lo..hi];
-                let g = hi - lo;
-                let model = &self.stats[i].model;
-                let c = model.num_classes();
-                xbuf.clear();
-                for &row in group {
-                    xbuf.extend_from_slice(xs[row]);
-                }
-                probs.resize(g * c, 0.0);
-                model.predict_proba_batch_into(MatRef::new(xbuf, g, m), probs);
-                for (pos, &row) in group.iter().enumerate() {
-                    out[row] = argmax(&probs[pos * c..(pos + 1) * c]);
-                }
-            } else {
-                // Inner node: stable in-place partition of the group's index
-                // range, exactly like the learn path's routing.
-                let key = self.split_key(NodeId(slot));
-                pen.clear();
-                let mut write = lo;
-                for pos in lo..hi {
-                    let row = indices[pos];
-                    if key.test_value(xs[row][key.feature]) {
-                        indices[write] = row;
-                        write += 1;
-                    } else {
-                        pen.push(row);
-                    }
-                }
-                indices[write..hi].copy_from_slice(pen);
-                stack.push((self.right[i], write as u32, hi as u32));
-                stack.push((self.left[i], lo as u32, write as u32));
-            }
-        }
-    }
 }
 
 impl MemoryUsage for NodeArena {
@@ -641,7 +556,7 @@ impl MemoryUsage for NodeArena {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dmt_models::Glm;
+    use dmt_models::{Glm, SimpleModel};
 
     fn leaf_stats() -> NodeStats {
         NodeStats::new(Glm::new_random(2, 2, 7))
@@ -707,38 +622,12 @@ mod tests {
     }
 
     #[test]
-    fn batched_descent_matches_per_instance_descent() {
-        let (mut arena, root) = NodeArena::with_root(leaf_stats());
-        let (l, _r) = arena.install_split(root, numeric_key(0, 0.5), leaf_stats(), leaf_stats());
-        arena.install_split(l, numeric_key(1, 0.3), leaf_stats(), leaf_stats());
-        let xs: Vec<Vec<f64>> = (0..57)
-            .map(|i| vec![(i % 10) as f64 / 10.0, ((i * 7) % 13) as f64 / 13.0])
-            .collect();
-        let rows: Vec<&[f64]> = xs.iter().map(|v| v.as_slice()).collect();
-        let mut out = vec![0usize; rows.len()];
-        let mut scratch = PredictScratch::new();
-        arena.predict_batch_into(root, &rows, &mut out, &mut scratch);
-        for (x, &predicted) in rows.iter().zip(out.iter()) {
-            let leaf = arena.leaf_for(root, x);
-            let expected = argmax(&arena.stats(leaf).model.predict_proba(x));
-            assert_eq!(predicted, expected);
-        }
-    }
-
-    #[test]
     fn validate_catches_a_shared_child() {
         let (mut arena, root) = NodeArena::with_root(leaf_stats());
         let (l, _r) = arena.install_split(root, numeric_key(0, 0.5), leaf_stats(), leaf_stats());
         // Corrupt: point the right child at the left child.
         arena.right[root.index()] = l.0;
         assert!(arena.validate(root).is_err());
-    }
-
-    #[test]
-    fn empty_batch_is_a_noop() {
-        let (arena, root) = NodeArena::with_root(leaf_stats());
-        let mut scratch = PredictScratch::new();
-        arena.predict_batch_into(root, &[], &mut [], &mut scratch);
     }
 
     #[test]
@@ -776,16 +665,18 @@ mod tests {
         let xs: Vec<Vec<f64>> = (0..64)
             .map(|i| vec![(i % 11) as f64 / 10.0, ((i * 5) % 13) as f64 / 12.0])
             .collect();
-        let rows: Vec<&[f64]> = xs.iter().map(|v| v.as_slice()).collect();
-        let mut before = vec![0usize; rows.len()];
-        let mut scratch = PredictScratch::new();
-        arena.predict_batch_into(root, &rows, &mut before, &mut scratch);
-        let probs_before: Vec<u64> = rows
-            .iter()
-            .map(|x| arena.leaf_for(root, x))
-            .flat_map(|leaf| arena.stats(leaf).model.predict_proba(&xs[0]))
-            .map(|p| p.to_bits())
-            .collect();
+        // Every row's per-row prediction plus the bit patterns of its leaf's
+        // class probabilities.
+        let predictions = |arena: &NodeArena, root: NodeId| -> Vec<(usize, Vec<u64>)> {
+            xs.iter()
+                .map(|x| {
+                    let model = &arena.stats(arena.leaf_for(root, x)).model;
+                    let probs = model.predict_proba(x).iter().map(|p| p.to_bits()).collect();
+                    (model.predict(x), probs)
+                })
+                .collect()
+        };
+        let before = predictions(&arena, root);
 
         let new_root = arena.compact(root);
         assert_eq!(new_root, NodeId(0));
@@ -797,18 +688,10 @@ mod tests {
         assert_eq!(arena.stats.capacity(), live);
         assert_eq!(arena.left.capacity(), live);
 
-        let mut after = vec![0usize; rows.len()];
-        arena.predict_batch_into(new_root, &rows, &mut after, &mut scratch);
-        assert_eq!(before, after, "compaction must not change predictions");
-        let probs_after: Vec<u64> = rows
-            .iter()
-            .map(|x| arena.leaf_for(new_root, x))
-            .flat_map(|leaf| arena.stats(leaf).model.predict_proba(&xs[0]))
-            .map(|p| p.to_bits())
-            .collect();
         assert_eq!(
-            probs_before, probs_after,
-            "leaf models moved bit-identically"
+            before,
+            predictions(&arena, new_root),
+            "compaction must move leaf models bit-identically"
         );
     }
 

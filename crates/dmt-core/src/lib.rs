@@ -27,8 +27,9 @@
 //!
 //! The tree structure is stored in a flat, cache-friendly [`NodeArena`]
 //! (struct-of-arrays split keys, [`NodeId`]-based links, free-list slot
-//! reuse on prune); prediction and learning both route whole batches through
-//! it in a single level-by-level pass — see the [`arena`] module docs. The
+//! reuse on prune) — see the [`arena`] module docs. Prediction descends each
+//! row to its leaf and asks that leaf's simple model; learning routes whole
+//! batches down the tree with a stable in-place index partition. The
 //! tree learns and predicts on the calling thread: this crate spawns no
 //! threads and forbids `unsafe` code. Concurrent readers share a tree
 //! through the copy-on-write epochs of the [`epoch`] module.
@@ -73,7 +74,7 @@ pub use explain::{DecisionStep, LeafExplanation};
 pub use export::TreeSummary;
 pub use lockrank::{LockRank, RankToken, Ranked};
 pub use node::{GainDecision, NodeStats};
-pub use scratch::{PredictScratch, UpdateScratch};
+pub use scratch::UpdateScratch;
 pub use snapshot::SnapshotError;
 pub use tree::{DmtConfig, DynamicModelTree};
 

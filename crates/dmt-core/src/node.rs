@@ -4,8 +4,8 @@
 //! The tree structure itself lives in [`crate::arena::NodeArena`]; this
 //! module owns the per-node payload ([`NodeStats`]) and the crate-internal
 //! recursive batch learning procedure (`learn_at`) that walks the arena by
-//! [`NodeId`], routing each node's sub-batch with the same stable in-place
-//! index partition the batched prediction pass uses.
+//! [`NodeId`], routing each node's sub-batch with a stable in-place index
+//! partition.
 
 use std::collections::HashMap;
 

@@ -1,15 +1,14 @@
-//! Reusable scratch buffers for the Dynamic Model Tree update and predict
-//! loops.
+//! Reusable scratch buffers for the Dynamic Model Tree update loop.
 //!
 //! The per-instance cost of a streaming learner must stay constant and small
 //! (the paper reports test/train runtime as a headline result, Table V).
 //! Allocating per instance — or per node per batch — makes the allocator the
 //! dominant cost of the hot loop, so all intermediate storage the update path
 //! needs lives in one [`UpdateScratch`] owned by the tree and reused across
-//! batches, and the batched prediction routing pass keeps its buffers in a
-//! [`PredictScratch`]. In steady state (buffers grown to their high-water
-//! mark) the learn/predict path performs **no** per-instance heap
-//! allocations.
+//! batches. In steady state (buffers grown to their high-water mark) the
+//! learn path performs **no** per-instance heap allocations. Prediction
+//! needs no scratch at all: each row descends to its leaf and reads that
+//! leaf's model in place.
 
 use std::collections::HashMap;
 
@@ -173,70 +172,6 @@ impl UpdateScratch {
     }
 }
 
-/// Scratch buffers of the single-pass batched prediction routing
-/// ([`crate::arena::NodeArena::predict_batch_into`]).
-///
-/// Owned by the tree in a `Mutex`-guarded pool (prediction is `&self`, so
-/// each call checks a scratch out and returns it) and reused across batches. `DynamicModelTree::learn_batch` pre-grows the
-/// buffers to the observed batch dimensions, so a test-then-train loop's
-/// predictions are allocation-free from the first call.
-#[derive(Debug, Default)]
-pub struct PredictScratch {
-    /// Instance indices of the batch, partitioned in place level-by-level.
-    pub(crate) indices: Vec<usize>,
-    /// Holding pen for right-routed indices during the stable partition.
-    pub(crate) pen: Vec<usize>,
-    /// DFS work stack of `(node slot, range start, range end)` triples.
-    pub(crate) stack: Vec<(u32, u32, u32)>,
-    /// Contiguous row-major gather buffer for one leaf group.
-    pub(crate) xbuf: Vec<f64>,
-    /// Class probabilities of one leaf group (`group × num_classes`).
-    pub(crate) probs: Vec<f64>,
-}
-
-impl MemoryUsage for PredictScratch {
-    /// Heap bytes of the routing/gather buffers.
-    fn memory_bytes(&self) -> usize {
-        vec_bytes(&self.indices)
-            + vec_bytes(&self.pen)
-            + vec_bytes(&self.stack)
-            + vec_bytes(&self.xbuf)
-            + vec_bytes(&self.probs)
-    }
-}
-
-impl PredictScratch {
-    /// Create an empty scratch space (buffers grow on first use).
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Reserve every buffer for a batch of `rows × features` instances over
-    /// `classes` classes routed through a tree of at most `max_nodes` nodes,
-    /// so a following [`crate::arena::NodeArena::predict_batch_into`] call
-    /// performs no allocation.
-    pub(crate) fn prepare(
-        &mut self,
-        rows: usize,
-        features: usize,
-        classes: usize,
-        max_nodes: usize,
-    ) {
-        fn reserve_to<T>(v: &mut Vec<T>, cap: usize) {
-            if v.capacity() < cap {
-                v.reserve(cap - v.len());
-            }
-        }
-        reserve_to(&mut self.indices, rows);
-        reserve_to(&mut self.pen, rows);
-        // The DFS stack holds at most one pending range per tree level plus
-        // the current path; the node count is a safe upper bound.
-        reserve_to(&mut self.stack, max_nodes + 1);
-        reserve_to(&mut self.xbuf, rows * features);
-        reserve_to(&mut self.probs, rows * classes);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -278,19 +213,5 @@ mod tests {
         scratch.prepare_node(10, 5, 3);
         scratch.prepare_node(100, 5, 3);
         assert_eq!(scratch.grads.capacity(), capacity);
-    }
-
-    #[test]
-    fn predict_scratch_prepare_reserves_capacity() {
-        let mut scratch = PredictScratch::new();
-        scratch.prepare(100, 3, 2, 9);
-        assert!(scratch.indices.capacity() >= 100);
-        assert!(scratch.xbuf.capacity() >= 300);
-        assert!(scratch.probs.capacity() >= 200);
-        assert!(scratch.stack.capacity() >= 10);
-        // Preparing for a smaller batch never shrinks.
-        let xcap = scratch.xbuf.capacity();
-        scratch.prepare(10, 3, 2, 1);
-        assert_eq!(scratch.xbuf.capacity(), xcap);
     }
 }

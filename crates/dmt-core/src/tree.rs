@@ -1,7 +1,5 @@
 //! The public [`DynamicModelTree`] classifier and its configuration.
 
-use std::sync::Mutex;
-
 use dmt_models::memory::vec_bytes;
 use dmt_models::online::{Complexity, OnlineClassifier};
 use dmt_models::{AicTest, BatchMode, Glm, MemoryUsage, Rows};
@@ -11,7 +9,7 @@ use crate::arena::{NodeArena, NodeId};
 use crate::error::DmtError;
 use crate::explain::{DecisionStep, LeafExplanation};
 use crate::node::{learn_at, GainDecision, NodeStats, Routing};
-use crate::scratch::{PredictScratch, UpdateScratch};
+use crate::scratch::UpdateScratch;
 
 /// Hyperparameters of the Dynamic Model Tree with the defaults proposed in
 /// §V-D of the paper.
@@ -57,7 +55,7 @@ pub struct DmtConfig {
     ///
     /// 1. retire split-candidate pools on the coldest nodes (re-proposed
     ///    from later batches — costs adaptation latency, no model quality),
-    /// 2. compact the arena and drop pooled scratch caches (pure-cache
+    /// 2. compact the arena and drop the update scratch (pure-cache
     ///    reclamation, no behavioural change at all),
     /// 3. merge subtrees back into model leaves, best prune gain first
     ///    (the paper's own gain (5) machinery, applied under duress),
@@ -109,11 +107,10 @@ impl DmtConfig {
 /// The Dynamic Model Tree classifier (see the crate-level documentation).
 ///
 /// The tree structure lives in a flat [`NodeArena`] (struct-of-arrays split
-/// keys, id-based links, free-list slot reuse on prune); both halves of the
-/// test-then-train loop run batched over it: prediction routes the whole
-/// batch level-by-level and runs one GLM kernel call per reached leaf, and
-/// learning routes each node's sub-batch with the same stable in-place index
-/// partition.
+/// keys, id-based links, free-list slot reuse on prune). Prediction descends
+/// each row to its leaf ([`NodeArena::leaf_for`]) and asks that leaf's simple
+/// model, as in §III of the paper; learning routes each node's sub-batch
+/// with a stable in-place index partition.
 pub struct DynamicModelTree {
     config: DmtConfig,
     schema: StreamSchema,
@@ -128,16 +125,6 @@ pub struct DynamicModelTree {
     /// Reusable buffers for the update loop; after the first batches the
     /// learn path performs no per-instance heap allocations.
     scratch: UpdateScratch,
-    /// Pool of reusable buffers for the batched prediction routing. Behind a
-    /// `Mutex` because prediction is `&self` and may run concurrently (user
-    /// threads sharing the tree, such as the serving plane's epoch readers):
-    /// each prediction call pops a scratch — creating a fresh one only when
-    /// the pool is empty — and pushes it back when done, so concurrent and
-    /// re-entrant predictions can never contend on one buffer.
-    /// `learn_batch` pre-grows the pooled buffers to the observed batch
-    /// dimensions so a steady-state test-then-train loop predicts without
-    /// allocating.
-    predict_scratch: Mutex<Vec<PredictScratch>>,
     /// Rung 4 of the budget ladder: `true` while the last budget enforcement
     /// could not get under [`DmtConfig::memory_budget_bytes`] even after
     /// merging the tree down, so the next batch learns without growing.
@@ -149,7 +136,7 @@ pub struct DynamicModelTree {
 
 impl Clone for DynamicModelTree {
     /// Clones the model state (arena, configuration, decision log); the
-    /// scratch spaces start empty and regrow on first use.
+    /// update scratch starts empty and regrows on first use.
     fn clone(&self) -> Self {
         Self {
             config: self.config.clone(),
@@ -160,7 +147,6 @@ impl Clone for DynamicModelTree {
             observations: self.observations,
             decisions: self.decisions.clone(),
             scratch: UpdateScratch::new(),
-            predict_scratch: Mutex::new(Vec::new()),
             growth_frozen: self.growth_frozen,
         }
     }
@@ -185,14 +171,13 @@ impl DynamicModelTree {
             observations: 0,
             decisions: Vec::new(),
             scratch: UpdateScratch::new(),
-            predict_scratch: Mutex::new(Vec::new()),
             growth_frozen: false,
         }
     }
 
     /// Rebuild a tree from decoded snapshot state (`crate::snapshot`): the
-    /// model state is taken verbatim, the caches (scratches, prediction
-    /// pool) start empty exactly like a fresh clone's.
+    /// model state is taken verbatim, the update scratch starts empty
+    /// exactly like a fresh clone's.
     pub(crate) fn from_snapshot_parts(
         config: DmtConfig,
         schema: StreamSchema,
@@ -215,7 +200,6 @@ impl DynamicModelTree {
             observations,
             decisions,
             scratch: UpdateScratch::new(),
-            predict_scratch: Mutex::new(Vec::new()),
             growth_frozen: false,
         }
     }
@@ -407,37 +391,10 @@ impl DynamicModelTree {
         if decision != GainDecision::Keep {
             self.decisions.push((self.observations, decision.clone()));
         }
-        // Pre-grow the pooled prediction scratches for batches of this shape
-        // so the test-then-train loop's predictions are allocation-free.
-        // A poisoned pool is not fatal: a panic inside an earlier prediction
-        // may have left a buffer half-prepared, so the pooled buffers (pure
-        // caches) are discarded and rebuilt.
-        if self.predict_scratch.is_poisoned() {
-            self.predict_scratch.clear_poison();
-            self.predict_scratch
-                .get_mut()
-                .unwrap_or_else(std::sync::PoisonError::into_inner)
-                .clear();
-        }
-        let scratches = self
-            .predict_scratch
-            .get_mut()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        if scratches.is_empty() {
-            scratches.push(PredictScratch::new());
-        }
-        for scratch in scratches.iter_mut() {
-            scratch.prepare(
-                xs.len(),
-                self.schema.num_features(),
-                self.schema.num_classes,
-                self.arena.num_slots(),
-            );
-        }
         // Enforcement is the *last* step of the batch so the budget covers
-        // everything the batch left resident — the pre-grown prediction
-        // scratches included. Anything earlier and a post-enforcement
-        // allocation could leave the tree over budget at the boundary.
+        // everything the batch left resident. Anything earlier and a
+        // post-enforcement allocation could leave the tree over budget at the
+        // boundary.
         self.enforce_budget();
         decision
     }
@@ -452,70 +409,28 @@ impl DynamicModelTree {
     }
 
     /// Predict the most probable class of every row of `xs` into `out`
-    /// through the single-pass batched arena descent
-    /// ([`NodeArena::predict_batch_into`]): the batch is routed
-    /// level-by-level with one stable in-place index partition per inner
-    /// node, then one batched GLM kernel call runs per reached leaf group.
-    /// Bit-identical to per-instance descent, allocation-free in steady
-    /// state.
-    ///
-    /// Safe under concurrent and re-entrant calls: every call checks a
-    /// scratch buffer out of the tree's scratch pool and returns it
-    /// afterwards — no shared mutable state.
+    /// (`out.len() == xs.len()`) through [`OnlineClassifier::predict`]: each
+    /// row descends to its leaf and takes that leaf model's argmax. Reads no
+    /// shared mutable state and allocates nothing, so concurrent callers
+    /// sharing the tree never contend and a read never changes what the
+    /// tree learns next.
     pub fn predict_batch_into(&self, xs: Rows<'_>, out: &mut [usize]) {
-        let mut scratch = self.checkout_predict_scratch();
-        self.arena
-            .predict_batch_into(self.root, xs, out, &mut scratch);
-        self.return_predict_scratch(scratch);
-    }
-
-    /// Lock the prediction scratch pool, recovering from poisoning instead
-    /// of panicking: prediction is `&self` and must keep working after some
-    /// other call panicked while holding the lock (e.g. a panic on another
-    /// thread sharing the tree). The pooled buffers are pure caches, so on
-    /// poison they are discarded — the pool refills on subsequent calls.
-    fn lock_predict_pool(&self) -> std::sync::MutexGuard<'_, Vec<PredictScratch>> {
-        match self.predict_scratch.lock() {
-            Ok(guard) => guard,
-            Err(poisoned) => {
-                self.predict_scratch.clear_poison();
-                let mut guard = poisoned.into_inner();
-                guard.clear();
-                guard
-            }
+        assert_eq!(xs.len(), out.len(), "xs and out must have the same length");
+        for (x, o) in xs.iter().zip(out.iter_mut()) {
+            *o = OnlineClassifier::predict(self, x);
         }
-    }
-
-    /// Pop a prediction scratch from the tree's pool, or create a fresh one
-    /// when all pooled buffers are checked out (first use, or more
-    /// concurrent predictions than ever before — the returned buffer joins
-    /// the pool afterwards, so the pool's size converges on the peak
-    /// concurrency and steady state never allocates).
-    fn checkout_predict_scratch(&self) -> PredictScratch {
-        self.lock_predict_pool().pop().unwrap_or_default()
-    }
-
-    /// Return a checked-out prediction scratch to the pool.
-    fn return_predict_scratch(&self, scratch: PredictScratch) {
-        self.lock_predict_pool().push(scratch);
     }
 
     /// Resident heap bytes of the whole model: the node arena (structure
     /// columns, leaf/inner model parameters, loss windows, candidate pools),
-    /// the decision log, and every reusable cache the tree keeps warm
-    /// (update scratch, pooled prediction buffers).
+    /// the decision log, and the update scratch the learn path keeps warm.
     /// Capacity-based and heap-only, following the
     /// [`dmt_models::memory::MemoryUsage`] conventions; this is the figure
     /// [`DmtConfig::memory_budget_bytes`] is enforced against and the benches
     /// report as `bytes_per_model`.
     pub fn memory_bytes(&self) -> usize {
-        let predict_pool: usize = {
-            let pool = self.lock_predict_pool();
-            vec_bytes(&pool) + pool.iter().map(MemoryUsage::memory_bytes).sum::<usize>()
-        };
         self.arena.memory_bytes()
             + self.scratch.memory_bytes()
-            + predict_pool
             + vec_bytes(&self.nominal_features)
             + vec_bytes(&self.decisions)
     }
@@ -597,12 +512,11 @@ impl DynamicModelTree {
             return;
         }
 
-        // Rung 2: compact the arena into a dense layout and drop the pooled
-        // caches (pure reclamation — predictions and future learning are
-        // unaffected; the caches regrow to what the workload actually needs).
+        // Rung 2: compact the arena into a dense layout and drop the update
+        // scratch (pure reclamation — predictions and future learning are
+        // unaffected; the scratch regrows to what the workload actually needs).
         self.root = self.arena.compact(self.root);
         self.scratch = UpdateScratch::new();
-        self.lock_predict_pool().clear();
         if self.memory_bytes() <= budget {
             return;
         }
@@ -949,43 +863,6 @@ mod tests {
         let mut tree = DynamicModelTree::new(sea_schema(), DmtConfig::default());
         tree.learn_batch(&[], &[]);
         assert_eq!(tree.observations(), 0);
-    }
-
-    #[test]
-    fn prediction_recovers_from_a_poisoned_scratch_pool() {
-        use std::panic::{catch_unwind, AssertUnwindSafe};
-        let mut tree = DynamicModelTree::new(sea_schema(), DmtConfig::default());
-        let _ = prequential_accuracy(&mut tree, 0, 20, 100, 23);
-        let probe: &[f64] = &[0.3, 0.8, 0.1];
-        let expected = tree.predict(probe);
-
-        // Poison the scratch pool the way a real incident would: a thread
-        // panics while holding the lock.
-        let result = catch_unwind(AssertUnwindSafe(|| {
-            let _guard = tree.predict_scratch.lock().unwrap();
-            panic!("injected panic while holding the scratch pool");
-        }));
-        assert!(result.is_err());
-        assert!(tree.predict_scratch.is_poisoned());
-
-        // `&self` prediction must keep working (and agree with the
-        // pre-poison prediction) instead of bricking on the poisoned lock.
-        let mut out = [0usize];
-        tree.predict_batch_into(&[probe], &mut out);
-        assert_eq!(out[0], expected);
-        assert!(!tree.predict_scratch.is_poisoned());
-
-        // The learn path's `get_mut` site recovers too.
-        let result = catch_unwind(AssertUnwindSafe(|| {
-            let _guard = tree.predict_scratch.lock().unwrap();
-            panic!("poison it again");
-        }));
-        assert!(result.is_err());
-        let xs: Vec<Vec<f64>> = (0..8).map(|i| vec![i as f64 / 8.0, 0.5, 0.2]).collect();
-        let ys: Vec<usize> = xs.iter().map(|x| usize::from(x[0] > 0.5)).collect();
-        let rows: Vec<&[f64]> = xs.iter().map(|v| v.as_slice()).collect();
-        tree.learn_batch(&rows, &ys);
-        assert!(!tree.predict_scratch.is_poisoned());
     }
 
     #[test]

@@ -190,9 +190,9 @@ impl PrequentialRun {
         let mut overall = ConfusionMatrix::new(num_classes);
 
         let mut batches = 0usize;
-        // One predictions buffer reused across the whole run: batched models
-        // (the DMT's arena descent, the ensembles' shared vote buffer) fill
-        // it without a per-batch result allocation.
+        // One predictions buffer reused across the whole run: every model
+        // fills it through `predict_batch_into` without a per-batch result
+        // allocation.
         let mut predictions: Vec<usize> = Vec::with_capacity(batch_size);
         while let Some(batch) = stream.next_batch(batch_size) {
             if let Some(max) = self.config.max_batches {

@@ -57,9 +57,8 @@ pub trait OnlineClassifier: Send {
     /// predictions buffer across batches instead of allocating per call.
     ///
     /// The default delegates to [`OnlineClassifier::predict`] per row;
-    /// batched models override it with a single routed pass (the Dynamic
-    /// Model Tree runs its arena descent once for the whole batch, the
-    /// ensembles reuse one vote buffer across rows).
+    /// models with per-batch state override it (the ensembles reuse one
+    /// vote buffer across rows).
     fn predict_batch_into(&self, xs: Rows<'_>, out: &mut [usize]) {
         debug_assert_eq!(xs.len(), out.len(), "predict_batch_into: buffer length");
         for (x, o) in xs.iter().zip(out.iter_mut()) {

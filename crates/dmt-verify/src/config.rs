@@ -97,6 +97,8 @@ pub fn workspace_config() -> WorkspaceConfig {
                 "crates/dmt-models/src/logit.rs",
                 &[
                     "decision_function",
+                    "proba_positive",
+                    "predict",
                     "row_loss_residual",
                     "row_residual",
                     "predict_proba_into",
@@ -124,6 +126,7 @@ pub fn workspace_config() -> WorkspaceConfig {
             (
                 "crates/dmt-models/src/glm.rs",
                 &[
+                    "predict",
                     "predict_proba_into",
                     "loss_and_gradient_into",
                     "sgd_step_into",
@@ -133,6 +136,8 @@ pub fn workspace_config() -> WorkspaceConfig {
                 ],
             ),
             ("crates/dmt-core/src/scratch.rs", &["gather"]),
+            ("crates/dmt-core/src/arena.rs", &["leaf_for"]),
+            ("crates/dmt-core/src/tree.rs", &["predict_batch_into"]),
             (
                 "crates/dmt-core/src/node.rs",
                 &[

@@ -1,8 +1,10 @@
 //! Enforces the allocation contract of the Dynamic Model Tree hot path: in
 //! steady state (scratch buffers at their high-water mark, tree structure
 //! stable), `learn_batch` performs no *per-instance* heap allocations — the
-//! allocation count per batch is independent of the batch size — and
-//! `predict_batch` allocates only its result vector.
+//! allocation count per batch is independent of the batch size. Prediction
+//! keeps no buffers at all: `predict_batch` allocates exactly its result
+//! vector, and `predict_batch_into` and `predict` allocate nothing, on a
+//! fresh clone (a published serving epoch) too.
 //!
 //! A counting global allocator makes this measurable. All measurements live
 //! in a single `#[test]` so parallel test threads cannot pollute the counter.
@@ -355,11 +357,8 @@ fn steady_state_measurement(batch_mode: dmt::models::BatchMode) {
          for a tree with {node_count} nodes"
     );
 
-    // predict_batch: only the result vector (plus nothing per instance),
-    // under every DMT_PARALLELISM setting.
-    const PREDICT_BUDGET: u64 = 2;
-    // Warm the pooled scratches at this batch shape before measuring.
-    let _ = tree.predict_batch(&large_rows);
+    // predict_batch: exactly the result vector, nothing per instance.
+    const PREDICT_BUDGET: u64 = 1;
     let before_predict = allocations();
     let predictions = tree.predict_batch(&large_rows);
     let predict_allocs = allocations() - before_predict;
@@ -368,6 +367,19 @@ fn steady_state_measurement(batch_mode: dmt::models::BatchMode) {
         predict_allocs <= PREDICT_BUDGET,
         "predict_batch should only allocate its result vector, got \
          {predict_allocs} (budget {PREDICT_BUDGET})"
+    );
+
+    // A fresh clone is what the registry publishes as a serving epoch; its
+    // first batch prediction into a caller's buffer allocates nothing.
+    let epoch = tree.clone();
+    let mut out = vec![0usize; large_rows.len()];
+    let before_clone = allocations();
+    epoch.predict_batch_into(&large_rows, &mut out);
+    let clone_allocs = allocations() - before_clone;
+    assert_eq!(out, predictions);
+    assert_eq!(
+        clone_allocs, 0,
+        "predict_batch_into on a fresh clone must not allocate"
     );
 
     // Single-instance predict is fully allocation-free.

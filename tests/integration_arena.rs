@@ -1,8 +1,8 @@
 //! Arena-descent contracts of the Dynamic Model Tree:
 //!
-//! * the single-pass **batched** descent (`predict_batch` /
-//!   `predict_batch_into`) is bit-identical to **per-instance** descent for
-//!   prediction,
+//! * the batch prediction entry points (`predict_batch` /
+//!   `predict_batch_into`) answer bit-identically to **per-instance**
+//!   `predict`, through splits, prunes and replacements,
 //! * the batched learn routing (split tests read the gathered contiguous
 //!   matrix) is bit-identical to the per-instance reference routing
 //!   (`learn_batch_reference`, split tests read the original row pointers),
@@ -131,7 +131,7 @@ fn batched_descent_stays_bit_identical_through_splits_and_prunes() {
             let (xs, ys) = step_batch(round, round / phase_len, batch_size);
             let rows: Vec<&[f64]> = xs.iter().map(|v| v.as_slice()).collect();
 
-            // Test half: batched descent == per-instance descent, always.
+            // Test half: batch prediction == per-instance prediction, always.
             assert_batched_predictions_match(&hot, &rows);
 
             // Train half: gathered routing == per-instance routing.

@@ -2,7 +2,8 @@
 //! ladder: a budgeted tree never exceeds its budget over a whole hostile
 //! run, keeps ≥ 95 % of the unbudgeted accuracy while
 //! doing so, a budget that never binds is bit-identical to no budget at all,
-//! and budget enforcement (compaction included) leaves snapshots byte-stable.
+//! predicting never moves what a budgeted tree learns, and budget
+//! enforcement (compaction included) leaves snapshots byte-stable.
 //! These back the CI `memory-discipline` job.
 
 use std::path::{Path, PathBuf};
@@ -182,6 +183,81 @@ fn unbinding_budget_is_bit_identical_to_no_budget() {
             }
         }
     }
+}
+
+/// Three-phase step concept over 2 features: phase 0 forces splits, phase 1
+/// forces replacements, phase 2 invites prunes.
+fn step_batch(round: usize, phase: usize, n: usize) -> (Vec<Vec<f64>>, Vec<usize>) {
+    let xs: Vec<Vec<f64>> = (0..n)
+        .map(|i| {
+            let t = ((i * 7 + round * 13) % 101) as f64 / 101.0;
+            let u = ((i * 31 + round * 3) % 67) as f64 / 67.0;
+            vec![t, u]
+        })
+        .collect();
+    let ys: Vec<usize> = xs
+        .iter()
+        .map(|x| match phase {
+            0 => usize::from(x[0] > 0.75),
+            1 => usize::from(x[0] <= 0.4),
+            _ => 1,
+        })
+        .collect();
+    (xs, ys)
+}
+
+/// A read must not move what a budgeted tree learns. Two split-eager trees
+/// under a budget that binds learn the identical step stream; one of them
+/// also predicts a 48-row batch, wider than its 32-row learn batches, before
+/// every learn. The budget ladder enforces against `memory_bytes()`, so any
+/// buffer a read left resident would make it shed differently; the two must
+/// end byte-identical.
+#[test]
+fn predicting_never_moves_a_budgeted_tree() {
+    const ROUNDS: usize = 150;
+    const BUDGET: usize = 32 * 1024;
+    let eager = DmtConfig {
+        use_aic_threshold: false,
+        min_observations_split: 40,
+        ..DmtConfig::default()
+    };
+    let budgeted = DmtConfig {
+        memory_budget_bytes: Some(BUDGET),
+        ..eager.clone()
+    };
+    let schema = StreamSchema::numeric("budget-reads", 2, 2);
+    let mut read = DynamicModelTree::new(schema.clone(), budgeted.clone());
+    let mut unread = DynamicModelTree::new(schema.clone(), budgeted);
+    let mut unbudgeted = DynamicModelTree::new(schema, eager);
+    let mut probe_xs = Vec::new();
+    for phase in 0..3 {
+        probe_xs.extend(step_batch(9_000 + phase, phase, 16).0);
+    }
+    let probes: Vec<&[f64]> = probe_xs.iter().map(|v| v.as_slice()).collect();
+    let mut out = vec![0usize; probes.len()];
+    for round in 0..ROUNDS {
+        let (xs, ys) = step_batch(round, round / (ROUNDS / 3), 32);
+        let rows: Vec<&[f64]> = xs.iter().map(|v| v.as_slice()).collect();
+        read.predict_batch_into(&probes, &mut out);
+        read.learn_batch(&rows, &ys);
+        unread.learn_batch(&rows, &ys);
+        unbudgeted.learn_batch(&rows, &ys);
+    }
+    assert!(
+        unbudgeted.memory_bytes() > BUDGET,
+        "the stream must pressure the budget (unbudgeted: {} bytes)",
+        unbudgeted.memory_bytes()
+    );
+    assert_eq!(
+        read.memory_bytes(),
+        unread.memory_bytes(),
+        "predicting moved the budgeted tree's bytes"
+    );
+    assert_eq!(
+        read.to_snapshot_bytes(),
+        unread.to_snapshot_bytes(),
+        "predicting moved what the budgeted tree learned"
+    );
 }
 
 /// Rung 4 (the hard floor): a budget below even a single leaf's footprint

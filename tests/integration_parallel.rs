@@ -62,9 +62,9 @@ fn eager_config() -> DmtConfig {
 #[test]
 fn concurrent_shared_tree_predictions_are_safe_and_identical() {
     // Concurrent `&self` prediction on one tree must neither panic nor
-    // contend on a shared buffer: every call checks its own scratch out of
-    // the tree's pool. Four threads predict the same batches
-    // simultaneously; all must match the single-threaded answer bit-for-bit.
+    // diverge: prediction only reads the tree, with no shared buffer to
+    // contend on. Four threads predict the same batches simultaneously; all
+    // must match the single-threaded answer bit-for-bit.
     let schema = StreamSchema::numeric("concurrent-predict", 2, 2);
     let mut tree = DynamicModelTree::new(schema, eager_config());
     for round in 0..150 {

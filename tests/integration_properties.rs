@@ -448,8 +448,8 @@ proptest! {
             prop_assert_eq!(a.to_bits(), b.to_bits());
         }
         prop_assert_eq!(tree.predict(&probe), dmt::models::argmax(&allocated));
-        // The batched arena descent agrees with the per-instance path even
-        // for a single-row batch.
+        // The batch entry point agrees with the per-instance path even for
+        // a single-row batch.
         prop_assert_eq!(tree.predict_batch(&[&probe])[0], tree.predict(&probe));
     }
 

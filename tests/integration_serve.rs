@@ -297,12 +297,9 @@ fn concurrent_predicts_are_bit_identical_to_published_epochs() {
 /// built under the tenant's whole share of the fleet budget: the tree is
 /// single-threaded and deterministic, so the twin sheds exactly what the
 /// writer sheds, and every published epoch must answer the probes as the
-/// twin does. The twin is fingerprinted through a clone: predicting grows
-/// a tree's pooled prediction scratch, which `memory_bytes()` counts, so
-/// probing the twin itself would move where its budget ladder sheds.
-/// Readers must observe exactly those fingerprints, proving epoch snapshots
-/// stay immutable while the writer degrades the live tree under memory
-/// pressure.
+/// twin does. Readers must observe exactly those fingerprints, proving epoch
+/// snapshots stay immutable while the writer degrades the live tree under
+/// memory pressure.
 #[test]
 fn budget_rungs_fire_under_concurrent_predict_load() {
     let probes = Arc::new(probe_rows());
@@ -313,10 +310,7 @@ fn budget_rungs_fire_under_concurrent_predict_load() {
     let expected: Arc<Mutex<HashMap<u64, Vec<usize>>>> = Arc::new(Mutex::new(HashMap::new()));
     let epoch0 = registry.predict("m", &probe_refs).expect("predict");
     assert_eq!(epoch0.epoch, Some(0));
-    assert_eq!(
-        epoch0.predictions,
-        probe_predictions(&twin.clone(), &probes)
-    );
+    assert_eq!(epoch0.predictions, probe_predictions(&twin, &probes));
     expected.lock().unwrap().insert(0, epoch0.predictions);
 
     let stop = Arc::new(AtomicBool::new(false));
@@ -336,7 +330,7 @@ fn budget_rungs_fire_under_concurrent_predict_load() {
         );
         assert_eq!(
             fingerprint.predictions,
-            probe_predictions(&twin.clone(), &probes),
+            probe_predictions(&twin, &probes),
             "epoch {epoch}: the published tree left its budgeted lockstep twin"
         );
         expected
