@@ -13,7 +13,6 @@
 //!   far (Gama et al., 2003).
 
 use dmt_models::memory::{slice_deep_bytes, vec_bytes};
-use dmt_models::wire::{self, Reader, WireError, Writer};
 use dmt_models::{GaussianNaiveBayes, MemoryUsage, SimpleModel};
 use dmt_stream::schema::{FeatureType, StreamSchema};
 
@@ -212,115 +211,6 @@ impl LeafStats {
     /// The leaf prediction policy.
     pub fn policy(&self) -> LeafPolicy {
         self.policy
-    }
-
-    /// Serialise the full leaf state (class counts, observers, Naive Bayes
-    /// model, adaptive-policy bookkeeping); the inverse of
-    /// [`LeafStats::decode`]. The policy itself is not written — it is a
-    /// tree-level configuration the caller already persists.
-    pub(crate) fn encode(&self, w: &mut Writer) {
-        w.put_f64_slice(&self.class_counts);
-        w.put_usize(self.observers.len());
-        for observer in &self.observers {
-            observer.encode(w);
-        }
-        match &self.nb {
-            None => w.put_u8(0),
-            Some(nb) => {
-                w.put_u8(1);
-                nb.encode(w);
-            }
-        }
-        w.put_f64(self.mc_correct);
-        w.put_f64(self.nb_correct);
-        w.put_f64(self.weight_at_last_eval);
-    }
-
-    /// Reconstruct a leaf from [`LeafStats::encode`] output, validating every
-    /// shape against the schema: class-count length, one observer per feature
-    /// with the variant matching the feature type, and a Naive Bayes model
-    /// present exactly when the policy requires one.
-    pub(crate) fn decode(
-        r: &mut Reader<'_>,
-        schema: &StreamSchema,
-        policy: LeafPolicy,
-    ) -> Result<Self, WireError> {
-        let class_counts = r.get_f64_vec()?;
-        if class_counts.len() != schema.num_classes {
-            return Err(wire::invalid(format!(
-                "leaf has {} class counts, the schema has {} classes",
-                class_counts.len(),
-                schema.num_classes
-            )));
-        }
-        if class_counts.iter().any(|c| !c.is_finite() || *c < 0.0) {
-            return Err(wire::invalid("leaf class count is negative or not finite"));
-        }
-        let num_observers = r.get_usize()?;
-        if num_observers != schema.num_features() {
-            return Err(wire::invalid(format!(
-                "leaf has {num_observers} observers, the schema has {} features",
-                schema.num_features()
-            )));
-        }
-        let mut observers = Vec::new();
-        for feature in &schema.features {
-            let observer = AttributeObserver::decode(r, schema.num_classes)?;
-            let matches = matches!(
-                (&observer, &feature.feature_type),
-                (AttributeObserver::Numeric(_), FeatureType::Numeric)
-                    | (AttributeObserver::Nominal(_), FeatureType::Nominal { .. })
-            );
-            if !matches {
-                return Err(wire::invalid(format!(
-                    "observer variant does not match the declared type of feature {:?}",
-                    feature.name
-                )));
-            }
-            observers.push(observer);
-        }
-        let nb = match (r.get_u8()?, policy) {
-            (0, LeafPolicy::MajorityClass) => None,
-            (1, LeafPolicy::NaiveBayes | LeafPolicy::NaiveBayesAdaptive) => {
-                let nb = GaussianNaiveBayes::decode(r)?;
-                if nb.num_features() != schema.num_features()
-                    || nb.class_counts().len() != schema.num_classes
-                {
-                    return Err(wire::invalid(
-                        "leaf Naive Bayes shape does not match the schema",
-                    ));
-                }
-                Some(nb)
-            }
-            (tag, _) => {
-                return Err(wire::invalid(format!(
-                    "leaf Naive Bayes marker {tag} contradicts the leaf policy"
-                )))
-            }
-        };
-        let mc_correct = r.get_f64()?;
-        let nb_correct = r.get_f64()?;
-        let weight_at_last_eval = r.get_f64()?;
-        for (name, value) in [
-            ("mc_correct", mc_correct),
-            ("nb_correct", nb_correct),
-            ("weight_at_last_eval", weight_at_last_eval),
-        ] {
-            if !value.is_finite() || value < 0.0 {
-                return Err(wire::invalid(format!(
-                    "leaf counter {name} is negative or not finite"
-                )));
-            }
-        }
-        Ok(Self {
-            class_counts,
-            observers,
-            nb,
-            policy,
-            mc_correct,
-            nb_correct,
-            weight_at_last_eval,
-        })
     }
 }
 

@@ -10,7 +10,6 @@
 
 use dmt_models::memory::vec_bytes;
 use dmt_models::naive_bayes::RunningStats;
-use dmt_models::wire::{self, Reader, WireError, Writer};
 use dmt_models::MemoryUsage;
 
 use crate::split_criterion::SplitCriterion;
@@ -168,45 +167,6 @@ impl GaussianObserver {
     }
 }
 
-impl GaussianObserver {
-    /// Serialise the per-class estimators and the observed value range; the
-    /// inverse of [`GaussianObserver::decode`].
-    pub(crate) fn encode(&self, w: &mut Writer) {
-        w.put_usize(self.per_class.len());
-        for stats in &self.per_class {
-            stats.encode(w);
-        }
-        w.put_f64(self.min);
-        w.put_f64(self.max);
-    }
-
-    /// Reconstruct an observer, validating the class count against the schema
-    /// and rejecting a NaN value range (the empty-observer range is
-    /// `[+inf, -inf]`, so infinities are legitimate).
-    pub(crate) fn decode(r: &mut Reader<'_>, num_classes: usize) -> Result<Self, WireError> {
-        let n = r.get_usize()?;
-        if n != num_classes {
-            return Err(wire::invalid(format!(
-                "gaussian observer covers {n} classes, the schema has {num_classes}"
-            )));
-        }
-        let mut per_class = Vec::new();
-        for _ in 0..n {
-            per_class.push(RunningStats::decode(r)?);
-        }
-        let min = r.get_f64()?;
-        let max = r.get_f64()?;
-        if min.is_nan() || max.is_nan() {
-            return Err(wire::invalid("gaussian observer value range is NaN"));
-        }
-        Ok(Self {
-            per_class,
-            min,
-            max,
-        })
-    }
-}
-
 /// Count-table observer for a nominal attribute.
 #[derive(Debug, Clone)]
 pub struct NominalObserver {
@@ -281,53 +241,6 @@ impl NominalObserver {
     }
 }
 
-/// Hard ceiling on the nominal count-table size accepted from a serialised
-/// observer. The table grows one row per distinct nominal code seen, so any
-/// honest stream stays far below this; a forged header cannot ask for more.
-pub(crate) const MAX_NOMINAL_VALUES: usize = 1 << 16;
-
-impl NominalObserver {
-    /// Serialise the value × class count table; the inverse of
-    /// [`NominalObserver::decode`].
-    pub(crate) fn encode(&self, w: &mut Writer) {
-        w.put_usize(self.counts.len());
-        for row in &self.counts {
-            w.put_f64_slice(row);
-        }
-    }
-
-    /// Reconstruct an observer, validating the table shape and rejecting
-    /// non-finite or negative counts.
-    pub(crate) fn decode(r: &mut Reader<'_>, num_classes: usize) -> Result<Self, WireError> {
-        let rows = r.get_usize()?;
-        if rows == 0 || rows > MAX_NOMINAL_VALUES {
-            return Err(wire::invalid(format!(
-                "nominal observer table of {rows} rows is outside 1..={MAX_NOMINAL_VALUES}"
-            )));
-        }
-        let mut counts = Vec::new();
-        for _ in 0..rows {
-            let row = r.get_f64_vec()?;
-            if row.len() != num_classes {
-                return Err(wire::invalid(format!(
-                    "nominal observer row covers {} classes, the schema has {num_classes}",
-                    row.len()
-                )));
-            }
-            if row.iter().any(|c| !c.is_finite() || *c < 0.0) {
-                return Err(wire::invalid(
-                    "nominal observer count is negative or not finite",
-                ));
-            }
-            counts.push(row);
-        }
-        Ok(Self {
-            counts,
-            num_classes,
-        })
-    }
-}
-
 /// An observer for either feature type.
 #[derive(Debug, Clone)]
 pub enum AttributeObserver {
@@ -375,37 +288,6 @@ impl AttributeObserver {
         match self {
             AttributeObserver::Numeric(o) => o.best_split(feature, pre_dist, criterion),
             AttributeObserver::Nominal(o) => o.best_split(feature, pre_dist, criterion),
-        }
-    }
-
-    /// Serialise the observer (variant tag plus payload); the inverse of
-    /// [`AttributeObserver::decode`].
-    pub(crate) fn encode(&self, w: &mut Writer) {
-        match self {
-            AttributeObserver::Numeric(o) => {
-                w.put_u8(0);
-                o.encode(w);
-            }
-            AttributeObserver::Nominal(o) => {
-                w.put_u8(1);
-                o.encode(w);
-            }
-        }
-    }
-
-    /// Reconstruct an observer, rejecting unknown variant tags. The caller is
-    /// responsible for checking the variant against the schema's feature type.
-    pub(crate) fn decode(r: &mut Reader<'_>, num_classes: usize) -> Result<Self, WireError> {
-        match r.get_u8()? {
-            0 => Ok(AttributeObserver::Numeric(GaussianObserver::decode(
-                r,
-                num_classes,
-            )?)),
-            1 => Ok(AttributeObserver::Nominal(NominalObserver::decode(
-                r,
-                num_classes,
-            )?)),
-            tag => Err(wire::invalid(format!("unknown observer tag {tag}"))),
         }
     }
 }

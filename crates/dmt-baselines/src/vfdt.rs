@@ -12,7 +12,6 @@
 //! Dynamic Model Tree is designed to fix.
 
 use dmt_models::online::{Complexity, OnlineClassifier};
-use dmt_models::wire::{self, Reader, WireError, Writer};
 use dmt_models::{MemoryUsage, Rows};
 use dmt_stream::schema::StreamSchema;
 
@@ -61,18 +60,6 @@ impl VfdtConfig {
             leaf_policy: LeafPolicy::NaiveBayesAdaptive,
             ..Self::default()
         }
-    }
-
-    /// Serialise the configuration through `w`; the inverse of
-    /// [`VfdtConfig::decode`].
-    pub fn encode(&self, w: &mut Writer) {
-        encode_config(self, w);
-    }
-
-    /// Reconstruct a configuration from [`VfdtConfig::encode`] output,
-    /// validating every hyperparameter range.
-    pub fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        decode_config(r)
     }
 }
 
@@ -343,201 +330,6 @@ impl HoeffdingTreeClassifier {
     }
 }
 
-/// Maximum node depth accepted when decoding a serialised tree. Hoeffding
-/// trees grow one level per grace period, so honest trees stay far below
-/// this; the bound keeps a forged buffer from driving the recursive decoder
-/// into a stack overflow.
-pub(crate) const MAX_DECODE_DEPTH: usize = 512;
-
-fn encode_policy(policy: LeafPolicy, w: &mut Writer) {
-    w.put_u8(match policy {
-        LeafPolicy::MajorityClass => 0,
-        LeafPolicy::NaiveBayes => 1,
-        LeafPolicy::NaiveBayesAdaptive => 2,
-    });
-}
-
-fn decode_policy(r: &mut Reader<'_>) -> Result<LeafPolicy, WireError> {
-    match r.get_u8()? {
-        0 => Ok(LeafPolicy::MajorityClass),
-        1 => Ok(LeafPolicy::NaiveBayes),
-        2 => Ok(LeafPolicy::NaiveBayesAdaptive),
-        tag => Err(wire::invalid(format!("unknown leaf policy tag {tag}"))),
-    }
-}
-
-fn encode_config(config: &VfdtConfig, w: &mut Writer) {
-    w.put_f64(config.grace_period);
-    w.put_f64(config.split_confidence);
-    w.put_f64(config.tie_threshold);
-    encode_policy(config.leaf_policy, w);
-    match config.max_depth {
-        None => w.put_u8(0),
-        Some(d) => {
-            w.put_u8(1);
-            w.put_usize(d);
-        }
-    }
-}
-
-fn decode_config(r: &mut Reader<'_>) -> Result<VfdtConfig, WireError> {
-    let grace_period = r.get_f64()?;
-    let split_confidence = r.get_f64()?;
-    let tie_threshold = r.get_f64()?;
-    if !grace_period.is_finite() || grace_period <= 0.0 {
-        return Err(wire::invalid(
-            "grace period must be a positive finite value",
-        ));
-    }
-    if !(split_confidence > 0.0 && split_confidence < 1.0) {
-        return Err(wire::invalid("split confidence must lie in (0, 1)"));
-    }
-    if !tie_threshold.is_finite() || tie_threshold < 0.0 {
-        return Err(wire::invalid(
-            "tie threshold must be a non-negative finite value",
-        ));
-    }
-    let leaf_policy = decode_policy(r)?;
-    let max_depth = match r.get_u8()? {
-        0 => None,
-        1 => Some(r.get_usize()?),
-        tag => return Err(wire::invalid(format!("unknown max-depth marker {tag}"))),
-    };
-    Ok(VfdtConfig {
-        grace_period,
-        split_confidence,
-        tie_threshold,
-        leaf_policy,
-        max_depth,
-    })
-}
-
-fn encode_node(node: &Node, w: &mut Writer) {
-    match node {
-        Node::Leaf { stats, .. } => {
-            w.put_u8(0);
-            stats.encode(w);
-        }
-        Node::Inner {
-            feature,
-            test,
-            left,
-            right,
-            ..
-        } => {
-            w.put_u8(1);
-            w.put_usize(*feature);
-            match test {
-                SplitTest::NumericThreshold { threshold } => {
-                    w.put_u8(0);
-                    w.put_f64(*threshold);
-                }
-                SplitTest::NominalEquals { value } => {
-                    w.put_u8(1);
-                    w.put_f64(*value);
-                }
-            }
-            encode_node(left, w);
-            encode_node(right, w);
-        }
-    }
-}
-
-/// Decode a node subtree rooted at `depth`. Depths are not serialised —
-/// they are a structural property, so the decoder derives them from the
-/// traversal and a forged buffer cannot desynchronise them.
-fn decode_node(
-    r: &mut Reader<'_>,
-    schema: &StreamSchema,
-    policy: LeafPolicy,
-    depth: usize,
-) -> Result<Node, WireError> {
-    if depth > MAX_DECODE_DEPTH {
-        return Err(wire::invalid(format!(
-            "serialised tree is deeper than {MAX_DECODE_DEPTH} levels"
-        )));
-    }
-    match r.get_u8()? {
-        0 => Ok(Node::Leaf {
-            stats: LeafStats::decode(r, schema, policy)?,
-            depth,
-        }),
-        1 => {
-            let feature = r.get_usize()?;
-            if feature >= schema.num_features() {
-                return Err(wire::invalid(format!(
-                    "split tests feature {feature}, the schema has {} features",
-                    schema.num_features()
-                )));
-            }
-            let test = match r.get_u8()? {
-                0 => SplitTest::NumericThreshold {
-                    threshold: r.get_f64()?,
-                },
-                1 => SplitTest::NominalEquals {
-                    value: r.get_f64()?,
-                },
-                tag => return Err(wire::invalid(format!("unknown split test tag {tag}"))),
-            };
-            let split_value = match test {
-                SplitTest::NumericThreshold { threshold } => threshold,
-                SplitTest::NominalEquals { value } => value,
-            };
-            if split_value.is_nan() {
-                return Err(wire::invalid("split test value is NaN"));
-            }
-            let left = Box::new(decode_node(r, schema, policy, depth + 1)?);
-            let right = Box::new(decode_node(r, schema, policy, depth + 1)?);
-            Ok(Node::Inner {
-                feature,
-                test,
-                left,
-                right,
-                depth,
-            })
-        }
-        tag => Err(wire::invalid(format!("unknown node tag {tag}"))),
-    }
-}
-
-impl HoeffdingTreeClassifier {
-    /// Serialise the full tree state (configuration, observation counter and
-    /// the node structure with all leaf statistics) through `w`; the inverse
-    /// of [`HoeffdingTreeClassifier::decode`]. The schema is not written —
-    /// callers persist it once at a higher level and supply it on decode.
-    pub fn encode(&self, w: &mut Writer) {
-        encode_config(&self.config, w);
-        w.put_u64(self.observations);
-        encode_node(&self.root, w);
-    }
-
-    /// Reconstruct a tree from [`HoeffdingTreeClassifier::encode`] output.
-    ///
-    /// Every structural claim in the buffer is validated against `schema`
-    /// (feature indices, observer variants, model shapes); hostile input
-    /// yields a typed [`WireError`], never a panic, and depth is bounded so a
-    /// forged buffer cannot overflow the stack.
-    pub fn decode(r: &mut Reader<'_>, schema: &StreamSchema) -> Result<Self, WireError> {
-        let config = decode_config(r)?;
-        let observations = r.get_u64()?;
-        let root = decode_node(r, schema, config.leaf_policy, 0)?;
-        let name = match config.leaf_policy {
-            LeafPolicy::MajorityClass => "VFDT (MC)",
-            LeafPolicy::NaiveBayes => "VFDT (NB)",
-            LeafPolicy::NaiveBayesAdaptive => "VFDT (NBA)",
-        }
-        .to_string();
-        Ok(Self {
-            config,
-            schema: schema.clone(),
-            criterion: InfoGainCriterion,
-            root,
-            name,
-            observations,
-        })
-    }
-}
-
 impl OnlineClassifier for HoeffdingTreeClassifier {
     fn name(&self) -> &str {
         &self.name
@@ -716,96 +508,6 @@ mod tests {
         let proba = tree.predict_proba(&[1.0, 2.0, 0.0, 1.0]);
         assert_eq!(proba.len(), 6);
         assert!((proba.iter().sum::<f64>() - 1.0).abs() < 1e-6);
-    }
-
-    #[test]
-    fn encode_decode_round_trips_and_continues_identically() {
-        for config in [
-            VfdtConfig::majority_class(),
-            VfdtConfig::naive_bayes_adaptive(),
-        ] {
-            let mut original = HoeffdingTreeClassifier::new(sea_schema(), config);
-            train_on_sea(&mut original, 8_000, 21);
-            let mut w = Writer::new();
-            original.encode(&mut w);
-            let bytes = w.into_bytes();
-            let mut r = Reader::new(&bytes);
-            let mut restored =
-                HoeffdingTreeClassifier::decode(&mut r, &sea_schema()).expect("decode");
-            r.expect_end().expect("no trailing bytes");
-            assert_eq!(restored.observations(), original.observations());
-            assert_eq!(restored.num_inner_nodes(), original.num_inner_nodes());
-            assert_eq!(restored.num_leaves(), original.num_leaves());
-            // Keep training both on the same continuation: structure and
-            // predictions must stay bit-identical.
-            train_on_sea(&mut original, 2_000, 22);
-            train_on_sea(&mut restored, 2_000, 22);
-            assert_eq!(restored.num_inner_nodes(), original.num_inner_nodes());
-            let mut gen = SeaGenerator::new(0, 0.0, 23);
-            for _ in 0..200 {
-                let inst = gen.next_instance().unwrap();
-                let a = original.predict_proba(&inst.x);
-                let b = restored.predict_proba(&inst.x);
-                for (pa, pb) in a.iter().zip(b.iter()) {
-                    assert_eq!(pa.to_bits(), pb.to_bits());
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn decode_rejects_forged_buffers() {
-        let mut tree = HoeffdingTreeClassifier::new(sea_schema(), VfdtConfig::default());
-        train_on_sea(&mut tree, 5_000, 31);
-        let mut w = Writer::new();
-        tree.encode(&mut w);
-        let bytes = w.into_bytes();
-
-        // Truncation at every eighth prefix is a typed error, never a panic.
-        for cut in (0..bytes.len()).step_by(8) {
-            let mut r = Reader::new(&bytes[..cut]);
-            assert!(
-                HoeffdingTreeClassifier::decode(&mut r, &sea_schema()).is_err(),
-                "truncation at {cut} must fail"
-            );
-        }
-
-        // A schema with the wrong feature count invalidates every observer.
-        let mut r = Reader::new(&bytes);
-        let narrow = StreamSchema::numeric("narrow", 2, 2);
-        assert!(HoeffdingTreeClassifier::decode(&mut r, &narrow).is_err());
-
-        // A forged grace period is rejected up front.
-        let mut forged = bytes.clone();
-        forged[..8].copy_from_slice(&f64::NAN.to_le_bytes());
-        let mut r = Reader::new(&forged);
-        assert!(HoeffdingTreeClassifier::decode(&mut r, &sea_schema()).is_err());
-    }
-
-    #[test]
-    fn decode_bounds_the_tree_depth() {
-        // A nesting bomb: inner nodes all the way down, far past the depth
-        // bound. The decoder must stop with a typed error instead of
-        // recursing into a stack overflow.
-        let mut w = Writer::new();
-        encode_config(&VfdtConfig::default(), &mut w);
-        w.put_u64(0);
-        for _ in 0..(MAX_DECODE_DEPTH + 8) {
-            w.put_u8(1); // inner node
-            w.put_usize(0); // feature
-            w.put_u8(0); // numeric test
-            w.put_f64(0.5);
-        }
-        let bytes = w.into_bytes();
-        let mut r = Reader::new(&bytes);
-        let err = match HoeffdingTreeClassifier::decode(&mut r, &sea_schema()) {
-            Ok(_) => panic!("a nesting bomb must not decode"),
-            Err(e) => e,
-        };
-        assert!(
-            format!("{err}").contains("deeper"),
-            "expected the depth bound to trip, got: {err}"
-        );
     }
 
     #[test]

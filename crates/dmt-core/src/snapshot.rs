@@ -30,8 +30,10 @@
 //! # Recovery semantics
 //!
 //! * Writes are atomic: [`DynamicModelTree::save_snapshot`] writes to a
-//!   `<path>.tmp` sibling, syncs, then renames over the target. A crash
-//!   mid-save leaves the previous snapshot intact.
+//!   staging sibling `<path>.<pid>.<seq>.tmp` that no other save shares,
+//!   syncs, then renames over the target. A crash mid-save leaves the
+//!   previous snapshot intact, and concurrent saves to one path never touch
+//!   each other's staging file.
 //! * Loads are total: every malformed input — truncation at any byte,
 //!   bit flips (caught by the checksum), version skew, or a structurally
 //!   forged payload — returns a typed [`SnapshotError`]; no input panics,
@@ -48,6 +50,7 @@
 use std::fs::File;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use dmt_models::wire::{Reader, Writer};
 use dmt_models::{BatchMode, Glm, SimpleModel as _, WireError};
@@ -197,9 +200,8 @@ pub fn crc32(data: &[u8]) -> u32 {
 }
 
 // ---------------------------------------------------------------------------
-// Framing: header + checksum around an opaque payload. Public so sibling
-// crates (ensemble save/load, the model-zoo checkpoint registry) can wrap
-// their own payloads in the same crash-safe envelope.
+// Framing: header + checksum around an opaque payload. Public because the
+// `dmt-serve` wire frames reuse the envelope.
 // ---------------------------------------------------------------------------
 
 /// Wrap `payload` in the snapshot envelope (magic, version, CRC-32, length).
@@ -262,34 +264,6 @@ pub fn open_payload(bytes: &[u8]) -> Result<&[u8], SnapshotError> {
         return Err(SnapshotError::ChecksumMismatch { stored, computed });
     }
     Ok(payload)
-}
-
-/// Atomically write `payload`, wrapped in the snapshot envelope, to `path`:
-/// the bytes go to a `<path>.tmp` sibling first, are synced to disk, and the
-/// temp file is renamed over the target, so a crash mid-write can never leave
-/// a half-written snapshot under the final name.
-pub fn write_sealed(path: &Path, payload: &[u8]) -> Result<(), SnapshotError> {
-    let bytes = seal_payload(payload);
-    let mut tmp_name = path.as_os_str().to_owned();
-    tmp_name.push(".tmp");
-    let tmp = PathBuf::from(tmp_name);
-    let result = (|| -> std::io::Result<()> {
-        let mut file = File::create(&tmp)?;
-        file.write_all(&bytes)?;
-        file.sync_all()?;
-        std::fs::rename(&tmp, path)
-    })();
-    if result.is_err() {
-        let _ = std::fs::remove_file(&tmp);
-    }
-    result.map_err(SnapshotError::Io)
-}
-
-/// Read a sealed snapshot file and return its validated payload.
-pub fn read_sealed(path: &Path) -> Result<Vec<u8>, SnapshotError> {
-    let bytes = std::fs::read(path)?;
-    let payload = open_payload(&bytes)?;
-    Ok(payload.to_vec())
 }
 
 // ---------------------------------------------------------------------------
@@ -384,9 +358,8 @@ fn decode_config(r: &mut Reader<'_>) -> Result<DmtConfig, SnapshotError> {
 }
 
 /// Serialise a [`StreamSchema`] through `w`; the inverse of
-/// [`decode_schema`]. Shared with the ensemble snapshots, which persist the
-/// schema once and hand it to every member decoder.
-pub fn encode_schema(s: &StreamSchema, w: &mut Writer) {
+/// [`decode_schema`].
+fn encode_schema(s: &StreamSchema, w: &mut Writer) {
     w.put_str(&s.name);
     w.put_usize(s.num_classes);
     w.put_usize(s.features.len());
@@ -404,7 +377,7 @@ pub fn encode_schema(s: &StreamSchema, w: &mut Writer) {
 
 /// Reconstruct a [`StreamSchema`] from [`encode_schema`] output, validating
 /// the class count and every feature type tag.
-pub fn decode_schema(r: &mut Reader<'_>) -> Result<StreamSchema, SnapshotError> {
+fn decode_schema(r: &mut Reader<'_>) -> Result<StreamSchema, SnapshotError> {
     let name = r.get_str()?;
     let num_classes = r.get_usize()?;
     if num_classes < 2 {
@@ -676,6 +649,30 @@ fn decode_decision(r: &mut Reader<'_>) -> Result<GainDecision, SnapshotError> {
     }
 }
 
+/// Numbers the staging files of this process's saves; with the process id it
+/// makes each staging name unique. The counter publishes no other data, so
+/// `Relaxed` suffices: `fetch_add` alone hands every save its own value.
+static SAVE_SEQ: AtomicU64 = AtomicU64::new(0);
+
+/// Create and open a new staging file `<path>.<pid>.<seq>.tmp` beside `path`.
+///
+/// `create_new` refuses a name that already exists, so no two writers, in
+/// this process or another, ever share a staging file; a name taken by a file
+/// a crashed process left behind is skipped for the next sequence number.
+fn create_staging_file(path: &Path) -> std::io::Result<(PathBuf, File)> {
+    loop {
+        let mut name = path.as_os_str().to_owned();
+        let seq = SAVE_SEQ.fetch_add(1, Ordering::Relaxed);
+        name.push(format!(".{}.{seq}.tmp", std::process::id()));
+        let tmp = PathBuf::from(name);
+        match File::options().write(true).create_new(true).open(&tmp) {
+            Ok(file) => return Ok((tmp, file)),
+            Err(e) if e.kind() == std::io::ErrorKind::AlreadyExists => continue,
+            Err(e) => return Err(e),
+        }
+    }
+}
+
 impl DynamicModelTree {
     /// Serialise the complete model state into the snapshot wire format
     /// (header, checksum and payload — see the [module docs](self)).
@@ -757,18 +754,15 @@ impl DynamicModelTree {
     }
 
     /// Atomically save the model to `path`: the snapshot is written to a
-    /// `<path>.tmp` sibling, synced, and renamed over the target, so a crash
-    /// mid-save leaves any previous snapshot at `path` intact.
+    /// staging file `<path>.<pid>.<seq>.tmp` that no other save shares,
+    /// synced, and renamed over the target. A crash mid-save leaves any
+    /// previous snapshot at `path` intact, and concurrent saves to one path
+    /// each rename a complete file, so the last rename wins whole.
     pub fn save_snapshot<P: AsRef<Path>>(&self, path: P) -> Result<(), SnapshotError> {
         let bytes = self.to_snapshot_bytes();
-        // `to_snapshot_bytes` already sealed the payload; write the file
-        // directly through the same temp-and-rename dance as `write_sealed`.
         let path = path.as_ref();
-        let mut tmp_name = path.as_os_str().to_owned();
-        tmp_name.push(".tmp");
-        let tmp = PathBuf::from(tmp_name);
+        let (tmp, mut file) = create_staging_file(path)?;
         let result = (|| -> std::io::Result<()> {
-            let mut file = File::create(&tmp)?;
             file.write_all(&bytes)?;
             file.sync_all()?;
             std::fs::rename(&tmp, path)

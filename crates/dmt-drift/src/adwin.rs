@@ -9,7 +9,6 @@
 //! original paper, so memory is `O(M log(W/M))` for window length `W`.
 
 use dmt_models::memory::vec_bytes;
-use dmt_models::wire::{self, Reader, WireError, Writer};
 use dmt_models::MemoryUsage;
 
 use crate::DriftDetector;
@@ -95,83 +94,6 @@ impl Adwin {
         } else {
             self.variance / self.width as f64
         }
-    }
-
-    /// Serialise the full detector state (window accumulators and the
-    /// exponential-histogram buckets) through `w`; the inverse of
-    /// [`Adwin::decode`].
-    pub fn encode(&self, w: &mut Writer) {
-        w.put_f64(self.delta);
-        w.put_u64(self.width);
-        w.put_f64(self.total);
-        w.put_f64(self.variance);
-        w.put_u64(self.since_last_drift);
-        w.put_u64(self.clock);
-        w.put_bool(self.drift);
-        w.put_usize(self.rows.len());
-        for row in &self.rows {
-            w.put_f64_slice(&row.totals);
-            w.put_f64_slice(&row.variances);
-        }
-    }
-
-    /// Reconstruct a detector from [`Adwin::encode`] output, validating the
-    /// confidence parameter and the histogram shape (paired totals/variances,
-    /// at least one row, row widths within the compression bound).
-    pub fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        let delta = r.get_f64()?;
-        let width = r.get_u64()?;
-        let total = r.get_f64()?;
-        let variance = r.get_f64()?;
-        let since_last_drift = r.get_u64()?;
-        let clock = r.get_u64()?;
-        let drift = r.get_bool()?;
-        if !(delta > 0.0 && delta < 1.0) {
-            return Err(wire::invalid(format!(
-                "ADWIN delta must be in (0, 1), got {delta}"
-            )));
-        }
-        if clock == 0 {
-            return Err(wire::invalid("ADWIN clock must be positive"));
-        }
-        let row_count = r.get_usize()?;
-        if row_count == 0 || row_count > 64 {
-            return Err(wire::invalid(format!(
-                "ADWIN histogram has {row_count} rows, expected 1..=64"
-            )));
-        }
-        let mut rows = Vec::new();
-        for _ in 0..row_count {
-            let totals = r.get_f64_vec()?;
-            let variances = r.get_f64_vec()?;
-            if totals.len() != variances.len() {
-                return Err(wire::invalid(format!(
-                    "ADWIN row has {} totals but {} variances",
-                    totals.len(),
-                    variances.len()
-                )));
-            }
-            // `compress` keeps every row at `MAX_BUCKETS_PER_ROW` plus at
-            // most the one bucket being inserted.
-            if totals.len() > MAX_BUCKETS_PER_ROW + 1 {
-                return Err(wire::invalid(format!(
-                    "ADWIN row has {} buckets, compression bound is {}",
-                    totals.len(),
-                    MAX_BUCKETS_PER_ROW + 1
-                )));
-            }
-            rows.push(BucketRow { totals, variances });
-        }
-        Ok(Self {
-            delta,
-            rows,
-            width,
-            total,
-            variance,
-            since_last_drift,
-            clock,
-            drift,
-        })
     }
 
     fn insert(&mut self, value: f64) {
@@ -319,7 +241,6 @@ impl Default for Adwin {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dmt_models::wire::{Reader, Writer};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -415,42 +336,6 @@ mod tests {
             adwin.update(0.5);
         }
         assert_eq!(adwin.width(), 1_000);
-    }
-
-    #[test]
-    fn encode_decode_round_trips_and_continues_identically() {
-        let mut original = Adwin::default();
-        let mut rng = StdRng::seed_from_u64(11);
-        for _ in 0..2_500 {
-            original.update(if rng.gen::<f64>() < 0.25 { 1.0 } else { 0.0 });
-        }
-        let mut w = Writer::new();
-        original.encode(&mut w);
-        let mut r = Reader::new(w.as_bytes());
-        let mut restored = Adwin::decode(&mut r).unwrap();
-        assert!(r.is_empty());
-        assert_eq!(restored.width(), original.width());
-        assert_eq!(restored.mean().to_bits(), original.mean().to_bits());
-        // The restored detector must behave identically on the rest of the
-        // stream, drift detections included.
-        for _ in 0..2_500 {
-            let v = if rng.gen::<f64>() < 0.75 { 1.0 } else { 0.0 };
-            assert_eq!(original.update(v), restored.update(v));
-        }
-        assert_eq!(restored.width(), original.width());
-    }
-
-    #[test]
-    fn decode_rejects_forged_state() {
-        let mut w = Writer::new();
-        Adwin::default().encode(&mut w);
-        let bytes = w.as_bytes().to_vec();
-        // Truncation is a typed error.
-        assert!(Adwin::decode(&mut Reader::new(&bytes[..bytes.len() - 3])).is_err());
-        // A forged delta outside (0, 1) is rejected.
-        let mut forged = bytes.clone();
-        forged[..8].copy_from_slice(&2.0f64.to_bits().to_le_bytes());
-        assert!(Adwin::decode(&mut Reader::new(&forged)).is_err());
     }
 
     #[test]

@@ -28,14 +28,11 @@
 //! **bit-identical** to the serial member-order loop — pinned by
 //! `tests/integration_parallel.rs`.
 
-use std::path::Path;
 use std::sync::Arc;
 
-use dmt_core::snapshot::{self as core_snapshot, SnapshotError};
 use dmt_drift::{Adwin, DriftDetector};
 use dmt_models::memory::vec_bytes;
 use dmt_models::online::{Complexity, OnlineClassifier};
-use dmt_models::wire::{self, Reader, WireError, Writer};
 use dmt_models::{MemoryUsage, Rows};
 use dmt_stream::schema::StreamSchema;
 use rand::rngs::StdRng;
@@ -47,7 +44,6 @@ use dmt_baselines::vfdt::{HoeffdingTreeClassifier, VfdtConfig};
 
 use crate::member_stream_seed;
 use crate::parallel::{Parallelism, WorkerPool};
-use crate::snapshot::{decode_rng, encode_rng, MAX_ENSEMBLE_MEMBERS, SNAPSHOT_KIND_ARF};
 
 /// Configuration of the Adaptive Random Forest.
 #[derive(Debug, Clone)]
@@ -174,103 +170,6 @@ impl ForestMember {
             }
         }
     }
-
-    /// Serialise the full member state (subspace, tree, both detectors, the
-    /// optional background tree and the RNG stream); the inverse of
-    /// [`ForestMember::decode`].
-    fn encode(&self, w: &mut Writer) {
-        encode_subspace(&self.subspace, w);
-        self.tree.encode(w);
-        self.warning.encode(w);
-        self.drift.encode(w);
-        match &self.background {
-            None => w.put_u8(0),
-            Some((tree, subspace)) => {
-                w.put_u8(1);
-                encode_subspace(subspace, w);
-                tree.encode(w);
-            }
-        }
-        encode_rng(&self.rng, w);
-    }
-
-    /// Reconstruct a member from [`ForestMember::encode`] output. Each
-    /// subspace is validated against the full schema before its tree is
-    /// decoded against the matching projected schema, so a forged subspace
-    /// can neither route out of bounds nor smuggle in a mis-shaped tree.
-    fn decode(r: &mut Reader<'_>, schema: &StreamSchema) -> Result<Self, WireError> {
-        let subspace = decode_subspace(r, schema)?;
-        let tree = HoeffdingTreeClassifier::decode(
-            r,
-            &AdaptiveRandomForest::projected_schema(schema, &subspace),
-        )?;
-        let warning = Adwin::decode(r)?;
-        let drift = Adwin::decode(r)?;
-        let background = match r.get_u8()? {
-            0 => None,
-            1 => {
-                let bg_subspace = decode_subspace(r, schema)?;
-                let bg_tree = HoeffdingTreeClassifier::decode(
-                    r,
-                    &AdaptiveRandomForest::projected_schema(schema, &bg_subspace),
-                )?;
-                Some((bg_tree, bg_subspace))
-            }
-            tag => {
-                return Err(wire::invalid(format!(
-                    "unknown background-tree marker {tag}"
-                )))
-            }
-        };
-        let rng = decode_rng(r)?;
-        Ok(Self {
-            tree,
-            subspace,
-            warning,
-            drift,
-            background,
-            rng,
-        })
-    }
-}
-
-/// Serialise a feature subspace (sorted feature indices); the inverse of
-/// [`decode_subspace`].
-fn encode_subspace(subspace: &[usize], w: &mut Writer) {
-    w.put_usize(subspace.len());
-    for &feature in subspace {
-        w.put_usize(feature);
-    }
-}
-
-/// Reconstruct a feature subspace, validating it against the schema: at least
-/// one feature, strictly increasing (so no duplicates) and every index in
-/// bounds — the invariants [`AdaptiveRandomForest::draw_subspace`] produces.
-fn decode_subspace(r: &mut Reader<'_>, schema: &StreamSchema) -> Result<Vec<usize>, WireError> {
-    let len = r.get_usize()?;
-    if len == 0 || len > schema.num_features() {
-        return Err(wire::invalid(format!(
-            "subspace of {len} features is outside 1..={}",
-            schema.num_features()
-        )));
-    }
-    let mut subspace = Vec::new();
-    for _ in 0..len {
-        let feature = r.get_usize()?;
-        if feature >= schema.num_features() {
-            return Err(wire::invalid(format!(
-                "subspace selects feature {feature}, the schema has {}",
-                schema.num_features()
-            )));
-        }
-        if subspace.last().is_some_and(|&prev| prev >= feature) {
-            return Err(wire::invalid(
-                "subspace indices must be strictly increasing",
-            ));
-        }
-        subspace.push(feature);
-    }
-    Ok(subspace)
 }
 
 /// The Adaptive Random Forest classifier.
@@ -427,131 +326,6 @@ impl AdaptiveRandomForest {
                 member.train_on_batch(xs, ys, schema, config);
             }
         }
-    }
-
-    /// The raw snapshot payload: kind tag, configuration, schema and every
-    /// member's full state (subspace, trees, detectors, RNG stream).
-    fn snapshot_payload(&self) -> Vec<u8> {
-        let mut w = Writer::new();
-        w.put_u8(SNAPSHOT_KIND_ARF);
-        w.put_usize(self.config.ensemble_size);
-        w.put_f64(self.config.lambda);
-        match self.config.subspace_size {
-            None => w.put_u8(0),
-            Some(k) => {
-                w.put_u8(1);
-                w.put_usize(k);
-            }
-        }
-        w.put_f64(self.config.warning_delta);
-        w.put_f64(self.config.drift_delta);
-        self.config.base_config.encode(&mut w);
-        w.put_u64(self.config.seed);
-        core_snapshot::encode_schema(&self.schema, &mut w);
-        w.put_u64(self.observations);
-        for member in &self.members {
-            member.encode(&mut w);
-        }
-        w.into_bytes()
-    }
-
-    /// Serialise the full forest state into the sealed snapshot envelope
-    /// (magic, version, CRC-32). The inverse of
-    /// [`AdaptiveRandomForest::from_snapshot_bytes`].
-    pub fn to_snapshot_bytes(&self) -> Vec<u8> {
-        core_snapshot::seal_payload(&self.snapshot_payload())
-    }
-
-    /// Reconstruct a forest from [`AdaptiveRandomForest::to_snapshot_bytes`]
-    /// output.
-    ///
-    /// The envelope (magic, version, length, checksum) is validated first,
-    /// then every structural claim of the payload: the kind tag (a Leveraging
-    /// Bagging snapshot is rejected here), hyperparameter ranges, the member
-    /// count, each subspace against the schema, each tree against its
-    /// projected schema and each RNG state. Hostile input yields a typed
-    /// [`SnapshotError`], never a panic. The restored forest continues
-    /// learning bit-identically to the saved one; its `parallelism` is
-    /// re-read from the host environment ([`Parallelism::from_env`]) because
-    /// thread counts are a property of the machine, not of the model.
-    pub fn from_snapshot_bytes(bytes: &[u8]) -> Result<Self, SnapshotError> {
-        let payload = core_snapshot::open_payload(bytes)?;
-        let mut r = Reader::new(payload);
-        let kind = r.get_u8()?;
-        if kind != SNAPSHOT_KIND_ARF {
-            return Err(SnapshotError::Invalid(format!(
-                "payload kind {kind} is not an Adaptive Random Forest snapshot"
-            )));
-        }
-        let ensemble_size = r.get_usize()?;
-        if !(1..=MAX_ENSEMBLE_MEMBERS).contains(&ensemble_size) {
-            return Err(SnapshotError::Invalid(format!(
-                "forest of {ensemble_size} members is outside 1..={MAX_ENSEMBLE_MEMBERS}"
-            )));
-        }
-        let lambda = r.get_f64()?;
-        if !lambda.is_finite() || lambda <= 0.0 {
-            return Err(SnapshotError::Invalid(
-                "Poisson lambda must be a positive finite value".into(),
-            ));
-        }
-        let subspace_size = match r.get_u8()? {
-            0 => None,
-            1 => Some(r.get_usize()?),
-            tag => {
-                return Err(SnapshotError::Invalid(format!(
-                    "unknown subspace-size marker {tag}"
-                )))
-            }
-        };
-        let warning_delta = r.get_f64()?;
-        let drift_delta = r.get_f64()?;
-        for (name, delta) in [("warning", warning_delta), ("drift", drift_delta)] {
-            if !(delta > 0.0 && delta < 1.0) {
-                return Err(SnapshotError::Invalid(format!(
-                    "{name} ADWIN delta must lie in (0, 1)"
-                )));
-            }
-        }
-        let base_config = VfdtConfig::decode(&mut r)?;
-        let seed = r.get_u64()?;
-        let schema = core_snapshot::decode_schema(&mut r)?;
-        let observations = r.get_u64()?;
-        let mut members = Vec::new();
-        for _ in 0..ensemble_size {
-            members.push(ForestMember::decode(&mut r, &schema)?);
-        }
-        r.expect_end()?;
-        let config = ArfConfig {
-            ensemble_size,
-            lambda,
-            subspace_size,
-            warning_delta,
-            drift_delta,
-            base_config,
-            seed,
-            parallelism: Parallelism::from_env(),
-        };
-        Ok(Self {
-            config,
-            schema,
-            members,
-            observations,
-            pool: None,
-        })
-    }
-
-    /// Atomically write a snapshot of the forest to `path` (temp file, sync,
-    /// rename — a crash mid-write never leaves a torn snapshot under the
-    /// final name).
-    pub fn save_snapshot<P: AsRef<Path>>(&self, path: P) -> Result<(), SnapshotError> {
-        core_snapshot::write_sealed(path.as_ref(), &self.snapshot_payload())
-    }
-
-    /// Load a forest snapshot written by [`AdaptiveRandomForest::save_snapshot`].
-    pub fn load_snapshot<P: AsRef<Path>>(path: P) -> Result<Self, SnapshotError> {
-        let bytes = std::fs::read(path.as_ref())?;
-        Self::from_snapshot_bytes(&bytes)
     }
 }
 
@@ -727,97 +501,6 @@ mod tests {
             ..ArfConfig::default()
         };
         let _ = AdaptiveRandomForest::new(sea_schema(), config);
-    }
-
-    #[test]
-    fn snapshot_round_trips_and_continues_identically() {
-        let mut original = AdaptiveRandomForest::new(sea_schema(), ArfConfig::default());
-        let mut gen = SeaGenerator::new(0, 0.0, 61);
-        // Train through a concept switch so warnings, background trees and
-        // member resets all have a chance to be live state in the snapshot.
-        for _ in 0..3_000 {
-            let inst = gen.next_instance().unwrap();
-            original.learn_one(&inst.x, inst.y);
-        }
-        let mut gen2 = SeaGenerator::new(2, 0.0, 62);
-        for _ in 0..2_000 {
-            let inst = gen2.next_instance().unwrap();
-            original.learn_one(&inst.x, inst.y);
-        }
-        let bytes = original.to_snapshot_bytes();
-        let mut restored = AdaptiveRandomForest::from_snapshot_bytes(&bytes).expect("load");
-        assert_eq!(restored.observations, original.observations);
-        for _ in 0..1_000 {
-            let inst = gen2.next_instance().unwrap();
-            original.learn_one(&inst.x, inst.y);
-            restored.learn_one(&inst.x, inst.y);
-        }
-        let mut probe_gen = SeaGenerator::new(2, 0.0, 63);
-        for _ in 0..100 {
-            let inst = probe_gen.next_instance().unwrap();
-            let (pa, pb) = (
-                original.predict_proba(&inst.x),
-                restored.predict_proba(&inst.x),
-            );
-            for (va, vb) in pa.iter().zip(pb.iter()) {
-                assert_eq!(va.to_bits(), vb.to_bits());
-            }
-        }
-        assert_eq!(
-            original.to_snapshot_bytes(),
-            restored.to_snapshot_bytes(),
-            "continued states must serialise identically"
-        );
-    }
-
-    #[test]
-    fn snapshot_rejects_corruption_and_the_wrong_kind() {
-        let mut forest = AdaptiveRandomForest::new(sea_schema(), ArfConfig::default());
-        let mut gen = SeaGenerator::new(0, 0.0, 64);
-        for _ in 0..500 {
-            let inst = gen.next_instance().unwrap();
-            forest.learn_one(&inst.x, inst.y);
-        }
-        let bytes = forest.to_snapshot_bytes();
-        for cut in (0..bytes.len()).step_by(97) {
-            assert!(AdaptiveRandomForest::from_snapshot_bytes(&bytes[..cut]).is_err());
-        }
-        let mut flipped = bytes.clone();
-        let mid = flipped.len() / 2;
-        flipped[mid] ^= 0x40;
-        assert!(AdaptiveRandomForest::from_snapshot_bytes(&flipped).is_err());
-
-        // A bagging snapshot is a sealed, checksum-valid buffer — but the
-        // kind tag must still keep it out of the forest loader (and vice
-        // versa).
-        let bagging =
-            crate::LeveragingBagging::new(sea_schema(), crate::LeveragingBaggingConfig::default());
-        let foreign = bagging.to_snapshot_bytes();
-        match AdaptiveRandomForest::from_snapshot_bytes(&foreign) {
-            Ok(_) => panic!("a bagging snapshot must not load as a forest"),
-            Err(e) => assert!(format!("{e}").contains("kind"), "unexpected error: {e}"),
-        }
-        match crate::LeveragingBagging::from_snapshot_bytes(&forest.to_snapshot_bytes()) {
-            Ok(_) => panic!("a forest snapshot must not load as bagging"),
-            Err(e) => assert!(format!("{e}").contains("kind"), "unexpected error: {e}"),
-        }
-    }
-
-    #[test]
-    fn snapshot_file_round_trip() {
-        let mut forest = AdaptiveRandomForest::new(sea_schema(), ArfConfig::default());
-        let mut gen = SeaGenerator::new(0, 0.0, 65);
-        for _ in 0..500 {
-            let inst = gen.next_instance().unwrap();
-            forest.learn_one(&inst.x, inst.y);
-        }
-        let dir = std::env::temp_dir().join("dmt-arf-snapshot-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("forest.dmt");
-        forest.save_snapshot(&path).expect("save");
-        let restored = AdaptiveRandomForest::load_snapshot(&path).expect("load");
-        assert_eq!(restored.observations, forest.observations);
-        std::fs::remove_file(&path).ok();
     }
 
     #[test]

@@ -24,14 +24,11 @@
 //! resulting ensemble is **bit-identical** to a serial run — pinned by
 //! `tests/integration_parallel.rs`.
 
-use std::path::Path;
 use std::sync::Arc;
 
-use dmt_core::snapshot::{self as core_snapshot, SnapshotError};
 use dmt_drift::{Adwin, DriftDetector};
 use dmt_models::memory::vec_bytes;
 use dmt_models::online::{Complexity, OnlineClassifier};
-use dmt_models::wire::{Reader, WireError, Writer};
 use dmt_models::{MemoryUsage, Rows};
 use dmt_stream::schema::StreamSchema;
 use rand::rngs::StdRng;
@@ -42,7 +39,6 @@ use dmt_baselines::vfdt::{HoeffdingTreeClassifier, VfdtConfig};
 
 use crate::member_stream_seed;
 use crate::parallel::{Parallelism, WorkerPool};
-use crate::snapshot::{decode_rng, encode_rng, MAX_ENSEMBLE_MEMBERS, SNAPSHOT_KIND_BAGGING};
 
 /// Configuration of the Leveraging Bagging ensemble.
 #[derive(Debug, Clone)]
@@ -109,26 +105,6 @@ impl BaggingMember {
                 self.tree.learn_one(x, y);
             }
         }
-    }
-
-    /// Serialise the full member state (tree, detector, RNG stream, batch
-    /// drift flag); the inverse of [`BaggingMember::decode`].
-    fn encode(&self, w: &mut Writer) {
-        self.tree.encode(w);
-        self.detector.encode(w);
-        encode_rng(&self.rng, w);
-        w.put_bool(self.drifted);
-    }
-
-    /// Reconstruct a member from [`BaggingMember::encode`] output, validating
-    /// the tree against the ensemble schema.
-    fn decode(r: &mut Reader<'_>, schema: &StreamSchema) -> Result<Self, WireError> {
-        Ok(Self {
-            tree: HoeffdingTreeClassifier::decode(r, schema)?,
-            detector: Adwin::decode(r)?,
-            rng: decode_rng(r)?,
-            drifted: r.get_bool()?,
-        })
     }
 }
 
@@ -274,109 +250,6 @@ impl LeveragingBagging {
             HoeffdingTreeClassifier::new(self.schema.clone(), self.config.base_config.clone());
         self.members[worst].detector = Adwin::new(self.config.adwin_delta);
     }
-
-    /// The raw snapshot payload: kind tag, configuration, schema and every
-    /// member's full state (tree, detector, RNG stream, drift flag).
-    fn snapshot_payload(&self) -> Vec<u8> {
-        let mut w = Writer::new();
-        w.put_u8(SNAPSHOT_KIND_BAGGING);
-        w.put_usize(self.config.ensemble_size);
-        w.put_f64(self.config.lambda);
-        w.put_f64(self.config.adwin_delta);
-        self.config.base_config.encode(&mut w);
-        w.put_u64(self.config.seed);
-        core_snapshot::encode_schema(&self.schema, &mut w);
-        w.put_u64(self.observations);
-        for member in &self.members {
-            member.encode(&mut w);
-        }
-        w.into_bytes()
-    }
-
-    /// Serialise the full ensemble state into the sealed snapshot envelope
-    /// (magic, version, CRC-32). The inverse of
-    /// [`LeveragingBagging::from_snapshot_bytes`].
-    pub fn to_snapshot_bytes(&self) -> Vec<u8> {
-        core_snapshot::seal_payload(&self.snapshot_payload())
-    }
-
-    /// Reconstruct an ensemble from [`LeveragingBagging::to_snapshot_bytes`]
-    /// output.
-    ///
-    /// The envelope (magic, version, length, checksum) is validated first,
-    /// then every structural claim of the payload: the kind tag (an Adaptive
-    /// Random Forest snapshot is rejected here), hyperparameter ranges, the
-    /// member count, each member tree against the schema and each RNG state.
-    /// Hostile input yields a typed [`SnapshotError`], never a panic. The
-    /// restored ensemble continues learning bit-identically to the saved one;
-    /// its `parallelism` is re-read from the host environment
-    /// ([`Parallelism::from_env`]) because thread counts are a property of
-    /// the machine, not of the model.
-    pub fn from_snapshot_bytes(bytes: &[u8]) -> Result<Self, SnapshotError> {
-        let payload = core_snapshot::open_payload(bytes)?;
-        let mut r = Reader::new(payload);
-        let kind = r.get_u8()?;
-        if kind != SNAPSHOT_KIND_BAGGING {
-            return Err(SnapshotError::Invalid(format!(
-                "payload kind {kind} is not a Leveraging Bagging snapshot"
-            )));
-        }
-        let ensemble_size = r.get_usize()?;
-        if !(1..=MAX_ENSEMBLE_MEMBERS).contains(&ensemble_size) {
-            return Err(SnapshotError::Invalid(format!(
-                "ensemble of {ensemble_size} members is outside 1..={MAX_ENSEMBLE_MEMBERS}"
-            )));
-        }
-        let lambda = r.get_f64()?;
-        if !lambda.is_finite() || lambda <= 0.0 {
-            return Err(SnapshotError::Invalid(
-                "Poisson lambda must be a positive finite value".into(),
-            ));
-        }
-        let adwin_delta = r.get_f64()?;
-        if !(adwin_delta > 0.0 && adwin_delta < 1.0) {
-            return Err(SnapshotError::Invalid(
-                "ADWIN delta must lie in (0, 1)".into(),
-            ));
-        }
-        let base_config = VfdtConfig::decode(&mut r)?;
-        let seed = r.get_u64()?;
-        let schema = core_snapshot::decode_schema(&mut r)?;
-        let observations = r.get_u64()?;
-        let mut members = Vec::new();
-        for _ in 0..ensemble_size {
-            members.push(BaggingMember::decode(&mut r, &schema)?);
-        }
-        r.expect_end()?;
-        let config = LeveragingBaggingConfig {
-            ensemble_size,
-            lambda,
-            adwin_delta,
-            base_config,
-            seed,
-            parallelism: Parallelism::from_env(),
-        };
-        Ok(Self {
-            config,
-            schema,
-            members,
-            observations,
-            pool: None,
-        })
-    }
-
-    /// Atomically write a snapshot of the ensemble to `path` (temp file,
-    /// sync, rename — a crash mid-write never leaves a torn snapshot under
-    /// the final name).
-    pub fn save_snapshot<P: AsRef<Path>>(&self, path: P) -> Result<(), SnapshotError> {
-        core_snapshot::write_sealed(path.as_ref(), &self.snapshot_payload())
-    }
-
-    /// Load an ensemble snapshot written by [`LeveragingBagging::save_snapshot`].
-    pub fn load_snapshot<P: AsRef<Path>>(path: P) -> Result<Self, SnapshotError> {
-        let bytes = std::fs::read(path.as_ref())?;
-        Self::from_snapshot_bytes(&bytes)
-    }
 }
 
 impl OnlineClassifier for LeveragingBagging {
@@ -508,70 +381,6 @@ mod tests {
         let batch = gen.next_batch(100).unwrap();
         ensemble.learn_batch(&batch.rows(), &batch.ys);
         assert_eq!(ensemble.observations, 100);
-    }
-
-    #[test]
-    fn snapshot_round_trips_and_continues_identically() {
-        let mut original = LeveragingBagging::new(sea_schema(), LeveragingBaggingConfig::default());
-        let mut gen = SeaGenerator::new(0, 0.0, 51);
-        for _ in 0..3_000 {
-            let inst = gen.next_instance().unwrap();
-            original.learn_one(&inst.x, inst.y);
-        }
-        let bytes = original.to_snapshot_bytes();
-        let mut restored = LeveragingBagging::from_snapshot_bytes(&bytes).expect("load");
-        assert_eq!(restored.observations, original.observations);
-        assert_eq!(restored.ensemble_size(), original.ensemble_size());
-        // Continue both on the same stream: Poisson draws, detector updates
-        // and tree growth must stay bit-identical.
-        for _ in 0..1_000 {
-            let inst = gen.next_instance().unwrap();
-            original.learn_one(&inst.x, inst.y);
-            restored.learn_one(&inst.x, inst.y);
-        }
-        let mut probe_gen = SeaGenerator::new(0, 0.0, 52);
-        for _ in 0..100 {
-            let inst = probe_gen.next_instance().unwrap();
-            let (pa, pb) = (
-                original.predict_proba(&inst.x),
-                restored.predict_proba(&inst.x),
-            );
-            for (va, vb) in pa.iter().zip(pb.iter()) {
-                assert_eq!(va.to_bits(), vb.to_bits());
-            }
-        }
-        assert_eq!(
-            original.to_snapshot_bytes(),
-            restored.to_snapshot_bytes(),
-            "continued states must serialise identically"
-        );
-    }
-
-    #[test]
-    fn snapshot_file_round_trip_and_corruption() {
-        let mut ensemble = LeveragingBagging::new(sea_schema(), LeveragingBaggingConfig::default());
-        let mut gen = SeaGenerator::new(0, 0.0, 53);
-        for _ in 0..500 {
-            let inst = gen.next_instance().unwrap();
-            ensemble.learn_one(&inst.x, inst.y);
-        }
-        let dir = std::env::temp_dir().join("dmt-bagging-snapshot-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("ensemble.dmt");
-        ensemble.save_snapshot(&path).expect("save");
-        let restored = LeveragingBagging::load_snapshot(&path).expect("load");
-        assert_eq!(restored.observations, ensemble.observations);
-        std::fs::remove_file(&path).ok();
-
-        // Corruption anywhere in the sealed bytes is a typed error.
-        let bytes = ensemble.to_snapshot_bytes();
-        for cut in (0..bytes.len()).step_by(97) {
-            assert!(LeveragingBagging::from_snapshot_bytes(&bytes[..cut]).is_err());
-        }
-        let mut flipped = bytes.clone();
-        let mid = flipped.len() / 2;
-        flipped[mid] ^= 0x40;
-        assert!(LeveragingBagging::from_snapshot_bytes(&flipped).is_err());
     }
 
     #[test]

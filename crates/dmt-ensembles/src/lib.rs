@@ -11,7 +11,8 @@
 //!   resets.
 //!
 //! As in §VI-C of the paper, both ensembles use **three** basic Hoeffding
-//! trees (majority-class leaves, binary splits) as weak learners.
+//! trees (majority-class leaves, binary splits) as weak learners. They are
+//! comparators, built fresh for every run: neither is saved or restored.
 //!
 //! # Parallel member training
 //!
@@ -36,7 +37,6 @@
 pub mod arf;
 pub mod bagging;
 pub mod parallel;
-pub(crate) mod snapshot;
 
 pub use arf::{AdaptiveRandomForest, ArfConfig};
 pub use bagging::{LeveragingBagging, LeveragingBaggingConfig};

@@ -7,7 +7,6 @@
 //! long streams.
 
 use crate::linalg::clamp_proba;
-use crate::wire::{self, Reader, WireError, Writer};
 use crate::{argmax, Rows, SimpleModel};
 
 /// Welford running estimator of mean and variance.
@@ -63,23 +62,6 @@ impl RunningStats {
         let var = self.variance().max(1e-6);
         let diff = value - self.mean;
         -0.5 * ((2.0 * std::f64::consts::PI * var).ln() + diff * diff / var)
-    }
-
-    /// Serialise the estimator (count and raw moment bits) through `w`; the
-    /// inverse of [`RunningStats::decode`].
-    pub fn encode(&self, w: &mut Writer) {
-        w.put_u64(self.count);
-        w.put_f64(self.mean);
-        w.put_f64(self.m2);
-    }
-
-    /// Reconstruct an estimator from [`RunningStats::encode`] output.
-    pub fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(Self {
-            count: r.get_u64()?,
-            mean: r.get_f64()?,
-            m2: r.get_f64()?,
-        })
     }
 
     /// Merge another estimator into this one (parallel-combine formula).
@@ -210,57 +192,6 @@ impl GaussianNaiveBayes {
     /// Number of features the model was built for.
     pub fn num_features(&self) -> usize {
         self.num_features
-    }
-
-    /// Serialise the full model state (shape, per-class priors, per-feature
-    /// Gaussians) through `w`; the inverse of [`GaussianNaiveBayes::decode`].
-    pub fn encode(&self, w: &mut Writer) {
-        w.put_usize(self.num_features);
-        w.put_u64(self.seen);
-        w.put_u64_slice(&self.class_counts);
-        for feature_stats in &self.stats {
-            for stat in feature_stats {
-                stat.encode(w);
-            }
-        }
-    }
-
-    /// Reconstruct a model from [`GaussianNaiveBayes::encode`] output,
-    /// validating the class/feature shape before reading the Gaussian grid.
-    pub fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        let num_features = r.get_usize()?;
-        let seen = r.get_u64()?;
-        let class_counts = r.get_u64_vec()?;
-        let num_classes = class_counts.len();
-        if num_classes < 2 {
-            return Err(wire::invalid(format!(
-                "naive Bayes needs at least two classes, got {num_classes}"
-            )));
-        }
-        // Each Gaussian is 24 bytes; checking the grid against the remaining
-        // bytes up front keeps a forged shape from looping over a huge range.
-        let cells = num_classes
-            .checked_mul(num_features)
-            .ok_or_else(|| wire::invalid("naive Bayes grid size overflows"))?;
-        if cells.checked_mul(24).is_none_or(|b| b > r.remaining()) {
-            return Err(wire::invalid(format!(
-                "naive Bayes grid of {cells} Gaussians exceeds the remaining bytes"
-            )));
-        }
-        let mut stats = Vec::with_capacity(num_classes);
-        for _ in 0..num_classes {
-            let mut feature_stats = Vec::with_capacity(num_features);
-            for _ in 0..num_features {
-                feature_stats.push(RunningStats::decode(r)?);
-            }
-            stats.push(feature_stats);
-        }
-        Ok(Self {
-            stats,
-            class_counts,
-            num_features,
-            seen,
-        })
     }
 }
 

@@ -1,9 +1,9 @@
-//! Bounds-checked binary encoding primitives shared by every snapshot codec
-//! in the workspace.
+//! Bounds-checked binary encoding primitives shared by the Dynamic Model Tree
+//! snapshot and the `dmt-serve` wire frames.
 //!
-//! The persistence layer (`dmt-core::snapshot`, the ensemble save/load paths)
-//! serialises model state that lives behind private fields spread over several
-//! crates, so the byte-level plumbing sits here at the bottom of the
+//! The snapshot (`dmt-core::snapshot`) serialises model state that lives
+//! behind private fields in more than one crate (the tree in `dmt-core`, its
+//! GLMs here), so the byte-level plumbing sits here at the bottom of the
 //! dependency stack where every crate can reach it. The format is deliberately
 //! plain: little-endian fixed-width integers, `f64` values as raw IEEE-754
 //! bit patterns (round-trips are bit-identical by construction), and
@@ -134,14 +134,6 @@ impl Writer {
         }
     }
 
-    /// Append a length-prefixed `u64` sequence.
-    pub fn put_u64_slice(&mut self, values: &[u64]) {
-        self.put_usize(values.len());
-        for &v in values {
-            self.put_u64(v);
-        }
-    }
-
     /// Append a length-prefixed `u32` sequence.
     pub fn put_u32_slice(&mut self, values: &[u32]) {
         self.put_usize(values.len());
@@ -260,12 +252,6 @@ impl<'a> Reader<'a> {
         (0..len).map(|_| self.get_f64()).collect()
     }
 
-    /// Read a length-prefixed `u64` sequence.
-    pub fn get_u64_vec(&mut self) -> Result<Vec<u64>, WireError> {
-        let len = self.get_len(8)?;
-        (0..len).map(|_| self.get_u64()).collect()
-    }
-
     /// Read a length-prefixed `u32` sequence.
     pub fn get_u32_vec(&mut self) -> Result<Vec<u32>, WireError> {
         let len = self.get_len(4)?;
@@ -316,7 +302,6 @@ mod tests {
         w.put_bool(true);
         w.put_bool(false);
         w.put_f64_slice(&[1.5, -2.5]);
-        w.put_u64_slice(&[9, 10]);
         w.put_u32_slice(&[u32::MAX]);
         w.put_str("snapshot");
         let bytes = w.into_bytes();
@@ -331,7 +316,6 @@ mod tests {
         assert!(r.get_bool().unwrap());
         assert!(!r.get_bool().unwrap());
         assert_eq!(r.get_f64_vec().unwrap(), vec![1.5, -2.5]);
-        assert_eq!(r.get_u64_vec().unwrap(), vec![9, 10]);
         assert_eq!(r.get_u32_vec().unwrap(), vec![u32::MAX]);
         assert_eq!(r.get_str().unwrap(), "snapshot");
         r.expect_end().unwrap();

@@ -52,7 +52,7 @@ fn main() -> ExitCode {
         };
     }
 
-    match dmt_verify::run_workspace(&root) {
+    match dmt_verify::run_workspace(&root, &dmt_verify::config::workspace_config()) {
         Ok(diagnostics) if diagnostics.is_empty() => {
             println!("dmt_lint: all workspace invariants hold");
             ExitCode::SUCCESS

@@ -32,7 +32,7 @@ pub mod source;
 
 use std::path::{Path, PathBuf};
 
-use config::workspace_config;
+use config::{workspace_config, WorkspaceConfig};
 use lints::Diagnostic;
 use source::SourceFile;
 
@@ -91,13 +91,13 @@ fn walk_rs(root: &Path, dir: &Path, out: &mut Vec<(String, String)>) -> Result<(
     Ok(())
 }
 
-/// Run every lint pass over the workspace at `root`. Returns the sorted
+/// Run every lint pass over the workspace at `root` under the policy `cfg`
+/// ([`workspace_config`] for the real workspace). Returns the sorted
 /// diagnostics (empty = all invariants hold). `Err` is reserved for
 /// environment problems (unreadable tree, malformed allowlist) — those must
 /// fail the build just as hard as a lint finding, but with a different
 /// message shape.
-pub fn run_workspace(root: &Path) -> Result<Vec<Diagnostic>, String> {
-    let cfg = workspace_config();
+pub fn run_workspace(root: &Path, cfg: &WorkspaceConfig) -> Result<Vec<Diagnostic>, String> {
     let sources = collect_sources(root)?;
     let files: Vec<SourceFile<'_>> = sources
         .iter()
@@ -108,18 +108,18 @@ pub fn run_workspace(root: &Path) -> Result<Vec<Diagnostic>, String> {
     let mut panic_counts: Vec<(String, usize)> = Vec::new();
     let mut panic_sites: Vec<Diagnostic> = Vec::new();
     for file in &files {
-        lints::lint_unsafe(file, &cfg, &mut diagnostics);
-        lints::lint_time(file, &cfg, &mut diagnostics);
-        lints::lint_hot_alloc(file, &cfg, &mut diagnostics);
+        lints::lint_unsafe(file, cfg, &mut diagnostics);
+        lints::lint_time(file, cfg, &mut diagnostics);
+        lints::lint_hot_alloc(file, cfg, &mut diagnostics);
         if in_library_scope(&file.rel_path, cfg.panic_free_crates) {
-            lints::lint_spawn(file, &cfg, &mut diagnostics);
+            lints::lint_spawn(file, cfg, &mut diagnostics);
             let found = lints::scan_panics(file, &mut panic_sites);
             if found > 0 {
                 panic_counts.push((file.rel_path.clone(), found));
             }
         }
     }
-    lints::lint_versions(&files, &cfg, &mut diagnostics);
+    lints::lint_versions(&files, cfg, &mut diagnostics);
 
     let allowlist_path = root.join(cfg.panic_allowlist_file);
     let allowlist_text = match std::fs::read_to_string(&allowlist_path) {

@@ -5,6 +5,7 @@
 use std::path::{Path, PathBuf};
 use std::process::Command;
 
+use dmt_verify::config::{workspace_config, WorkspaceConfig};
 use dmt_verify::lints::Diagnostic;
 
 fn fixture_root() -> PathBuf {
@@ -14,8 +15,27 @@ fn fixture_root() -> PathBuf {
         .join("tree")
 }
 
+/// The policy the fixture tree is linted under. It lists only what the
+/// fixtures exercise, so the live table in `config.rs` can change without
+/// editing test data.
+fn fixture_config() -> WorkspaceConfig {
+    WorkspaceConfig {
+        unsafe_allowed_files: &["crates/dmt-ensembles/src/parallel.rs"],
+        spawn_allowed_files: &[],
+        panic_free_crates: &["dmt-core", "dmt-eval"],
+        deterministic_crates: &["dmt-core"],
+        hot_path_fns: &[("crates/dmt-core/src/scratch.rs", &["gather"])],
+        version_source_file: "crates/dmt-core/src/snapshot.rs",
+        version_referrer_files: &[
+            "crates/dmt-models/src/wire.rs",
+            "crates/dmt-serve/src/protocol.rs",
+        ],
+        panic_allowlist_file: "crates/dmt-verify/panic_allowlist.txt",
+    }
+}
+
 fn fixture_diagnostics() -> Vec<Diagnostic> {
-    dmt_verify::run_workspace(&fixture_root()).expect("fixture tree is readable")
+    dmt_verify::run_workspace(&fixture_root(), &fixture_config()).expect("fixture tree is readable")
 }
 
 fn expect_one(diags: &[Diagnostic], lint: &str, file: &str, line: u32) {
@@ -95,7 +115,8 @@ fn lint_binary_fails_with_file_line_diagnostics_on_fixtures() {
 #[test]
 fn workspace_self_run_is_clean() {
     let root = dmt_verify::workspace_root().expect("workspace root");
-    let diags = dmt_verify::run_workspace(&root).expect("workspace is readable");
+    let diags =
+        dmt_verify::run_workspace(&root, &workspace_config()).expect("workspace is readable");
     assert!(
         diags.is_empty(),
         "the committed workspace must satisfy its own invariants:\n{}",

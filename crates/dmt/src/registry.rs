@@ -694,7 +694,10 @@ mod tests {
         register_dmt(&registry, "a");
         let (xs, ys) = toy_batch(32);
         registry.learn("a", &rows(&xs), &ys).expect("learn");
-        let dir = std::env::temp_dir().join("dmt-registry-swap-share-test");
+        let dir = std::env::temp_dir().join(format!(
+            "dmt-registry-swap-share-test-{}",
+            std::process::id()
+        ));
         std::fs::create_dir_all(&dir).expect("tmp dir");
         let path = dir.join("a.dmt");
         // Saved while "a" owns the whole pool.
@@ -710,7 +713,7 @@ mod tests {
             tenant.epochs.pin().config().memory_budget_bytes,
             Some(FLEET / 2)
         );
-        std::fs::remove_file(&path).ok();
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -722,7 +725,8 @@ mod tests {
         for _ in 0..6 {
             registry.learn("m", &xs, &ys).expect("learn");
         }
-        let dir = std::env::temp_dir().join("dmt-registry-swap-test");
+        let dir =
+            std::env::temp_dir().join(format!("dmt-registry-swap-test-{}", std::process::id()));
         std::fs::create_dir_all(&dir).expect("tmp dir");
         let path = dir.join("m.dmt");
         registry.checkpoint("m", &path).expect("checkpoint");
@@ -742,7 +746,7 @@ mod tests {
         );
         // The swapped-in model keeps learning.
         registry.learn("m", &xs, &ys).expect("learn");
-        std::fs::remove_file(&path).ok();
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -752,7 +756,8 @@ mod tests {
         // Checkpoint a tree with a *different* schema under another tenant.
         let other_schema = StreamSchema::numeric("other", 5, 3);
         let tree = DynamicModelTree::new(other_schema.clone(), DmtConfig::default());
-        let dir = std::env::temp_dir().join("dmt-registry-schema-test");
+        let dir =
+            std::env::temp_dir().join(format!("dmt-registry-schema-test-{}", std::process::id()));
         std::fs::create_dir_all(&dir).expect("tmp dir");
         let path = dir.join("other.dmt");
         tree.save_snapshot(&path).expect("save");
@@ -763,7 +768,7 @@ mod tests {
         // Tenant unharmed.
         let (xs, ys) = toy_batch(8);
         registry.learn("m", &rows(&xs), &ys).expect("learn");
-        std::fs::remove_file(&path).ok();
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

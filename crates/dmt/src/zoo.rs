@@ -6,26 +6,16 @@
 //! once per data set, so every run starts from a fresh, identically
 //! configured classifier — mirroring §VI-C of the paper.
 //!
-//! For long runs the zoo also offers crash-safe **checkpointing**:
-//! [`build_zoo_model`] returns a concretely typed [`ZooModel`] whose
-//! [`ZooModel::checkpoint`] / [`ZooModel::restore`] round-trip the full model
-//! state through the sealed snapshot envelope of [`dmt_core::snapshot`]
-//! (CRC-32-validated, atomically replaced on disk). The Dynamic Model Tree,
-//! both VFDT variants and both ensembles restore **bit-identically** — the
-//! restored model predicts and keeps learning exactly like the saved one.
-//! Kinds without a snapshot codec yet (HT-Ada, EFDT, FIMT-DD) report a typed
-//! [`CheckpointError::Unsupported`] instead of failing at some later point.
-
-use std::path::Path;
+//! Only the Dynamic Model Tree persists: its snapshot lives in
+//! [`dmt_core::snapshot`], and the [`registry`](crate::registry) checkpoints
+//! and hot-swaps it. The comparators are never saved or restored.
 
 use dmt_baselines::{
     EfdtClassifier, EfdtConfig, FimtDdClassifier, FimtDdConfig, HatConfig, HoeffdingAdaptiveTree,
     HoeffdingTreeClassifier, VfdtConfig,
 };
-use dmt_core::snapshot::{self as core_snapshot, SnapshotError};
 use dmt_core::{DmtConfig, DynamicModelTree};
 use dmt_ensembles::{AdaptiveRandomForest, ArfConfig, LeveragingBagging, LeveragingBaggingConfig};
-use dmt_models::wire::{Reader, Writer};
 use dmt_models::OnlineClassifier;
 use dmt_stream::StreamSchema;
 
@@ -101,7 +91,9 @@ pub fn build_model(kind: ModelKind, schema: &StreamSchema, seed: u64) -> Box<dyn
 }
 
 /// Build a concretely typed zoo model — like [`build_model`], but keeping the
-/// concrete type so the model can be checkpointed and restored.
+/// concrete type, which is what [`ModelRegistry::register`] takes.
+///
+/// [`ModelRegistry::register`]: crate::registry::ModelRegistry::register
 pub fn build_zoo_model(kind: ModelKind, schema: &StreamSchema, seed: u64) -> ZooModel {
     match kind {
         ModelKind::Dmt => ZooModel::Dmt(DynamicModelTree::new(
@@ -147,51 +139,11 @@ pub fn build_zoo_model(kind: ModelKind, schema: &StreamSchema, seed: u64) -> Zoo
     }
 }
 
-/// Why a zoo checkpoint or restore failed.
-#[derive(Debug)]
-pub enum CheckpointError {
-    /// The model kind has no snapshot codec yet (HT-Ada, EFDT, FIMT-DD).
-    Unsupported(ModelKind),
-    /// The underlying snapshot machinery failed (I/O, corruption, forged
-    /// state, version skew).
-    Snapshot(SnapshotError),
-}
-
-impl std::fmt::Display for CheckpointError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            CheckpointError::Unsupported(kind) => write!(
-                f,
-                "{} does not support checkpointing yet",
-                kind.display_name()
-            ),
-            CheckpointError::Snapshot(e) => write!(f, "{e}"),
-        }
-    }
-}
-
-impl std::error::Error for CheckpointError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            CheckpointError::Unsupported(_) => None,
-            CheckpointError::Snapshot(e) => Some(e),
-        }
-    }
-}
-
-impl From<SnapshotError> for CheckpointError {
-    fn from(e: SnapshotError) -> Self {
-        CheckpointError::Snapshot(e)
-    }
-}
-
 /// A concretely typed model from the zoo.
 ///
 /// [`build_model`] erases the concrete type behind `Box<dyn
 /// OnlineClassifier>`, which is all the evaluation harness needs; this enum
-/// keeps the type so long runs can [`checkpoint`](ZooModel::checkpoint) the
-/// model mid-stream and [`restore`](ZooModel::restore) it bit-identically
-/// after a crash.
+/// keeps the type so the registry can take the Dynamic Model Tree out of it.
 #[allow(clippy::large_enum_variant)]
 pub enum ZooModel {
     /// Dynamic Model Tree.
@@ -227,44 +179,6 @@ impl ZooModel {
         }
     }
 
-    /// Whether checkpoint/restore is implemented for this kind.
-    pub fn supports_checkpoint(kind: ModelKind) -> bool {
-        !matches!(kind, ModelKind::HtAda | ModelKind::Efdt | ModelKind::FimtDd)
-    }
-
-    /// Borrow the model as a classifier.
-    pub fn as_classifier(&self) -> &dyn OnlineClassifier {
-        match self {
-            ZooModel::Dmt(m) => m,
-            ZooModel::FimtDd(m) => m,
-            ZooModel::VfdtMc(m) | ZooModel::VfdtNba(m) => m,
-            ZooModel::HtAda(m) => m,
-            ZooModel::Efdt(m) => m,
-            ZooModel::Forest(m) => m,
-            ZooModel::Bagging(m) => m,
-        }
-    }
-
-    /// Mutably borrow the model as a classifier.
-    pub fn as_classifier_mut(&mut self) -> &mut dyn OnlineClassifier {
-        match self {
-            ZooModel::Dmt(m) => m,
-            ZooModel::FimtDd(m) => m,
-            ZooModel::VfdtMc(m) | ZooModel::VfdtNba(m) => m,
-            ZooModel::HtAda(m) => m,
-            ZooModel::Efdt(m) => m,
-            ZooModel::Forest(m) => m,
-            ZooModel::Bagging(m) => m,
-        }
-    }
-
-    /// Resident heap bytes of the model, via
-    /// [`OnlineClassifier::memory_bytes`]. Every zoo kind implements the
-    /// accounting, so this is never the trait's "unaccounted" zero.
-    pub fn memory_bytes(&self) -> usize {
-        self.as_classifier().memory_bytes()
-    }
-
     /// Box the model behind the classifier trait (what [`build_model`]
     /// returns).
     pub fn into_boxed(self) -> Box<dyn OnlineClassifier> {
@@ -276,71 +190,6 @@ impl ZooModel {
             ZooModel::Efdt(m) => Box::new(m),
             ZooModel::Forest(m) => Box::new(m),
             ZooModel::Bagging(m) => Box::new(m),
-        }
-    }
-
-    /// Atomically write a crash-safe checkpoint of the model to `path`.
-    ///
-    /// Kinds without a snapshot codec return
-    /// [`CheckpointError::Unsupported`] without touching the filesystem.
-    pub fn checkpoint<P: AsRef<Path>>(&self, path: P) -> Result<(), CheckpointError> {
-        match self {
-            ZooModel::Dmt(m) => m.save_snapshot(path)?,
-            ZooModel::Forest(m) => m.save_snapshot(path)?,
-            ZooModel::Bagging(m) => m.save_snapshot(path)?,
-            ZooModel::VfdtMc(m) | ZooModel::VfdtNba(m) => {
-                let mut w = Writer::new();
-                m.encode(&mut w);
-                core_snapshot::write_sealed(path.as_ref(), w.as_bytes())?;
-            }
-            ZooModel::HtAda(_) | ZooModel::Efdt(_) | ZooModel::FimtDd(_) => {
-                return Err(CheckpointError::Unsupported(self.kind()))
-            }
-        }
-        Ok(())
-    }
-
-    /// Restore a model of the given kind from a checkpoint written by
-    /// [`ZooModel::checkpoint`].
-    ///
-    /// `schema` supplies the stream schema for kinds whose snapshot does not
-    /// embed one (the VFDT variants); the DMT and ensemble snapshots carry
-    /// their own schema. Corrupted, truncated or forged checkpoints yield a
-    /// typed error — never a panic.
-    pub fn restore<P: AsRef<Path>>(
-        kind: ModelKind,
-        schema: &StreamSchema,
-        path: P,
-    ) -> Result<Self, CheckpointError> {
-        match kind {
-            ModelKind::Dmt => Ok(ZooModel::Dmt(DynamicModelTree::load_snapshot(path)?)),
-            ModelKind::ForestEnsemble => {
-                Ok(ZooModel::Forest(AdaptiveRandomForest::load_snapshot(path)?))
-            }
-            ModelKind::BaggingEnsemble => {
-                Ok(ZooModel::Bagging(LeveragingBagging::load_snapshot(path)?))
-            }
-            ModelKind::VfdtMc | ModelKind::VfdtNba => {
-                let payload = core_snapshot::read_sealed(path.as_ref())?;
-                let mut r = Reader::new(&payload);
-                let tree =
-                    HoeffdingTreeClassifier::decode(&mut r, schema).map_err(SnapshotError::from)?;
-                r.expect_end().map_err(SnapshotError::from)?;
-                if tree.name() != kind.display_name() {
-                    return Err(CheckpointError::Snapshot(SnapshotError::Invalid(format!(
-                        "checkpoint holds a {} model, expected {}",
-                        tree.name(),
-                        kind.display_name()
-                    ))));
-                }
-                Ok(match kind {
-                    ModelKind::VfdtMc => ZooModel::VfdtMc(tree),
-                    _ => ZooModel::VfdtNba(tree),
-                })
-            }
-            ModelKind::HtAda | ModelKind::Efdt | ModelKind::FimtDd => {
-                Err(CheckpointError::Unsupported(kind))
-            }
         }
     }
 }
@@ -376,101 +225,22 @@ mod tests {
         assert_eq!(ModelKind::ForestEnsemble.display_name(), "Forest Ens.");
     }
 
-    fn training_batch(n: usize) -> (Vec<Vec<f64>>, Vec<usize>) {
-        let xs: Vec<Vec<f64>> = (0..n)
-            .map(|i| vec![i as f64 / n as f64, ((i * 7) % n) as f64 / n as f64])
-            .collect();
-        let ys: Vec<usize> = xs.iter().map(|x| usize::from(x[0] > 0.5)).collect();
-        (xs, ys)
-    }
-
-    #[test]
-    fn supported_kinds_checkpoint_and_restore_bit_identically() {
-        let schema = StreamSchema::numeric("toy", 2, 2);
-        let (xs, ys) = training_batch(400);
-        let rows: Vec<&[f64]> = xs.iter().map(|v| v.as_slice()).collect();
-        let dir = std::env::temp_dir().join("dmt-zoo-checkpoint-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        for kind in ALL_MODELS {
-            if !ZooModel::supports_checkpoint(kind) {
-                continue;
-            }
-            let mut model = build_zoo_model(kind, &schema, 11);
-            for _ in 0..5 {
-                model.as_classifier_mut().learn_batch(&rows, &ys);
-            }
-            let path = dir.join(format!("{kind:?}.dmt"));
-            model.checkpoint(&path).expect("checkpoint");
-            let mut restored = ZooModel::restore(kind, &schema, &path).expect("restore");
-            assert_eq!(restored.kind(), kind);
-            // Keep training both; predictions must stay bit-identical.
-            model.as_classifier_mut().learn_batch(&rows, &ys);
-            restored.as_classifier_mut().learn_batch(&rows, &ys);
-            for x in xs.iter().take(50) {
-                let pa = model.as_classifier().predict_proba(x);
-                let pb = restored.as_classifier().predict_proba(x);
-                for (va, vb) in pa.iter().zip(pb.iter()) {
-                    assert_eq!(va.to_bits(), vb.to_bits(), "{kind:?} diverged");
-                }
-            }
-            std::fs::remove_file(&path).ok();
-        }
-    }
-
-    #[test]
-    fn unsupported_kinds_report_a_typed_error() {
-        let schema = StreamSchema::numeric("toy", 2, 2);
-        let dir = std::env::temp_dir().join("dmt-zoo-unsupported-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        for kind in [ModelKind::HtAda, ModelKind::Efdt, ModelKind::FimtDd] {
-            assert!(!ZooModel::supports_checkpoint(kind));
-            let model = build_zoo_model(kind, &schema, 1);
-            let path = dir.join("never-written.dmt");
-            match model.checkpoint(&path) {
-                Err(CheckpointError::Unsupported(k)) => assert_eq!(k, kind),
-                other => panic!("{kind:?} checkpoint gave {other:?}"),
-            }
-            assert!(!path.exists(), "unsupported checkpoint must not write");
-            match ZooModel::restore(kind, &schema, &path) {
-                Err(CheckpointError::Unsupported(k)) => assert_eq!(k, kind),
-                _ => panic!("{kind:?} restore must be unsupported"),
-            }
-        }
-    }
-
-    #[test]
-    fn restoring_as_the_wrong_vfdt_variant_fails() {
-        let schema = StreamSchema::numeric("toy", 2, 2);
-        let (xs, ys) = training_batch(100);
-        let rows: Vec<&[f64]> = xs.iter().map(|v| v.as_slice()).collect();
-        let mut model = build_zoo_model(ModelKind::VfdtMc, &schema, 1);
-        model.as_classifier_mut().learn_batch(&rows, &ys);
-        let dir = std::env::temp_dir().join("dmt-zoo-wrong-kind-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("mc.dmt");
-        model.checkpoint(&path).expect("checkpoint");
-        match ZooModel::restore(ModelKind::VfdtNba, &schema, &path) {
-            Ok(_) => panic!("an MC checkpoint must not restore as NBA"),
-            Err(CheckpointError::Snapshot(_)) => {}
-            Err(e) => panic!("unexpected error class: {e}"),
-        }
-        std::fs::remove_file(&path).ok();
-    }
-
     #[test]
     fn every_model_kind_accounts_its_memory() {
         let schema = StreamSchema::numeric("toy", 4, 3);
-        let (xs, ys) = training_batch(200);
-        let xs: Vec<Vec<f64>> = xs
-            .iter()
-            .map(|x| vec![x[0], x[1], 1.0 - x[0], 0.5])
+        let xs: Vec<Vec<f64>> = (0..200)
+            .map(|i| {
+                let a = i as f64 / 200.0;
+                vec![a, ((i * 7) % 200) as f64 / 200.0, 1.0 - a, 0.5]
+            })
             .collect();
+        let ys: Vec<usize> = xs.iter().map(|x| usize::from(x[0] > 0.5)).collect();
         let rows: Vec<&[f64]> = xs.iter().map(|v| v.as_slice()).collect();
         for kind in ALL_MODELS {
-            let mut model = build_zoo_model(kind, &schema, 7);
+            let mut model = build_model(kind, &schema, 7);
             let fresh = model.memory_bytes();
             assert!(fresh > 0, "{kind:?} reports zero bytes when fresh");
-            model.as_classifier_mut().learn_batch(&rows, &ys);
+            model.learn_batch(&rows, &ys);
             let trained = model.memory_bytes();
             assert!(
                 trained >= fresh,

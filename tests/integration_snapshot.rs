@@ -1,8 +1,11 @@
-//! Crash-safety and fault-injection contracts of the snapshot subsystem:
+//! Crash-safety and fault-injection contracts of the Dynamic Model Tree
+//! snapshot:
 //!
 //! * save→load→predict/learn is **bit-identical** to the uninterrupted model,
 //!   pinned at batch sizes 1/7/64, through streams that force splits,
 //!   replacements *and* prunes;
+//! * the snapshot bytes of trees trained on SEA, Agrawal and the five
+//!   workloads match pinned digests;
 //! * the restored arena preserves the structural bookkeeping (slot count,
 //!   free list, live count, `validate`) across random split/prune/drift
 //!   histories (proptest);
@@ -10,24 +13,27 @@
 //!   valid snapshots: every corrupted buffer loads as a typed `Err` — zero
 //!   panics across the whole suite;
 //! * hostile envelope variants map to their dedicated `SnapshotError`
-//!   variants, and cross-model confusion (ensemble bytes into the tree
-//!   loader and vice versa) is rejected;
+//!   variants;
+//! * concurrent saves to one path each land whole, and a concurrent load
+//!   never sees a torn file;
 //! * an injected job panic propagates out of `WorkerPool::run` but leaves
-//!   the pool dispatchable and the ensemble training on it learnable,
-//!   bit-identical to its serial twin and snapshottable.
+//!   the pool dispatchable and the ensemble training on it learnable and
+//!   bit-identical to its serial twin.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::path::Path;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Barrier;
 
 use dmt::core::snapshot::{
-    open_payload, seal_payload, SNAPSHOT_HEADER_LEN, SNAPSHOT_MAGIC, SNAPSHOT_VERSION,
+    crc32, open_payload, seal_payload, SNAPSHOT_HEADER_LEN, SNAPSHOT_MAGIC, SNAPSHOT_VERSION,
 };
 use dmt::core::{DmtConfig, DynamicModelTree, SnapshotError};
-use dmt::ensembles::{
-    AdaptiveRandomForest, ArfConfig, LeveragingBagging, LeveragingBaggingConfig, Parallelism,
-    WorkerPool,
-};
+use dmt::ensembles::{LeveragingBagging, LeveragingBaggingConfig, Parallelism, WorkerPool};
 use dmt::models::OnlineClassifier;
+use dmt::stream::generators::{AgrawalGenerator, SeaGenerator};
 use dmt::stream::schema::StreamSchema;
+use dmt::stream::{build_workload, DataStream, MinMaxNormalize, WORKLOADS};
 use proptest::prelude::*;
 
 /// The pinned batch sizes: the scalar edge case, a non-multiple of the
@@ -319,28 +325,6 @@ fn hostile_envelopes_map_to_their_error_variants() {
 }
 
 #[test]
-fn cross_model_snapshots_are_rejected() {
-    // A checksum-valid snapshot of one model kind must not load as another.
-    let schema = StreamSchema::numeric("cross", 2, 2);
-    let tree = train_structured(32);
-    let tree_bytes = tree.to_snapshot_bytes();
-
-    let mut bagging = LeveragingBagging::new(schema.clone(), LeveragingBaggingConfig::default());
-    let mut forest = AdaptiveRandomForest::new(schema, ArfConfig::default());
-    for round in 0..40 {
-        let (xs, ys) = step_batch(round, 0, 32);
-        let rows: Vec<&[f64]> = xs.iter().map(|v| v.as_slice()).collect();
-        bagging.learn_batch(&rows, &ys);
-        forest.learn_batch(&rows, &ys);
-    }
-
-    assert!(LeveragingBagging::from_snapshot_bytes(&tree_bytes).is_err());
-    assert!(AdaptiveRandomForest::from_snapshot_bytes(&tree_bytes).is_err());
-    assert!(DynamicModelTree::from_snapshot_bytes(&bagging.to_snapshot_bytes()).is_err());
-    assert!(DynamicModelTree::from_snapshot_bytes(&forest.to_snapshot_bytes()).is_err());
-}
-
-#[test]
 fn worker_pool_survives_injected_job_panics() {
     let pool = WorkerPool::new(4);
     for round in 0..3 {
@@ -366,10 +350,10 @@ fn worker_pool_survives_injected_job_panics() {
 }
 
 #[test]
-fn ensemble_stays_valid_and_snapshottable_after_a_pool_panic() {
+fn ensemble_stays_valid_after_a_pool_panic() {
     // Train pooled, inject a panic through the ensemble's own pool, then keep
     // learning on the same pool: the ensemble must stay bit-identical to a
-    // serial twin and still snapshot/restore cleanly.
+    // serial twin.
     let schema = StreamSchema::numeric("pool-fault", 2, 2);
     let config = |parallelism| LeveragingBaggingConfig {
         parallelism,
@@ -399,18 +383,159 @@ fn ensemble_stays_valid_and_snapshottable_after_a_pool_panic() {
         pooled.learn_batch(&rows, &ys);
         serial.learn_batch(&rows, &ys);
     }
-    let restored = LeveragingBagging::from_snapshot_bytes(&pooled.to_snapshot_bytes()).unwrap();
     for phase in 0..3 {
         let (xs, _) = step_batch(9_000 + phase, phase, 64);
         for x in &xs {
-            let expected = pooled.predict_proba(x);
-            for twin in [serial.predict_proba(x), restored.predict_proba(x)] {
-                for (a, b) in expected.iter().zip(twin.iter()) {
-                    assert_eq!(a.to_bits(), b.to_bits(), "votes diverged after pool panic");
-                }
+            let (a, b) = (pooled.predict_proba(x), serial.predict_proba(x));
+            for (pa, pb) in a.iter().zip(b.iter()) {
+                assert_eq!(
+                    pa.to_bits(),
+                    pb.to_bits(),
+                    "votes diverged after pool panic"
+                );
             }
         }
     }
+}
+
+/// `(stream, crc32, byte length)` of `to_snapshot_bytes()` for an unbudgeted
+/// tree with `DmtConfig { seed: 7, .. }` after the first 5,000 rows of each
+/// stream, rounded up to whole batches (see [`pinned_streams`]).
+///
+/// The snapshot is the tree's whole persisted state, so these digests pin
+/// what it learned and how the codec writes it. Only a change that moves the
+/// bytes on purpose may re-bless this table, and that change explains the
+/// move in CHANGES.md.
+const PINNED_DIGESTS: [(&str, u32, usize); 7] = [
+    ("SEA", 0xFBE317B2, 1100),
+    ("Agrawal", 0x4D378BC8, 11555),
+    ("elec-like", 0xD027E327, 9746),
+    ("forest-like", 0xB037F491, 91308),
+    ("fraud-like", 0xBE4D6B4E, 9615),
+    ("drift-cocktail", 0x751E2113, 3421),
+    ("memory-budget", 0xFC451BF7, 322591),
+];
+
+/// The pinned streams with their batch sizes: the two throughput generators
+/// in batches of 100, then the five workloads in batches of 24, synthesised
+/// into `dir`.
+fn pinned_streams(dir: &Path) -> Vec<(&'static str, Box<dyn DataStream>, usize)> {
+    let mut streams: Vec<(&'static str, Box<dyn DataStream>, usize)> = vec![
+        (
+            "SEA",
+            Box::new(MinMaxNormalize::with_ranges(
+                SeaGenerator::new(0, 0.1, 7),
+                vec![(0.0, 10.0); 3],
+            )),
+            100,
+        ),
+        (
+            "Agrawal",
+            Box::new(MinMaxNormalize::online(AgrawalGenerator::new(0, 0.05, 7))),
+            100,
+        ),
+    ];
+    for info in &WORKLOADS {
+        let stream = build_workload(info.name, dir)
+            .expect("synthesize the workload")
+            .expect("a known workload");
+        streams.push((info.name, stream, 24));
+    }
+    streams
+}
+
+#[test]
+fn snapshot_bytes_match_the_pinned_digests() {
+    let dir = std::env::temp_dir().join(format!("dmt-snapshot-digests-{}", std::process::id()));
+    let mut fresh = Vec::new();
+    for (name, mut stream, batch_size) in pinned_streams(&dir) {
+        let config = DmtConfig {
+            seed: 7,
+            ..DmtConfig::default()
+        };
+        let mut tree = DynamicModelTree::new(stream.schema().clone(), config);
+        let mut rows_seen = 0;
+        while rows_seen < 5_000 {
+            let batch = stream.next_batch(batch_size).expect("5,000 rows");
+            tree.learn_batch(&batch.rows(), &batch.ys);
+            rows_seen += batch.len();
+        }
+        let bytes = tree.to_snapshot_bytes();
+        fresh.push((name, crc32(&bytes), bytes.len()));
+    }
+    std::fs::remove_dir_all(&dir).ok();
+    let table: String = fresh
+        .iter()
+        .map(|(name, crc, len)| format!("    (\"{name}\", 0x{crc:08X}, {len}),\n"))
+        .collect();
+    assert_eq!(
+        fresh, PINNED_DIGESTS,
+        "snapshot bytes moved; fresh digests:\n{table}"
+    );
+}
+
+/// Concurrent saves of different trees to one path, raced by a loader: each
+/// save stages its bytes in a file no other save shares, so every save and
+/// every load succeeds, the file left is one writer's whole snapshot, and no
+/// staging file outlives its save.
+#[test]
+fn concurrent_saves_to_one_path_stay_atomic() {
+    const ROUNDS: usize = 50;
+    const LOADS_PER_ROUND: usize = 20;
+    let dir = std::env::temp_dir().join(format!("dmt-snapshot-race-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let path = dir.join("shared.dmt");
+    let trees: Vec<DynamicModelTree> = [16, 32, 64, 128].map(train_structured).into();
+    let images: Vec<Vec<u8>> = trees.iter().map(|t| t.to_snapshot_bytes()).collect();
+    trees[0].save_snapshot(&path).expect("initial save");
+
+    // Failures are counted, not asserted, inside the threads: a panicking
+    // thread would leave the others waiting at the barrier forever.
+    let failed_saves = AtomicUsize::new(0);
+    let failed_loads = AtomicUsize::new(0);
+    let barrier = Barrier::new(trees.len() + 1);
+    std::thread::scope(|s| {
+        for tree in &trees {
+            s.spawn(|| {
+                for _ in 0..ROUNDS {
+                    barrier.wait();
+                    if tree.save_snapshot(&path).is_err() {
+                        failed_saves.fetch_add(1, Ordering::Relaxed);
+                    }
+                }
+            });
+        }
+        s.spawn(|| {
+            for _ in 0..ROUNDS {
+                barrier.wait();
+                for _ in 0..LOADS_PER_ROUND {
+                    if DynamicModelTree::load_snapshot(&path).is_err() {
+                        failed_loads.fetch_add(1, Ordering::Relaxed);
+                    }
+                }
+            }
+        });
+    });
+
+    let (saves, loads) = (ROUNDS * trees.len(), ROUNDS * LOADS_PER_ROUND);
+    assert_eq!(
+        (failed_saves.into_inner(), failed_loads.into_inner()),
+        (0, 0),
+        "(failed saves of {saves}, failed loads of {loads})"
+    );
+    let survivor = std::fs::read(&path).expect("read the survivor");
+    assert!(
+        images.contains(&survivor),
+        "the file left is no writer's snapshot"
+    );
+    let mut left: Vec<_> = std::fs::read_dir(&dir)
+        .expect("list the temp dir")
+        .map(|entry| entry.expect("dir entry").file_name())
+        .collect();
+    left.sort();
+    assert_eq!(left, ["shared.dmt"], "staging files were left behind");
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 proptest! {
