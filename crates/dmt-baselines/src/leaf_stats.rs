@@ -13,7 +13,7 @@
 //!   far (Gama et al., 2003).
 
 use dmt_models::memory::{slice_deep_bytes, vec_bytes};
-use dmt_models::{GaussianNaiveBayes, MemoryUsage, SimpleModel};
+use dmt_models::{GaussianNaiveBayes, MemoryUsage};
 use dmt_stream::schema::{FeatureType, StreamSchema};
 
 use crate::observer::{AttributeObserver, SplitSuggestion};
@@ -100,21 +100,6 @@ impl LeafStats {
         self.class_counts.iter().filter(|&&c| c > 0.0).count() <= 1
     }
 
-    /// Incorporate a contiguous labelled batch, row by row — the batch-level
-    /// entry point matching the GLM kernel layer's
-    /// [`dmt_models::linalg::MatRef`] convention, for callers that already
-    /// hold a gathered matrix. Exactly equivalent to calling
-    /// [`LeafStats::update`] per row in order — the observer and
-    /// adaptive-policy bookkeeping are order-sensitive, so no statistic
-    /// changes. The baseline trees themselves still route and learn per
-    /// instance (their split timing depends on it).
-    pub fn update_batch(&mut self, xs: dmt_models::linalg::MatRef<'_>, ys: &[usize]) {
-        debug_assert_eq!(xs.rows(), ys.len());
-        for (x, &y) in xs.row_iter().zip(ys.iter()) {
-            self.update(x, y);
-        }
-    }
-
     /// Incorporate one labelled instance.
     pub fn update(&mut self, x: &[f64], y: usize) {
         // Track which of MC / NB would have predicted correctly *before*
@@ -124,7 +109,7 @@ impl LeafStats {
                 self.mc_correct += 1.0;
             }
             if let Some(nb) = &self.nb {
-                if SimpleModel::predict(nb, x) == y {
+                if nb.predict(x) == y {
                     self.nb_correct += 1.0;
                 }
             }
@@ -206,11 +191,6 @@ impl LeafStats {
                 .unwrap_or(std::cmp::Ordering::Equal)
         });
         suggestions
-    }
-
-    /// The leaf prediction policy.
-    pub fn policy(&self) -> LeafPolicy {
-        self.policy
     }
 }
 
@@ -298,33 +278,6 @@ mod tests {
             assert!(pair[0].merit >= pair[1].merit);
         }
         assert!(suggestions[0].merit > 0.5);
-    }
-
-    #[test]
-    fn update_batch_matches_sequential_updates() {
-        let mut seq = LeafStats::new(&schema(), LeafPolicy::NaiveBayesAdaptive);
-        let mut batched = LeafStats::new(&schema(), LeafPolicy::NaiveBayesAdaptive);
-        let flat: Vec<f64> = (0..60)
-            .flat_map(|i| {
-                let v = i as f64 / 60.0;
-                [v, 1.0 - v]
-            })
-            .collect();
-        let ys: Vec<usize> = (0..60)
-            .map(|i| usize::from(i as f64 / 60.0 > 0.5))
-            .collect();
-        for (row, &y) in flat.chunks_exact(2).zip(ys.iter()) {
-            seq.update(row, y);
-        }
-        batched.update_batch(dmt_models::linalg::MatRef::new(&flat, 60, 2), &ys);
-        assert_eq!(seq.total_weight(), batched.total_weight());
-        assert_eq!(seq.majority_class(), batched.majority_class());
-        let probe = [0.25, 0.75];
-        let p_seq = seq.predict_proba(&probe);
-        let p_batched = batched.predict_proba(&probe);
-        for (a, b) in p_seq.iter().zip(p_batched.iter()) {
-            assert_eq!(a.to_bits(), b.to_bits());
-        }
     }
 
     #[test]

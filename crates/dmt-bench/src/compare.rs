@@ -7,8 +7,8 @@
 //! of numeric fields, matching baseline rows against current rows (a missing
 //! current row is an error, never a silent skip), and the tolerance math.
 //! The binaries keep only their domain-specific policy: throughput gates on
-//! relative ratios with control-row normalisation and parallel-row
-//! downgrades; accuracy gates bounded `[0, 1]` scores on absolute deltas.
+//! relative ratios, raw and normalised by a control row; accuracy gates
+//! bounded `[0, 1]` scores on absolute deltas.
 
 use std::collections::BTreeMap;
 

@@ -12,8 +12,14 @@
 //! The right-child statistics are never stored: they are the difference
 //! between the node statistics and the left-child statistics (Algorithm 1,
 //! note before line 4), which halves memory.
+//!
+//! A node keeps its candidates in a [`CandidatePool`], two allocations
+//! however many candidates it holds, so copying a node never costs an
+//! allocation per candidate.
 
-use dmt_models::linalg::{self, MatRef};
+use std::ops::{Deref, Range};
+
+use dmt_models::linalg;
 use dmt_models::memory::vec_bytes;
 use dmt_models::MemoryUsage;
 
@@ -55,90 +61,132 @@ impl CandidateKey {
     }
 }
 
-/// A stored split candidate with its accumulated left-child statistics.
-#[derive(Debug, Clone)]
+/// The scalars of a stored split candidate. Its left-child gradient sum is
+/// row `i` of the owning [`CandidatePool`]'s gradient slab, where `i` is the
+/// candidate's position in the pool.
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SplitCandidate {
     /// The feature–value combination this candidate tests.
     pub key: CandidateKey,
     /// Accumulated loss of the node model on the left subset.
     pub loss_sum: f64,
-    /// Accumulated gradient (w.r.t. the node parameters) on the left subset.
-    pub grad_sum: Vec<f64>,
     /// Number of observations routed left since the candidate was stored.
     pub count: u64,
     /// Most recent gain estimate (used for pool management / replacement).
     pub last_gain: f64,
 }
 
-impl MemoryUsage for SplitCandidate {
-    /// Heap bytes of the candidate's left-child gradient accumulator (the
-    /// only heap allocation a candidate owns).
+/// A node's split candidates in pool order, held in two allocations: the
+/// candidates' scalars, and one row-major slab of their left-child gradient
+/// sums with `num_params` entries per candidate. The pool reads as the slice
+/// of scalars; [`CandidatePool::grad`] reads a candidate's gradient row.
+///
+/// A push grows each allocation by exactly one row when it is full, so a
+/// pool's capacity is whatever its owner reserved (a node pool reserves
+/// `max_candidates` rows on its first admission) or, for the scratch
+/// space's proposal pool, the largest proposal count seen.
+#[derive(Debug, Clone, Default)]
+pub struct CandidatePool {
+    num_params: usize,
+    entries: Vec<SplitCandidate>,
+    grads: Vec<f64>,
+}
+
+impl MemoryUsage for CandidatePool {
+    /// Heap bytes of the scalar column and the gradient slab
+    /// (capacity-based).
     fn memory_bytes(&self) -> usize {
-        vec_bytes(&self.grad_sum)
+        vec_bytes(&self.entries) + vec_bytes(&self.grads)
     }
 }
 
-impl SplitCandidate {
-    /// Create an empty candidate for a node with `num_params` model
-    /// parameters.
-    pub fn new(key: CandidateKey, num_params: usize) -> Self {
+impl Deref for CandidatePool {
+    type Target = [SplitCandidate];
+
+    fn deref(&self) -> &[SplitCandidate] {
+        &self.entries
+    }
+}
+
+impl CandidatePool {
+    /// An empty pool for a node model with `num_params` parameters.
+    pub fn new(num_params: usize) -> Self {
         Self {
+            num_params,
+            ..Self::default()
+        }
+    }
+
+    /// The accumulated left-child gradient of the candidate at `row`.
+    pub fn grad(&self, row: usize) -> &[f64] {
+        &self.grads[self.span(row)]
+    }
+
+    /// Where the gradient of the candidate at `row` sits in the slab.
+    fn span(&self, row: usize) -> Range<usize> {
+        row * self.num_params..(row + 1) * self.num_params
+    }
+
+    /// Drop every candidate, keeping the allocations, and take rows of
+    /// `num_params` gradient entries from now on.
+    pub(crate) fn clear(&mut self, num_params: usize) {
+        self.num_params = num_params;
+        self.entries.clear();
+        self.grads.clear();
+    }
+
+    /// Make room for `rows` candidates in total, with no slack.
+    pub(crate) fn reserve_rows(&mut self, rows: usize) {
+        let extra = rows.saturating_sub(self.entries.len());
+        self.entries.reserve_exact(extra);
+        self.grads.reserve_exact(extra * self.num_params);
+    }
+
+    /// Append a fresh candidate for `key` with empty statistics.
+    pub(crate) fn push(&mut self, key: CandidateKey) {
+        self.reserve_rows(self.len() + 1);
+        self.entries.push(SplitCandidate {
             key,
             loss_sum: 0.0,
-            grad_sum: vec![0.0; num_params],
             count: 0,
             last_gain: f64::NEG_INFINITY,
+        });
+        self.grads.resize(self.grads.len() + self.num_params, 0.0);
+    }
+
+    /// Append `candidate` with the left-child gradient `grad`.
+    pub(crate) fn push_row(&mut self, candidate: SplitCandidate, grad: &[f64]) {
+        debug_assert_eq!(grad.len(), self.num_params);
+        self.reserve_rows(self.len() + 1);
+        self.entries.push(candidate);
+        self.grads.extend_from_slice(grad);
+    }
+
+    /// Overwrite the candidate at `row` with `candidate` and its left-child
+    /// gradient `grad`.
+    pub(crate) fn set_row(&mut self, row: usize, candidate: SplitCandidate, grad: &[f64]) {
+        self.entries[row] = candidate;
+        let span = self.span(row);
+        self.grads[span].copy_from_slice(grad);
+    }
+
+    /// Add one batch's left-subset sums to the candidate at `row`: `loss`,
+    /// `count` rows and the gradient sum `grad`.
+    #[inline]
+    pub(crate) fn add(&mut self, row: usize, loss: f64, count: u64, grad: &[f64]) {
+        let entry = &mut self.entries[row];
+        entry.loss_sum += loss;
+        entry.count += count;
+        let span = self.span(row);
+        linalg::add_assign(&mut self.grads[span], grad);
+    }
+
+    /// Set every candidate's `last_gain` to `gain(candidate, gradient)`.
+    pub(crate) fn refresh_gains(&mut self, gain: impl Fn(&SplitCandidate, &[f64]) -> f64) {
+        let k = self.num_params;
+        for (row, entry) in self.entries.iter_mut().enumerate() {
+            entry.last_gain = gain(entry, &self.grads[row * k..(row + 1) * k]);
         }
-    }
-
-    /// Accumulate the loss/gradient of one left-routed observation.
-    pub fn accumulate(&mut self, loss: f64, grad: &[f64]) {
-        self.loss_sum += loss;
-        linalg::add_assign(&mut self.grad_sum, grad);
-        self.count += 1;
-    }
-
-    /// Accumulate every left-routed row of a gathered batch in row order:
-    /// `xs` holds the instances (row-major), `losses[i]`/`grads.row(i)` the
-    /// per-row loss and gradient from a batched model pass.
-    ///
-    /// This is the *reference* per-row accumulation — the definition of which
-    /// rows a candidate owns. The tree's hot path does **not** call it; it
-    /// uses the per-feature passes in `dmt_core::node` (sorted prefix sums
-    /// for numeric candidates, per-category buckets for nominal ones), which
-    /// select the same row set (pinned by tests) while touching each
-    /// gradient row once per feature instead of once per candidate.
-    pub fn accumulate_batch(&mut self, xs: MatRef<'_>, losses: &[f64], grads: MatRef<'_>) {
-        debug_assert_eq!(xs.rows(), losses.len());
-        debug_assert_eq!(xs.rows(), grads.rows());
-        let m = xs.cols();
-        let data = xs.as_slice();
-        for i in 0..xs.rows() {
-            if self.key.test_value(data[i * m + self.key.feature]) {
-                self.accumulate(losses[i], grads.row(i));
-            }
-        }
-    }
-
-    /// Reset the accumulated statistics (used after structural changes).
-    pub fn reset(&mut self) {
-        self.loss_sum = 0.0;
-        self.grad_sum.iter_mut().for_each(|g| *g = 0.0);
-        self.count = 0;
-        self.last_gain = f64::NEG_INFINITY;
-    }
-
-    /// Re-initialise a recycled candidate for a fresh key, reusing the
-    /// gradient buffer's allocation. The tree's proposal machinery keeps a
-    /// pool of retired candidates so steady-state proposal generation
-    /// performs no heap allocation.
-    pub fn reset_for(&mut self, key: CandidateKey, num_params: usize) {
-        self.key = key;
-        self.loss_sum = 0.0;
-        self.grad_sum.clear();
-        self.grad_sum.resize(num_params, 0.0);
-        self.count = 0;
-        self.last_gain = f64::NEG_INFINITY;
     }
 }
 
@@ -301,25 +349,6 @@ mod tests {
     }
 
     #[test]
-    fn accumulate_and_reset() {
-        let key = CandidateKey {
-            feature: 0,
-            value: 0.5,
-            is_nominal: false,
-        };
-        let mut cand = SplitCandidate::new(key, 3);
-        cand.accumulate(1.5, &[1.0, 0.0, -1.0]);
-        cand.accumulate(0.5, &[1.0, 2.0, 0.0]);
-        assert_eq!(cand.count, 2);
-        assert!((cand.loss_sum - 2.0).abs() < 1e-12);
-        assert_eq!(cand.grad_sum, vec![2.0, 2.0, -1.0]);
-        cand.reset();
-        assert_eq!(cand.count, 0);
-        assert_eq!(cand.loss_sum, 0.0);
-        assert_eq!(cand.grad_sum, vec![0.0, 0.0, 0.0]);
-    }
-
-    #[test]
     fn proposals_cover_every_feature() {
         let xs: Vec<Vec<f64>> = (0..40)
             .map(|i| vec![i as f64 / 40.0, (i % 4) as f64])
@@ -341,10 +370,10 @@ mod tests {
         let xs: Vec<Vec<f64>> = (0..20).map(|i| vec![i as f64]).collect();
         let rows: Vec<&[f64]> = xs.iter().map(|v| v.as_slice()).collect();
         let first = propose_from_batch(&rows, &[false], &[]);
-        let stored: Vec<SplitCandidate> = first
-            .iter()
-            .map(|&key| SplitCandidate::new(key, 2))
-            .collect();
+        let mut stored = CandidatePool::new(2);
+        for &key in &first {
+            stored.push(key);
+        }
         let second = propose_from_batch(&rows, &[false], &stored);
         assert!(
             second.is_empty(),
@@ -369,38 +398,6 @@ mod tests {
             for (a, b) in values.iter().zip(expected.iter()) {
                 assert_eq!(a.to_bits(), b.to_bits(), "n={n}");
             }
-        }
-    }
-
-    #[test]
-    fn accumulate_batch_matches_per_row_accumulation() {
-        let key = CandidateKey {
-            feature: 1,
-            value: 0.5,
-            is_nominal: false,
-        };
-        let flat: Vec<f64> = (0..20)
-            .flat_map(|i| [i as f64 / 20.0, ((i * 3) % 20) as f64 / 20.0])
-            .collect();
-        let xs = MatRef::new(&flat, 20, 2);
-        let losses: Vec<f64> = (0..20).map(|i| i as f64 * 0.1).collect();
-        let grads_flat: Vec<f64> = (0..20 * 3).map(|i| i as f64 * 0.01).collect();
-        let grads = MatRef::new(&grads_flat, 20, 3);
-
-        let mut batched = SplitCandidate::new(key, 3);
-        batched.accumulate_batch(xs, &losses, grads);
-
-        let mut sequential = SplitCandidate::new(key, 3);
-        for (i, &loss) in losses.iter().enumerate() {
-            if key.goes_left(xs.row(i)) {
-                sequential.accumulate(loss, grads.row(i));
-            }
-        }
-        assert_eq!(batched.count, sequential.count);
-        assert!(batched.count > 0);
-        assert_eq!(batched.loss_sum.to_bits(), sequential.loss_sum.to_bits());
-        for (a, b) in batched.grad_sum.iter().zip(sequential.grad_sum.iter()) {
-            assert_eq!(a.to_bits(), b.to_bits());
         }
     }
 

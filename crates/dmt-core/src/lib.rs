@@ -67,7 +67,7 @@ pub mod snapshot;
 pub mod tree;
 
 pub use arena::{NodeArena, NodeId};
-pub use candidate::{CandidateKey, SplitCandidate};
+pub use candidate::{CandidateKey, CandidatePool, SplitCandidate};
 pub use epoch::{Epoch, EpochCell, PinnedEpoch};
 pub use error::DmtError;
 pub use explain::{DecisionStep, LeafExplanation};

@@ -7,7 +7,7 @@
 //!
 //! | rank | lock                | lives in                         |
 //! |------|---------------------|----------------------------------|
-//! | 1    | `RegistryMap`       | `dmt::registry` shard `RwLock`s  |
+//! | 1    | `RegistryMap`       | `dmt::registry` tenant-map lock  |
 //! | 2    | `TenantWriter`      | `dmt::registry` tenant `Mutex`   |
 //! | 3    | `PoolJobSlot`       | `dmt_ensembles::parallel` pool   |
 //! | 4    | `EpochCell`         | `dmt_core::epoch` current-epoch  |
@@ -23,7 +23,7 @@
 //! runs on a real interleave.
 //!
 //! [`Ranked`] packages a token with a lock guard for functions that *return*
-//! guards (the registry's shard and writer accessors), dereferencing
+//! guards (the registry's map and writer accessors), dereferencing
 //! transparently to the guarded value so call sites read unchanged.
 
 use std::ops::{Deref, DerefMut};
@@ -32,7 +32,7 @@ use std::ops::{Deref, DerefMut};
 /// order is rank order; `derive(PartialOrd)` relies on it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum LockRank {
-    /// A registry tenant-map shard (`dmt::registry`).
+    /// The registry's tenant-map `RwLock` (`dmt::registry`).
     RegistryMap = 1,
     /// A tenant's writer mutex (`dmt::registry`).
     TenantWriter = 2,
@@ -85,7 +85,7 @@ impl RankToken {
     /// Debug builds assert that `rank` is strictly above every rank this
     /// thread already holds — equal ranks are rejected too (the workspace
     /// never nests two locks of one rank on a thread; allowing it would
-    /// permit shard/shard deadlocks the order cannot break).
+    /// permit same-rank deadlocks the order cannot break).
     #[inline]
     pub fn acquire(rank: LockRank) -> Self {
         #[cfg(debug_assertions)]

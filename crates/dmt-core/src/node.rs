@@ -6,15 +6,18 @@
 //! recursive batch learning procedure (`learn_at`) that walks the arena by
 //! [`NodeId`], routing each node's sub-batch with a stable in-place index
 //! partition.
+//!
+//! Stored and proposed split candidates are rows of [`CandidatePool`]s:
+//! admission copies rows, and a split reads the winner's row in place.
 
 use std::collections::HashMap;
 
 use dmt_models::linalg::{self, MatMut, MatRef};
-use dmt_models::memory::{slice_deep_bytes, vec_bytes};
+use dmt_models::memory::vec_bytes;
 use dmt_models::{Glm, MemoryUsage, SimpleModel as _};
 
 use crate::arena::{NodeArena, NodeId};
-use crate::candidate::{CandidateKey, SplitCandidate};
+use crate::candidate::{CandidateKey, CandidatePool, SplitCandidate};
 use crate::scratch::UpdateScratch;
 use crate::tree::DmtConfig;
 
@@ -84,18 +87,14 @@ pub struct NodeStats {
     /// Number of observations in the current window `|S_t|`.
     pub count: u64,
     /// Stored split candidates (at most `3·m` by default).
-    pub candidates: Vec<SplitCandidate>,
+    pub candidates: CandidatePool,
 }
 
 impl MemoryUsage for NodeStats {
     /// Heap bytes of the leaf model parameters, the gradient accumulator and
-    /// the candidate pool (capacity-based, including each candidate's own
-    /// gradient vector).
+    /// the candidate pool (capacity-based).
     fn memory_bytes(&self) -> usize {
-        self.model.memory_bytes()
-            + vec_bytes(&self.grad_sum)
-            + vec_bytes(&self.candidates)
-            + slice_deep_bytes(&self.candidates)
+        self.model.memory_bytes() + vec_bytes(&self.grad_sum) + self.candidates.memory_bytes()
     }
 }
 
@@ -108,7 +107,7 @@ impl NodeStats {
             loss_sum: 0.0,
             grad_sum: vec![0.0; params],
             count: 0,
-            candidates: Vec::new(),
+            candidates: CandidatePool::new(params),
         }
     }
 
@@ -127,7 +126,7 @@ impl NodeStats {
         self.loss_sum = 0.0;
         self.grad_sum.iter_mut().for_each(|g| *g = 0.0);
         self.count = 0;
-        self.candidates.clear();
+        self.candidates.clear(self.model.num_params());
     }
 
     /// Number of free parameters `k` of the node's simple model.
@@ -140,7 +139,7 @@ impl NodeStats {
     /// re-proposed from future batches, so this costs adaptation latency
     /// on the affected node but no model quality.
     pub(crate) fn shed_candidates(&mut self) {
-        self.candidates = Vec::new();
+        self.candidates = CandidatePool::new(self.k());
     }
 
     /// First-order candidate-loss approximation of eq. (7):
@@ -153,9 +152,10 @@ impl NodeStats {
     }
 
     /// Gain (3) of splitting observations with statistics `(node_loss_sum,
-    /// node_grad_sum, node_count)` on `candidate`, measured against an
-    /// arbitrary `reference_loss`. Free function form so callers can iterate
-    /// the candidate pool mutably while borrowing the node accumulators.
+    /// node_grad_sum, node_count)` on `candidate` with left-child gradient
+    /// `grad`, measured against an arbitrary `reference_loss`. Free function
+    /// form so callers can iterate the candidate pool mutably while
+    /// borrowing the node accumulators.
     ///
     /// The right-child gradient norm is computed directly from the difference
     /// of the accumulators ([`linalg::sub_norm_sq`]), so no intermediate
@@ -166,49 +166,40 @@ impl NodeStats {
         node_grad_sum: &[f64],
         node_count: u64,
         candidate: &SplitCandidate,
+        grad: &[f64],
         reference_loss: f64,
         lr: f64,
     ) -> Option<f64> {
         if candidate.count == 0 || candidate.count >= node_count {
             return None;
         }
-        let left_approx =
-            Self::child_loss_approx(candidate.loss_sum, &candidate.grad_sum, candidate.count, lr);
+        let left_approx = Self::child_loss_approx(candidate.loss_sum, grad, candidate.count, lr);
         let right_loss = node_loss_sum - candidate.loss_sum;
         let right_count = node_count - candidate.count;
-        let right_norm_sq = linalg::sub_norm_sq(node_grad_sum, &candidate.grad_sum);
+        let right_norm_sq = linalg::sub_norm_sq(node_grad_sum, grad);
         let right_approx = right_loss - lr / right_count as f64 * right_norm_sq;
         Some(reference_loss - left_approx - right_approx)
     }
 
-    /// Gain (3) of splitting this node's observations on `candidate`,
-    /// measured against an arbitrary `reference_loss` (the node's own loss for
-    /// leaf splits, the subtree leaf-loss sum for inner-node replacements).
-    ///
-    /// Returns `None` when the candidate routes everything to one side, in
-    /// which case no meaningful split exists.
-    pub fn candidate_gain(
-        &self,
-        candidate: &SplitCandidate,
-        reference_loss: f64,
-        lr: f64,
-    ) -> Option<f64> {
-        Self::gain_against(
-            self.loss_sum,
-            &self.grad_sum,
-            self.count,
-            candidate,
-            reference_loss,
-            lr,
-        )
-    }
-
-    /// Index and gain of the best stored candidate relative to
-    /// `reference_loss`.
+    /// Index and gain (3) of the best stored candidate relative to
+    /// `reference_loss` (the node's own loss for leaf splits, the subtree
+    /// leaf-loss sum for inner-node replacements). A candidate that routes
+    /// everything to one side has no gain.
     pub fn best_candidate(&self, reference_loss: f64, lr: f64) -> Option<(usize, f64)> {
+        let (loss_sum, grad_sum, count) = (self.loss_sum, &self.grad_sum, self.count);
         let mut best: Option<(usize, f64)> = None;
         for (i, candidate) in self.candidates.iter().enumerate() {
-            if let Some(gain) = self.candidate_gain(candidate, reference_loss, lr) {
+            let grad = self.candidates.grad(i);
+            let gain = Self::gain_against(
+                loss_sum,
+                grad_sum,
+                count,
+                candidate,
+                grad,
+                reference_loss,
+                lr,
+            );
+            if let Some(gain) = gain {
                 if best.is_none_or(|(_, g)| gain > g) {
                     best = Some((i, gain));
                 }
@@ -298,7 +289,7 @@ impl NodeStats {
             boundaries,
             acc_buf,
             proposals_buf,
-            retired,
+            admit_order,
             bucket_keys,
             bucket_losses,
             bucket_counts,
@@ -333,16 +324,14 @@ impl NodeStats {
         // and serve both the quantile proposals and a boundary sweep that
         // hands every candidate its left-prefix sums; nominal features build
         // per-category bucket accumulators that serve both the distinct-code
-        // proposals and the candidate sums. Proposal `SplitCandidate`s are
-        // recycled through the `retired` pool, so the whole pass is
-        // allocation-free in steady state.
-        proposals_buf.clear();
+        // proposals and the candidate sums. The proposals fill a pool of
+        // their own in the scratch space, whose slab keeps its capacity, so
+        // the whole pass is allocation-free in steady state.
+        proposals_buf.clear(k);
         Self::group_candidates(&self.candidates, m, cand_order, cand_start);
         Self::propose_and_accumulate(
             &mut self.candidates,
             proposals_buf,
-            retired,
-            k,
             xmat,
             nominal_features,
             losses,
@@ -366,21 +355,21 @@ impl NodeStats {
             bucket_lookup,
         );
 
-        // Refresh the stored candidates' gain estimates. Borrowing the
-        // accumulator fields directly lets the pool be iterated mutably
-        // without collecting the gains into a temporary vector.
-        let reference_loss = self.loss_sum;
+        // Refresh the gain estimates of the stored candidates and the
+        // proposals, both against the node's own loss. Borrowing the
+        // accumulator fields directly lets the pool be updated in place.
         let lr = config.learning_rate;
         let (loss_sum, grad_sum, count) = (self.loss_sum, &self.grad_sum, self.count);
-        for candidate in self.candidates.iter_mut() {
-            candidate.last_gain =
-                Self::gain_against(loss_sum, grad_sum, count, candidate, reference_loss, lr)
-                    .unwrap_or(f64::NEG_INFINITY);
-        }
+        let gain = |candidate: &SplitCandidate, grad: &[f64]| {
+            Self::gain_against(loss_sum, grad_sum, count, candidate, grad, loss_sum, lr)
+                .unwrap_or(f64::NEG_INFINITY)
+        };
+        self.candidates.refresh_gains(gain);
+        proposals_buf.refresh_gains(gain);
 
         // Candidate pool management (§V-D): let the freshly proposed
         // candidates displace at most `replacement_rate` of the pool.
-        self.manage_candidate_pool(m, config, proposals_buf, retired);
+        self.manage_candidate_pool(m, config, proposals_buf, admit_order);
 
         // Finally, train the simple model with constant-learning-rate SGD
         // over the gathered batch (§V-A); `config.batch_mode` selects the
@@ -397,22 +386,6 @@ impl NodeStats {
         );
     }
 
-    /// Pop a recycled candidate for `key` from the `retired` pool (reusing
-    /// its gradient allocation) or build a fresh one.
-    fn recycled_candidate(
-        retired: &mut Vec<SplitCandidate>,
-        key: CandidateKey,
-        k: usize,
-    ) -> SplitCandidate {
-        match retired.pop() {
-            Some(mut candidate) => {
-                candidate.reset_for(key, k);
-                candidate
-            }
-            None => SplitCandidate::new(key, k),
-        }
-    }
-
     /// Group the stored candidates by feature with a counting sort of their
     /// indices that keeps pool order inside each group. Afterwards group `f`
     /// is `order[start[f]..start[f + 1]]`: the counts go to `start[f + 2]`,
@@ -422,7 +395,7 @@ impl NodeStats {
     /// feature the batch does not have (`feature ≥ m`) join no group, just
     /// as the per-feature passes never reached them.
     fn group_candidates(
-        candidates: &[SplitCandidate],
+        candidates: &CandidatePool,
         m: usize,
         order: &mut Vec<u32>,
         start: &mut Vec<u32>,
@@ -451,7 +424,7 @@ impl NodeStats {
     /// fresh `proposals` (within the [`CandidateKey::same_as`] tolerance,
     /// which never matches across features).
     fn already_stored(
-        candidates: &[SplitCandidate],
+        candidates: &CandidatePool,
         group: &[u32],
         proposals: &[SplitCandidate],
         key: &CandidateKey,
@@ -491,14 +464,12 @@ impl NodeStats {
     /// (`groups`, built by [`Self::group_candidates`]) and select the
     /// identical row set as a per-row scan with [`CandidateKey::goes_left`]
     /// (pinned by tests); only the floating-point summation order differs.
-    /// Proposal candidates are recycled through `retired`, so the
-    /// steady-state pass performs no heap allocation.
+    /// Every sum reaches a candidate or proposal through
+    /// [`CandidatePool::add`].
     #[allow(clippy::too_many_arguments)] // threaded scratch buffers, not state
     fn propose_and_accumulate(
-        candidates: &mut [SplitCandidate],
-        proposals: &mut Vec<SplitCandidate>,
-        retired: &mut Vec<SplitCandidate>,
-        k: usize,
+        candidates: &mut CandidatePool,
+        proposals: &mut CandidatePool,
         xs: MatRef<'_>,
         nominal_features: &[bool],
         losses: &[f64],
@@ -518,6 +489,7 @@ impl NodeStats {
         const PROPOSAL_TAG: u32 = 1 << 31;
         let b = xs.rows();
         let m = xs.cols();
+        let k = grads.cols();
         let data = xs.as_slice();
         let cmp_f64 = |a: &f64, b: &f64| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal);
         let mut stripe = 0usize;
@@ -590,14 +562,15 @@ impl NodeStats {
                         value,
                         is_nominal: true,
                     };
-                    if !Self::already_stored(candidates, group, &proposals[proposal_start..], &key)
-                    {
-                        proposals.push(Self::recycled_candidate(retired, key, k));
+                    let fresh = &proposals[proposal_start..];
+                    if !Self::already_stored(candidates, group, fresh, &key) {
+                        proposals.push(key);
                     }
                 }
                 for &ci in group {
                     Self::add_bucket_stats(
-                        &mut candidates[ci as usize],
+                        candidates,
+                        ci as usize,
                         bucket_keys,
                         bucket_losses,
                         bucket_counts,
@@ -605,9 +578,10 @@ impl NodeStats {
                         k,
                     );
                 }
-                for proposal in proposals[proposal_start..].iter_mut() {
+                for row in proposal_start..proposals.len() {
                     Self::add_bucket_stats(
-                        proposal,
+                        proposals,
+                        row,
                         bucket_keys,
                         bucket_losses,
                         bucket_counts,
@@ -639,9 +613,9 @@ impl NodeStats {
                         value,
                         is_nominal: false,
                     };
-                    if !Self::already_stored(candidates, group, &proposals[proposal_start..], &key)
-                    {
-                        proposals.push(Self::recycled_candidate(retired, key, k));
+                    let fresh = &proposals[proposal_start..];
+                    if !Self::already_stored(candidates, group, fresh, &key) {
+                        proposals.push(key);
                     }
                 }
                 // Boundary sweep: every candidate's left subset is the sorted
@@ -658,100 +632,68 @@ impl NodeStats {
                         boundaries.push((hi as u32, ci));
                     }
                 }
-                for (pi, proposal) in proposals[proposal_start..].iter().enumerate() {
-                    let threshold = numeric_sort_key(proposal.key.value);
+                for row in proposal_start..proposals.len() {
+                    let threshold = numeric_sort_key(proposals[row].key.value);
                     let hi = order.partition_point(|&r| key_of(r) <= threshold);
                     if hi > 0 {
-                        boundaries.push((hi as u32, (proposal_start + pi) as u32 | PROPOSAL_TAG));
+                        boundaries.push((hi as u32, row as u32 | PROPOSAL_TAG));
                     }
-                }
-                if boundaries.is_empty() {
-                    continue;
                 }
                 boundaries.sort_unstable();
                 acc_buf.clear();
                 acc_buf.resize(k, 0.0);
                 let mut acc_loss = 0.0;
-                let mut next = 0usize;
-                for (pos, &row_index) in order.iter().enumerate() {
-                    while next < boundaries.len() && boundaries[next].0 as usize == pos {
-                        let (hi, tag) = boundaries[next];
-                        let target = if tag & PROPOSAL_TAG != 0 {
-                            &mut proposals[(tag & !PROPOSAL_TAG) as usize]
-                        } else {
-                            &mut candidates[tag as usize]
-                        };
-                        target.loss_sum += acc_loss;
-                        target.count += hi as u64;
-                        for (g, &a) in target.grad_sum.iter_mut().zip(acc_buf.iter()) {
-                            *g += a;
-                        }
-                        next += 1;
+                let mut swept = 0usize;
+                for &(hi, tag) in boundaries.iter() {
+                    for &r in &order[swept..hi as usize] {
+                        acc_loss += losses[r as usize];
+                        linalg::add_assign(acc_buf, grads.row(r as usize));
                     }
-                    if next == boundaries.len() {
-                        break;
-                    }
-                    let r = row_index as usize;
-                    acc_loss += losses[r];
-                    let row = grads.row(r);
-                    for (a, &g) in acc_buf.iter_mut().zip(row.iter()) {
-                        *a += g;
-                    }
-                }
-                // Boundaries covering the whole batch emit after the sweep.
-                while next < boundaries.len() {
-                    let (hi, tag) = boundaries[next];
-                    let target = if tag & PROPOSAL_TAG != 0 {
-                        &mut proposals[(tag & !PROPOSAL_TAG) as usize]
+                    swept = hi as usize;
+                    let (pool, row) = if tag & PROPOSAL_TAG != 0 {
+                        (&mut *proposals, tag & !PROPOSAL_TAG)
                     } else {
-                        &mut candidates[tag as usize]
+                        (&mut *candidates, tag)
                     };
-                    target.loss_sum += acc_loss;
-                    target.count += hi as u64;
-                    for (g, &a) in target.grad_sum.iter_mut().zip(acc_buf.iter()) {
-                        *g += a;
-                    }
-                    next += 1;
+                    pool.add(row as usize, acc_loss, u64::from(hi), acc_buf);
                 }
             }
         }
     }
 
-    /// Add one batch's left-subset statistics to a *nominal* `candidate`
-    /// from the per-category buckets: every bucket whose category code
-    /// passes [`CandidateKey::test_value`] contributes its sums.
+    /// Add one batch's left-subset statistics to the *nominal* candidate at
+    /// `row` of `pool` from the per-category buckets: every bucket whose
+    /// category code passes [`CandidateKey::test_value`] contributes its
+    /// sums.
     fn add_bucket_stats(
-        candidate: &mut SplitCandidate,
+        pool: &mut CandidatePool,
+        row: usize,
         bucket_keys: &[f64],
         bucket_losses: &[f64],
         bucket_counts: &[u64],
         bucket_grads: &[f64],
         k: usize,
     ) {
-        debug_assert!(candidate.key.is_nominal, "numeric candidates use prefixes");
+        let key = pool[row].key;
+        debug_assert!(key.is_nominal, "numeric candidates use prefixes");
         for (j, &code) in bucket_keys.iter().enumerate() {
-            if candidate.key.test_value(code) {
-                candidate.loss_sum += bucket_losses[j];
-                candidate.count += bucket_counts[j];
+            if key.test_value(code) {
                 let g = &bucket_grads[j * k..(j + 1) * k];
-                for (a, &v) in candidate.grad_sum.iter_mut().zip(g.iter()) {
-                    *a += v;
-                }
+                pool.add(row, bucket_losses[j], bucket_counts[j], g);
             }
         }
     }
 
-    /// Candidate pool management (§V-D): rank the freshly initialised
-    /// proposals and let them displace at most `replacement_rate` of the
-    /// stored pool. Displaced and rejected candidates return to the
-    /// `retired` recycling pool so the next proposal round reuses their
-    /// gradient allocations.
+    /// Candidate pool management (§V-D): rank the gain-scored proposals and
+    /// let them displace at most `replacement_rate` of the stored pool.
+    /// `order` receives the proposal indices by descending gain; the sort is
+    /// stable, so proposals of equal gain keep their proposal order.
     fn manage_candidate_pool(
         &mut self,
         num_features: usize,
         config: &DmtConfig,
-        proposals: &mut Vec<SplitCandidate>,
-        retired: &mut Vec<SplitCandidate>,
+        proposals: &CandidatePool,
+        order: &mut Vec<u32>,
     ) {
         let max_candidates = config.max_candidates(num_features);
         let max_replacements = ((max_candidates as f64) * config.replacement_rate).ceil() as usize;
@@ -759,20 +701,18 @@ impl NodeStats {
         if proposals.is_empty() {
             return;
         }
-        for candidate in proposals.iter_mut() {
-            candidate.last_gain = self
-                .candidate_gain(candidate, self.loss_sum, config.learning_rate)
-                .unwrap_or(f64::NEG_INFINITY);
-        }
-        proposals.sort_by(|a, b| {
-            b.last_gain
-                .partial_cmp(&a.last_gain)
+        order.clear();
+        order.extend(0..proposals.len() as u32);
+        order.sort_by(|&a, &b| {
+            proposals[b as usize]
+                .last_gain
+                .partial_cmp(&proposals[a as usize].last_gain)
                 .unwrap_or(std::cmp::Ordering::Equal)
         });
         admit_proposals(
             &mut self.candidates,
             proposals,
-            retired,
+            order,
             max_candidates,
             max_replacements,
         );
@@ -833,88 +773,74 @@ fn numeric_sort_key(v: f64) -> u64 {
     }
 }
 
-/// The replacement loop of candidate pool management over `proposals`
-/// sorted by descending gain: fill the pool up to `max_candidates`, then let
-/// each proposal displace the worst stored candidate (the first one with
-/// the least gain) if it beats it, at most `max_replacements` times. Every
-/// proposal that does not enter the pool, and every displaced candidate,
-/// goes to `retired` in the order the loop meets it.
+/// The replacement loop of candidate pool management over the proposals
+/// taken in `order` (descending gain): fill the pool up to `max_candidates`,
+/// then let each proposal displace the worst stored candidate (the first one
+/// with the least gain) if it beats it, at most `max_replacements` times.
+/// Admission copies the proposal's row into the pool. The first admission
+/// into a pool reserves it to exactly `max_candidates` rows, so a shed pool
+/// regrows with two allocations.
 ///
 /// The loop stops at the first proposal that cannot beat the worst stored
 /// candidate: the pool is then unchanged, so the worst gain is too, and
 /// every later proposal's gain is no larger (the sort puts no NaN gain
 /// among them — with one, every proposal is tried). It also stops once the
-/// replacements are used up. Both exits retire the rest in order, so pool
-/// and `retired` end exactly as in the full loop, which saves one pool
-/// min-scan per remaining proposal.
+/// replacements are used up. Both exits leave the pool exactly as the full
+/// loop does, which saves one pool min-scan per remaining proposal.
 fn admit_proposals(
-    candidates: &mut Vec<SplitCandidate>,
-    proposals: &mut Vec<SplitCandidate>,
-    retired: &mut Vec<SplitCandidate>,
+    pool: &mut CandidatePool,
+    proposals: &CandidatePool,
+    order: &[u32],
     max_candidates: usize,
     max_replacements: usize,
 ) {
     let ordered = proposals.iter().all(|p| !p.last_gain.is_nan());
     let mut replacements_used = 0usize;
-    let mut rest = proposals.drain(..);
-    while let Some(proposal) = rest.next() {
-        if candidates.len() < max_candidates {
-            candidates.push(proposal);
+    for &p in order {
+        let (proposal, grad) = (proposals[p as usize], proposals.grad(p as usize));
+        if pool.len() < max_candidates {
+            pool.reserve_rows(max_candidates);
+            pool.push_row(proposal, grad);
             continue;
         }
         if replacements_used >= max_replacements {
-            retired.push(proposal);
-            retire_all(retired, rest);
             return;
         }
         // Find the currently worst stored candidate.
-        let worst = candidates.iter().enumerate().min_by(|(_, a), (_, b)| {
+        let worst = pool.iter().enumerate().min_by(|(_, a), (_, b)| {
             a.last_gain
                 .partial_cmp(&b.last_gain)
                 .unwrap_or(std::cmp::Ordering::Equal)
         });
         match worst {
             Some((worst_idx, worst)) if proposal.last_gain > worst.last_gain => {
-                retired.push(std::mem::replace(&mut candidates[worst_idx], proposal));
+                pool.set_row(worst_idx, proposal, grad);
                 replacements_used += 1;
             }
-            _ => {
-                retired.push(proposal);
-                if ordered {
-                    retire_all(retired, rest);
-                    return;
-                }
-            }
+            _ if ordered => return,
+            _ => {}
         }
     }
 }
 
-/// Retire the remaining proposals one push at a time, so the `retired`
-/// pool's capacity grows exactly as under the full loop (a bulk `extend`
-/// reserves differently, and the pool's bytes count toward the tree's).
-fn retire_all(retired: &mut Vec<SplitCandidate>, rest: impl Iterator<Item = SplitCandidate>) {
-    for proposal in rest {
-        retired.push(proposal);
-    }
-}
-
-/// Build the two warm-started child models for a split on `candidate`
-/// (eq. 6: a single gradient step from the parent parameters on each
-/// child's subset). The right-child gradient is materialised into the
-/// scratch gradient buffer (structural changes are rare, but there is no
-/// reason to allocate here either).
+/// Build the two warm-started child models for a split on the stored
+/// candidate at `row` (eq. 6: a single gradient step from the parent
+/// parameters on each child's subset), reading its statistics in place. The
+/// right-child gradient is materialised into the scratch gradient buffer
+/// (structural changes are rare, but there is no reason to allocate here
+/// either).
 fn warm_started_children(
     stats: &NodeStats,
-    candidate: &SplitCandidate,
+    row: usize,
     lr: f64,
     scratch: &mut UpdateScratch,
 ) -> (Glm, Glm) {
-    let left =
-        Glm::warm_start_with_gradient(&stats.model, &candidate.grad_sum, candidate.count, lr);
+    let (count, grad) = (stats.candidates[row].count, stats.candidates.grad(row));
+    let left = Glm::warm_start_with_gradient(&stats.model, grad, count, lr);
     scratch.grad_buf.clear();
     scratch.grad_buf.resize(stats.grad_sum.len(), 0.0);
-    linalg::sub_into(&stats.grad_sum, &candidate.grad_sum, &mut scratch.grad_buf);
-    let right_count = stats.count - candidate.count;
+    linalg::sub_into(&stats.grad_sum, grad, &mut scratch.grad_buf);
+    let right_count = stats.count - count;
     let right = Glm::warm_start_with_gradient(&stats.model, &scratch.grad_buf, right_count, lr);
     (left, right)
 }
@@ -1085,25 +1011,25 @@ fn structural_check_inner(
         return GainDecision::Prune { gain: gain_prune };
     }
     if replace_ok && allow_growth {
-        let candidate = arena.stats(id).candidates[replace_idx].clone();
+        let new_key = stats.candidates[replace_idx].key;
         // Ignore a "replacement" that would re-install the very same
         // split — it would only discard the children's progress without
         // changing the model structure.
-        if !candidate.key.same_as(&key) {
+        if !new_key.same_as(&key) {
             let (left_model, right_model) =
-                warm_started_children(arena.stats(id), &candidate, config.learning_rate, scratch);
+                warm_started_children(stats, replace_idx, config.learning_rate, scratch);
             arena.stats_mut(id).reset_window();
             // Retire the old subtree first so the fresh children reuse
             // its free-listed slots instead of growing the arena.
             arena.collapse_to_leaf(id);
             arena.install_split(
                 id,
-                candidate.key,
+                new_key,
                 NodeStats::new(left_model),
                 NodeStats::new(right_model),
             );
             return GainDecision::Replace {
-                key: candidate.key,
+                key: new_key,
                 gain: replace_gain,
             };
         }
@@ -1174,24 +1100,17 @@ pub(crate) fn learn_at(
         if let Some((best_idx, gain)) = stats.best_candidate(stats.loss_sum, config.learning_rate) {
             let k = stats.k();
             if config.accepts(gain, 2 * k, k) {
-                let candidate = stats.candidates[best_idx].clone();
-                let (left_model, right_model) = warm_started_children(
-                    arena.stats(id),
-                    &candidate,
-                    config.learning_rate,
-                    scratch,
-                );
-                arena.stats_mut(id).reset_window();
+                let key = stats.candidates[best_idx].key;
+                let (left_model, right_model) =
+                    warm_started_children(stats, best_idx, config.learning_rate, scratch);
+                stats.reset_window();
                 arena.install_split(
                     id,
-                    candidate.key,
+                    key,
                     NodeStats::new(left_model),
                     NodeStats::new(right_model),
                 );
-                return GainDecision::Split {
-                    key: candidate.key,
-                    gain,
-                };
+                return GainDecision::Split { key, gain };
             }
         }
         GainDecision::Keep
@@ -1306,6 +1225,45 @@ mod tests {
     }
 
     #[test]
+    fn candidate_pool_memory_is_exactly_max_candidates_rows() {
+        // The first admission reserves the pool to `max_candidates` rows,
+        // even when it admits fewer; the pool then never grows past them,
+        // and a shed pool regrows to the same size.
+        let cfg = config();
+        let max = cfg.max_candidates(2);
+        let mut stats = NodeStats::new(Glm::new_zeros(2, 2));
+        let row_bytes = std::mem::size_of::<SplitCandidate>() + stats.k() * 8;
+        let constant: Vec<&[f64]> = vec![&[0.5, 0.5]; 8];
+        stats.update_with_batch(&constant, &[0, 1, 0, 1, 0, 1, 0, 1], &[false, false], &cfg);
+        assert_eq!(
+            stats.candidates.len(),
+            2,
+            "one threshold per constant column"
+        );
+        assert_eq!(stats.candidates.memory_bytes(), max * row_bytes);
+        for round in 0..6 {
+            if round == 3 {
+                stats.shed_candidates();
+                assert_eq!(stats.candidates.memory_bytes(), 0);
+            }
+            let xs: Vec<Vec<f64>> = (0..40)
+                .map(|i| {
+                    vec![
+                        (i + round * 40) as f64 / 240.0,
+                        ((i * 7) % 40) as f64 / 40.0,
+                    ]
+                })
+                .collect();
+            let ys: Vec<usize> = xs.iter().map(|x| usize::from(x[0] > 0.5)).collect();
+            let rows: Vec<&[f64]> = xs.iter().map(|v| v.as_slice()).collect();
+            stats.update_with_batch(&rows, &ys, &[false, false], &cfg);
+            assert_eq!(stats.candidates.len(), max, "round {round}");
+            assert_eq!(stats.candidates.memory_bytes(), max * row_bytes);
+            assert_eq!(stats.clone().candidates.memory_bytes(), max * row_bytes);
+        }
+    }
+
+    #[test]
     fn gain_of_informative_candidate_is_positive_after_training() {
         let cfg = config();
         let mut stats = NodeStats::new(Glm::new_zeros(1, 2));
@@ -1335,7 +1293,7 @@ mod tests {
         let rows: Vec<&[f64]> = xs.iter().map(|v| v.as_slice()).collect();
         stats.update_with_batch(&rows, &ys, &[false, false], &cfg);
         assert!(!stats.candidates.is_empty());
-        for candidate in &stats.candidates {
+        for (row, candidate) in stats.candidates.iter().enumerate() {
             let mut count = 0u64;
             let mut loss_sum = 0.0;
             let mut grad_sum = vec![0.0; stats.k()];
@@ -1358,7 +1316,7 @@ mod tests {
                 candidate.loss_sum,
                 loss_sum
             );
-            for (a, b) in candidate.grad_sum.iter().zip(grad_sum.iter()) {
+            for (a, b) in stats.candidates.grad(row).iter().zip(grad_sum.iter()) {
                 assert!(
                     (a - b).abs() <= 1e-9 * b.abs().max(1.0),
                     "gradient sum diverged: {a} vs {b}"
@@ -1384,7 +1342,10 @@ mod tests {
         stats.update_with_batch(&rows, &ys, &[true, false], &cfg);
         let nominal_candidates = stats.candidates.iter().filter(|c| c.key.is_nominal).count();
         assert!(nominal_candidates > 0, "no nominal candidates proposed");
-        for candidate in stats.candidates.iter().filter(|c| c.key.is_nominal) {
+        for (row, candidate) in stats.candidates.iter().enumerate() {
+            if !candidate.key.is_nominal {
+                continue;
+            }
             let mut count = 0u64;
             let mut loss_sum = 0.0;
             let mut grad_sum = vec![0.0; stats.k()];
@@ -1406,7 +1367,7 @@ mod tests {
                 loss_sum.to_bits(),
                 "single-category bucket must accumulate in row order"
             );
-            for (a, b) in candidate.grad_sum.iter().zip(grad_sum.iter()) {
+            for (a, b) in stats.candidates.grad(row).iter().zip(grad_sum.iter()) {
                 assert_eq!(a.to_bits(), b.to_bits());
             }
         }
@@ -1436,7 +1397,10 @@ mod tests {
         stats.update_with_batch(&rows, &ys, &[true, false], &cfg);
         let nominal_candidates = stats.candidates.iter().filter(|c| c.key.is_nominal).count();
         assert!(nominal_candidates > 0, "no nominal candidates proposed");
-        for candidate in stats.candidates.iter().filter(|c| c.key.is_nominal) {
+        for (row, candidate) in stats.candidates.iter().enumerate() {
+            if !candidate.key.is_nominal {
+                continue;
+            }
             let mut count = 0u64;
             let mut loss_sum = 0.0;
             let mut grad_sum = vec![0.0; stats.k()];
@@ -1459,7 +1423,7 @@ mod tests {
                 "hashed bucket lookup changed the accumulation: {:?}",
                 candidate.key
             );
-            for (a, b) in candidate.grad_sum.iter().zip(grad_sum.iter()) {
+            for (a, b) in stats.candidates.grad(row).iter().zip(grad_sum.iter()) {
                 assert_eq!(a.to_bits(), b.to_bits());
             }
         }
@@ -1479,7 +1443,7 @@ mod tests {
             let ys: Vec<usize> = (0..n).map(|i| i % 2).collect();
             let rows: Vec<&[f64]> = xs.iter().map(|v| v.as_slice()).collect();
             stats.update_with_batch(&rows, &ys, &[true], &cfg);
-            for candidate in &stats.candidates {
+            for candidate in stats.candidates.iter() {
                 let expected = rows.iter().filter(|x| candidate.key.goes_left(x)).count() as u64;
                 assert_eq!(
                     candidate.count, expected,
@@ -1504,7 +1468,7 @@ mod tests {
         let rows: Vec<&[f64]> = xs.iter().map(|v| v.as_slice()).collect();
         stats.update_with_batch(&rows, &ys, &[false], &cfg);
         assert!(!stats.candidates.is_empty());
-        for candidate in &stats.candidates {
+        for (row, candidate) in stats.candidates.iter().enumerate() {
             let expected = rows.iter().filter(|x| candidate.key.goes_left(x)).count() as u64;
             assert_eq!(candidate.count, expected, "{:?}", candidate.key);
             assert!(
@@ -1512,7 +1476,7 @@ mod tests {
                 "a NaN row leaked into candidate {:?}",
                 candidate.key
             );
-            assert!(candidate.grad_sum.iter().all(|g| g.is_finite()));
+            assert!(stats.candidates.grad(row).iter().all(|g| g.is_finite()));
         }
     }
 
@@ -1564,34 +1528,19 @@ mod tests {
 
     #[test]
     fn candidate_gain_is_none_for_degenerate_candidates() {
-        let stats = {
-            let mut s = NodeStats::new(Glm::new_zeros(1, 2));
-            s.count = 10;
-            s.loss_sum = 5.0;
-            s
+        let mut stats = NodeStats::new(Glm::new_zeros(1, 2));
+        stats.count = 10;
+        stats.loss_sum = 5.0;
+        let key = |value| CandidateKey {
+            feature: 0,
+            value,
+            is_nominal: false,
         };
-        let mut all_left = SplitCandidate::new(
-            CandidateKey {
-                feature: 0,
-                value: 1e9,
-                is_nominal: false,
-            },
-            2,
-        );
-        all_left.count = 10;
-        all_left.loss_sum = 5.0;
-        assert!(stats
-            .candidate_gain(&all_left, stats.loss_sum, 0.05)
-            .is_none());
-        let empty = SplitCandidate::new(
-            CandidateKey {
-                feature: 0,
-                value: -1e9,
-                is_nominal: false,
-            },
-            2,
-        );
-        assert!(stats.candidate_gain(&empty, stats.loss_sum, 0.05).is_none());
+        // One candidate takes every row to the left, the other none.
+        stats.candidates.push(key(1e9));
+        stats.candidates.add(0, 5.0, 10, &[0.0, 0.0]);
+        stats.candidates.push(key(-1e9));
+        assert!(stats.best_candidate(stats.loss_sum, 0.05).is_none());
     }
 
     #[test]
@@ -1667,7 +1616,7 @@ mod tests {
             "{what}: model"
         );
         assert_eq!(a.candidates.len(), b.candidates.len(), "{what}: pool size");
-        for (ca, cb) in a.candidates.iter().zip(b.candidates.iter()) {
+        for (row, (ca, cb)) in a.candidates.iter().zip(b.candidates.iter()).enumerate() {
             assert_eq!(ca.key.feature, cb.key.feature, "{what}");
             assert_eq!(ca.key.is_nominal, cb.key.is_nominal, "{what}");
             assert_eq!(ca.key.value.to_bits(), cb.key.value.to_bits(), "{what}");
@@ -1679,8 +1628,8 @@ mod tests {
                 ca.key
             );
             assert_eq!(
-                bits(&ca.grad_sum),
-                bits(&cb.grad_sum),
+                bits(a.candidates.grad(row)),
+                bits(b.candidates.grad(row)),
                 "{what}: {:?}",
                 ca.key
             );
@@ -1801,39 +1750,32 @@ mod tests {
 
     /// The replacement loop before the early exit, as the reference.
     fn admit_proposals_full(
-        candidates: &mut Vec<SplitCandidate>,
-        proposals: &mut Vec<SplitCandidate>,
-        retired: &mut Vec<SplitCandidate>,
+        pool: &mut CandidatePool,
+        proposals: &CandidatePool,
+        order: &[u32],
         max_candidates: usize,
         max_replacements: usize,
     ) {
         let mut replacements_used = 0usize;
-        for proposal in proposals.drain(..) {
-            if candidates.len() < max_candidates {
-                candidates.push(proposal);
+        for &p in order {
+            let (proposal, grad) = (proposals[p as usize], proposals.grad(p as usize));
+            if pool.len() < max_candidates {
+                pool.push_row(proposal, grad);
                 continue;
             }
             if replacements_used >= max_replacements {
-                retired.push(proposal);
                 continue;
             }
-            let (worst_idx, worst_gain) =
-                match candidates.iter().enumerate().min_by(|(_, a), (_, b)| {
-                    a.last_gain
-                        .partial_cmp(&b.last_gain)
-                        .unwrap_or(std::cmp::Ordering::Equal)
-                }) {
-                    Some((i, c)) => (i, c.last_gain),
-                    None => {
-                        retired.push(proposal);
-                        continue;
-                    }
-                };
-            if proposal.last_gain > worst_gain {
-                retired.push(std::mem::replace(&mut candidates[worst_idx], proposal));
-                replacements_used += 1;
-            } else {
-                retired.push(proposal);
+            let worst = pool.iter().enumerate().min_by(|(_, a), (_, b)| {
+                a.last_gain
+                    .partial_cmp(&b.last_gain)
+                    .unwrap_or(std::cmp::Ordering::Equal)
+            });
+            if let Some((worst_idx, worst)) = worst {
+                if proposal.last_gain > worst.last_gain {
+                    pool.set_row(worst_idx, proposal, grad);
+                    replacements_used += 1;
+                }
             }
         }
     }
@@ -1842,8 +1784,8 @@ mod tests {
     fn early_exit_admission_matches_the_full_loop() {
         // Random pools and gain-sorted proposals drawn from a handful of
         // gain levels (so ties are everywhere) plus −∞ for degenerate
-        // candidates; pool and retired list must match the full loop
-        // element for element, in order.
+        // candidates; the pools must match the full loop row for row, in
+        // order, gradients included.
         let mut state = 0x9e37_79b9_7f4a_7c15u64;
         let mut next = move |bound: u64| {
             state ^= state << 13;
@@ -1853,55 +1795,57 @@ mod tests {
         };
         let levels = [f64::NEG_INFINITY, -1.0, 0.0, 0.5, 2.0];
         let mut id = 0usize;
-        let mut candidate = |gain: f64| {
-            id += 1;
-            let mut c = SplitCandidate::new(
-                CandidateKey {
+        // A pool of `n` fresh candidates with random gains; each candidate's
+        // feature is a unique id and its one gradient entry repeats it.
+        let mut pool_of = |n: u64, next: &mut dyn FnMut(u64) -> u64| {
+            let first = id + 1;
+            let gains: Vec<f64> = (0..n).map(|_| levels[next(5) as usize]).collect();
+            let mut pool = CandidatePool::new(1);
+            for row in 0..n as usize {
+                id += 1;
+                pool.push(CandidateKey {
                     feature: id,
                     value: id as f64,
                     is_nominal: false,
-                },
-                1,
-            );
-            c.last_gain = gain;
-            c
+                });
+                pool.add(row, 0.0, 0, &[id as f64]);
+            }
+            pool.refresh_gains(|c, _| gains[c.key.feature - first]);
+            pool
         };
         for _ in 0..2_000 {
             let max_candidates = 1 + next(8) as usize;
             let max_replacements = next(4) as usize;
-            let stored = next(max_candidates as u64 + 1) as usize;
-            let pool: Vec<SplitCandidate> = (0..stored)
-                .map(|_| candidate(levels[next(5) as usize]))
-                .collect();
-            let mut proposals: Vec<SplitCandidate> = (0..next(10))
-                .map(|_| candidate(levels[next(5) as usize]))
-                .collect();
-            proposals.sort_by(|a, b| {
-                b.last_gain
-                    .partial_cmp(&a.last_gain)
+            let stored = next(max_candidates as u64 + 1);
+            let pool = pool_of(stored, &mut next);
+            let proposal_count = next(10);
+            let proposals = pool_of(proposal_count, &mut next);
+            let mut order: Vec<u32> = (0..proposals.len() as u32).collect();
+            order.sort_by(|&a, &b| {
+                proposals[b as usize]
+                    .last_gain
+                    .partial_cmp(&proposals[a as usize].last_gain)
                     .unwrap_or(std::cmp::Ordering::Equal)
             });
-            let (mut fast_pool, mut fast_props, mut fast_retired) =
-                (pool.clone(), proposals.clone(), Vec::new());
-            let (mut full_pool, mut full_props, mut full_retired) = (pool, proposals, Vec::new());
+            let (mut fast, mut full) = (pool.clone(), pool);
             admit_proposals(
-                &mut fast_pool,
-                &mut fast_props,
-                &mut fast_retired,
+                &mut fast,
+                &proposals,
+                &order,
                 max_candidates,
                 max_replacements,
             );
             admit_proposals_full(
-                &mut full_pool,
-                &mut full_props,
-                &mut full_retired,
+                &mut full,
+                &proposals,
+                &order,
                 max_candidates,
                 max_replacements,
             );
-            let ids = |v: &[SplitCandidate]| v.iter().map(|c| c.key.feature).collect::<Vec<_>>();
-            assert_eq!(ids(&fast_pool), ids(&full_pool));
-            assert_eq!(ids(&fast_retired), ids(&full_retired));
-            assert!(fast_props.is_empty() && full_props.is_empty());
+            assert_eq!(fast[..], full[..]);
+            for row in 0..fast.len() {
+                assert_eq!(fast.grad(row), full.grad(row));
+            }
         }
     }
 

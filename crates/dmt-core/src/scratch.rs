@@ -6,16 +6,17 @@
 //! dominant cost of the hot loop, so all intermediate storage the update path
 //! needs lives in one [`UpdateScratch`] owned by the tree and reused across
 //! batches. In steady state (buffers grown to their high-water mark) the
-//! learn path performs **no** per-instance heap allocations. Prediction
-//! needs no scratch at all: each row descends to its leaf and reads that
-//! leaf's model in place.
+//! learn path performs **no** per-instance heap allocations; proposals are
+//! rows of a [`CandidatePool`] here, copied into a node's pool on admission.
+//! Prediction needs no scratch at all: each row descends to its leaf and
+//! reads that leaf's model in place.
 
 use std::collections::HashMap;
 
-use dmt_models::memory::{slice_deep_bytes, vec_bytes};
+use dmt_models::memory::vec_bytes;
 use dmt_models::MemoryUsage;
 
-use crate::candidate::SplitCandidate;
+use crate::candidate::CandidatePool;
 
 /// Scratch buffers threaded through `DynamicModelTree::learn_batch` →
 /// `node::learn_at` → `NodeStats::update_with_batch` → the GLM `*_into`
@@ -79,12 +80,13 @@ pub struct UpdateScratch {
     pub(crate) boundaries: Vec<(u32, u32)>,
     /// Running gradient accumulator of the numeric sweep (`num_params`).
     pub(crate) acc_buf: Vec<f64>,
-    /// Freshly proposed candidates of the current node update (drained into
-    /// the pool or retired each batch; capacity reused).
-    pub(crate) proposals_buf: Vec<SplitCandidate>,
-    /// Retired candidates recycled by the next proposal round, so
-    /// steady-state proposal generation never touches the allocator.
-    pub(crate) retired: Vec<SplitCandidate>,
+    /// Freshly proposed candidates of the current node update, with their
+    /// accumulated statistics. Cleared per node update; the slab grows one
+    /// row at a time, so it settles at the largest proposal count seen.
+    pub(crate) proposals_buf: CandidatePool,
+    /// Indices into `proposals_buf` by descending gain: the order in which
+    /// pool management admits the proposals.
+    pub(crate) admit_order: Vec<u32>,
     /// Distinct category codes of the nominal feature currently being
     /// accumulated (bucket pass; one entry per category seen in the batch).
     pub(crate) bucket_keys: Vec<f64>,
@@ -104,8 +106,8 @@ pub struct UpdateScratch {
 }
 
 impl MemoryUsage for UpdateScratch {
-    /// Heap bytes retained by every reusable buffer, including the gradient
-    /// vectors owned by pooled proposal/retired candidates. `HashMap`
+    /// Heap bytes retained by every reusable buffer, including the
+    /// proposal pool's gradient slab. `HashMap`
     /// capacity is approximated as `capacity × (key + value + 1 metadata
     /// byte)`, close enough for budget purposes.
     fn memory_bytes(&self) -> usize {
@@ -127,10 +129,8 @@ impl MemoryUsage for UpdateScratch {
             + vec_bytes(&self.cand_start)
             + vec_bytes(&self.boundaries)
             + vec_bytes(&self.acc_buf)
-            + vec_bytes(&self.proposals_buf)
-            + slice_deep_bytes(&self.proposals_buf)
-            + vec_bytes(&self.retired)
-            + slice_deep_bytes(&self.retired)
+            + self.proposals_buf.memory_bytes()
+            + vec_bytes(&self.admit_order)
             + vec_bytes(&self.bucket_keys)
             + vec_bytes(&self.bucket_losses)
             + vec_bytes(&self.bucket_counts)

@@ -57,7 +57,7 @@ use dmt_models::{BatchMode, Glm, SimpleModel as _, WireError};
 use dmt_stream::schema::{FeatureSpec, FeatureType, StreamSchema};
 
 use crate::arena::{NodeArena, NodeId};
-use crate::candidate::{CandidateKey, SplitCandidate};
+use crate::candidate::{CandidateKey, CandidatePool, SplitCandidate};
 use crate::node::{GainDecision, NodeStats};
 use crate::tree::{DmtConfig, DynamicModelTree};
 
@@ -401,26 +401,35 @@ fn decode_schema(r: &mut Reader<'_>) -> Result<StreamSchema, SnapshotError> {
     Ok(StreamSchema::new(name, features, num_classes))
 }
 
-fn encode_candidate(c: &SplitCandidate, w: &mut Writer) {
+fn encode_candidate(c: &SplitCandidate, grad: &[f64], w: &mut Writer) {
     w.put_usize(c.key.feature);
     w.put_f64(c.key.value);
     w.put_bool(c.key.is_nominal);
     w.put_f64(c.loss_sum);
-    w.put_f64_slice(&c.grad_sum);
+    w.put_f64_slice(grad);
     w.put_u64(c.count);
     w.put_f64(c.last_gain);
 }
 
+/// Smallest encoding of a candidate besides its gradient entries: feature,
+/// value, nominal flag, loss sum, gradient length, count and last gain.
+const CANDIDATE_FIXED_BYTES: usize = 8 + 8 + 1 + 8 + 8 + 8 + 8;
+
+/// Decode one candidate, its gradient read into `grad`.
 fn decode_candidate(
     r: &mut Reader<'_>,
     num_features: usize,
     num_params: usize,
+    grad: &mut Vec<f64>,
 ) -> Result<SplitCandidate, SnapshotError> {
     let feature = r.get_usize()?;
     let value = r.get_f64()?;
     let is_nominal = r.get_bool()?;
     let loss_sum = r.get_f64()?;
-    let grad_sum = r.get_f64_vec()?;
+    grad.clear();
+    for _ in 0..r.get_len(8)? {
+        grad.push(r.get_f64()?);
+    }
     let count = r.get_u64()?;
     let last_gain = r.get_f64()?;
     if feature >= num_features {
@@ -428,10 +437,10 @@ fn decode_candidate(
             "split candidate tests feature {feature}, schema has {num_features}"
         )));
     }
-    if grad_sum.len() != num_params {
+    if grad.len() != num_params {
         return Err(invalid(format!(
             "candidate gradient has {} entries, model has {num_params} parameters",
-            grad_sum.len()
+            grad.len()
         )));
     }
     Ok(SplitCandidate {
@@ -441,7 +450,6 @@ fn decode_candidate(
             is_nominal,
         },
         loss_sum,
-        grad_sum,
         count,
         last_gain,
     })
@@ -453,15 +461,17 @@ fn encode_stats(stats: &NodeStats, w: &mut Writer) {
     w.put_f64_slice(&stats.grad_sum);
     w.put_u64(stats.count);
     w.put_usize(stats.candidates.len());
-    for candidate in &stats.candidates {
-        encode_candidate(candidate, w);
+    for (row, candidate) in stats.candidates.iter().enumerate() {
+        encode_candidate(candidate, stats.candidates.grad(row), w);
     }
 }
 
+/// Decode one node payload, reading candidate gradients through `grad`.
 fn decode_stats(
     r: &mut Reader<'_>,
     num_features: usize,
     num_classes: usize,
+    grad: &mut Vec<f64>,
 ) -> Result<NodeStats, SnapshotError> {
     let model = Glm::decode(r)?;
     if model.num_features() != num_features || model.num_classes() != num_classes {
@@ -481,12 +491,14 @@ fn decode_stats(
         )));
     }
     let count = r.get_u64()?;
-    // No `with_capacity` on the announced count: a forged count fails on the
-    // first missing candidate instead of reserving memory for it.
-    let candidate_count = r.get_usize()?;
-    let mut candidates = Vec::new();
+    // The announced count is checked against the bytes left before the pool
+    // reserves it, so a forged count fails without reserving memory.
+    let candidate_count = r.get_len(CANDIDATE_FIXED_BYTES + 8 * num_params)?;
+    let mut candidates = CandidatePool::new(num_params);
+    candidates.reserve_rows(candidate_count);
     for _ in 0..candidate_count {
-        candidates.push(decode_candidate(r, num_features, num_params)?);
+        let candidate = decode_candidate(r, num_features, num_params, grad)?;
+        candidates.push_row(candidate, grad);
     }
     Ok(NodeStats {
         model,
@@ -568,6 +580,7 @@ fn decode_arena(
         is_free[i] = true;
     }
     let mut stats = Vec::with_capacity(slots.min(r.remaining()));
+    let mut grad = Vec::new();
     for (slot, &freed) in is_free.iter().enumerate() {
         let present = match r.get_u8()? {
             0 => false,
@@ -582,7 +595,7 @@ fn decode_arena(
             )));
         }
         if present {
-            stats.push(decode_stats(r, num_features, num_classes)?);
+            stats.push(decode_stats(r, num_features, num_classes, &mut grad)?);
         } else {
             stats.push(NodeStats::placeholder());
         }

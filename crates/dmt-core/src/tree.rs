@@ -498,8 +498,7 @@ impl DynamicModelTree {
                 break;
             }
             let stats = self.arena.stats_mut(id);
-            let freed = vec_bytes(&stats.candidates)
-                + dmt_models::memory::slice_deep_bytes(&stats.candidates);
+            let freed = stats.candidates.memory_bytes();
             stats.shed_candidates();
             bytes = bytes.saturating_sub(freed);
         }

@@ -12,11 +12,12 @@
 //!   targets and the softmax model otherwise, exactly as proposed in §V-A of
 //!   the paper.
 //! * [`naive_bayes`] — incremental Gaussian Naive Bayes, used by the
-//!   VFDT (NBA) baseline leaves.
+//!   VFDT (NBA) baseline leaves. It updates counts and Welford estimates,
+//!   has no gradient, and so does not implement [`SimpleModel`].
 //! * [`mod@aic`] — Akaike Information Criterion helpers and the ε-threshold test of
 //!   eq. (11).
 //!
-//! All models implement [`SimpleModel`], the contract the Dynamic Model Tree
+//! The GLMs implement [`SimpleModel`], the contract the Dynamic Model Tree
 //! relies on: incremental SGD updates, per-batch negative log-likelihood and
 //! gradients evaluated *at the current parameters* (needed for the candidate
 //! loss approximation of eq. (6)–(7)).

@@ -149,7 +149,6 @@ pub fn workspace_config() -> WorkspaceConfig {
                     "add_bucket_stats",
                     "manage_candidate_pool",
                     "admit_proposals",
-                    "retire_all",
                     "partition_indices",
                     "sort_columns",
                     "split_orders",
@@ -158,7 +157,15 @@ pub fn workspace_config() -> WorkspaceConfig {
             ),
             (
                 "crates/dmt-core/src/candidate.rs",
-                &["accumulate", "accumulate_batch"],
+                &[
+                    "grad",
+                    "clear",
+                    "push",
+                    "push_row",
+                    "set_row",
+                    "add",
+                    "refresh_gains",
+                ],
             ),
         ],
         version_source_file: "crates/dmt-core/src/snapshot.rs",

@@ -1,4 +1,4 @@
-//! Sharded multi-tenant model registry: the state behind the serving plane.
+//! Multi-tenant model registry: the state behind the serving plane.
 //!
 //! A [`ModelRegistry`] holds many named Dynamic Model Trees ("tenants") and
 //! separates each tenant's two traffic classes:
@@ -16,9 +16,9 @@
 //! The registry serves Dynamic Model Trees only; [`ModelRegistry::register`]
 //! refuses every other zoo kind with [`RegistryError::UnsupportedKind`].
 //!
-//! Tenant lookup is sharded (hash of the name → shard, each shard its own
-//! `RwLock`) so concurrent requests for different tenants do not contend on
-//! one map lock, and a shard's lock is never held across model work.
+//! Tenants live in one map behind an `RwLock`. Requests take its read lock
+//! only to look a tenant up, so the map lock is never held across model
+//! work.
 //!
 //! ## Fleet-wide memory arbitration
 //!
@@ -39,9 +39,7 @@
 //! predict traffic. I/O failures, corruption and version skew surface as the
 //! typed [`RegistryError::Checkpoint`] — never a panic, never a silent drop.
 
-use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, RwLock};
@@ -55,24 +53,11 @@ use dmt_stream::StreamSchema;
 use crate::zoo::{ModelKind, ZooModel};
 
 /// Configuration of a [`ModelRegistry`].
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct RegistryConfig {
-    /// Number of tenant-map shards (rounded up to at least 1). Lookups hash
-    /// the tenant name to a shard; more shards mean less map-lock contention
-    /// between unrelated tenants.
-    pub shards: usize,
     /// Fleet-wide resident-memory pool in bytes, arbitrated equally across
     /// the tenants (`None` = unbudgeted fleet).
     pub fleet_budget_bytes: Option<usize>,
-}
-
-impl Default for RegistryConfig {
-    fn default() -> Self {
-        Self {
-            shards: 8,
-            fleet_budget_bytes: None,
-        }
-    }
 }
 
 /// Why a registry operation failed. Every failure mode of the serving plane
@@ -221,10 +206,10 @@ impl Tenant {
     }
 }
 
-/// A sharded, thread-safe registry of named Dynamic Model Trees (see the
+/// A thread-safe registry of named Dynamic Model Trees (see the
 /// [module docs](self)).
 pub struct ModelRegistry {
-    shards: Vec<RwLock<HashMap<String, Arc<Tenant>>>>,
+    tenants: RwLock<HashMap<String, Arc<Tenant>>>,
     fleet_budget: Mutex<Option<usize>>,
 }
 
@@ -232,35 +217,23 @@ impl ModelRegistry {
     /// Create an empty registry.
     pub fn new(config: RegistryConfig) -> Self {
         Self {
-            shards: (0..config.shards.max(1))
-                .map(|_| RwLock::new(HashMap::new()))
-                .collect(),
+            tenants: RwLock::new(HashMap::new()),
             fleet_budget: Mutex::new(config.fleet_budget_bytes),
         }
     }
 
-    fn shard(&self, name: &str) -> &RwLock<HashMap<String, Arc<Tenant>>> {
-        let mut hasher = DefaultHasher::new();
-        name.hash(&mut hasher);
-        &self.shards[(hasher.finish() % self.shards.len() as u64) as usize]
-    }
-
-    fn read_shard(
-        shard: &RwLock<HashMap<String, Arc<Tenant>>>,
-    ) -> Ranked<std::sync::RwLockReadGuard<'_, HashMap<String, Arc<Tenant>>>> {
+    fn read_map(&self) -> Ranked<std::sync::RwLockReadGuard<'_, HashMap<String, Arc<Tenant>>>> {
         let token = RankToken::acquire(LockRank::RegistryMap);
-        let guard = match shard.read() {
+        let guard = match self.tenants.read() {
             Ok(guard) => guard,
             Err(poisoned) => poisoned.into_inner(),
         };
         Ranked::new(token, guard)
     }
 
-    fn write_shard(
-        shard: &RwLock<HashMap<String, Arc<Tenant>>>,
-    ) -> Ranked<std::sync::RwLockWriteGuard<'_, HashMap<String, Arc<Tenant>>>> {
+    fn write_map(&self) -> Ranked<std::sync::RwLockWriteGuard<'_, HashMap<String, Arc<Tenant>>>> {
         let token = RankToken::acquire(LockRank::RegistryMap);
-        let guard = match shard.write() {
+        let guard = match self.tenants.write() {
             Ok(guard) => guard,
             Err(poisoned) => poisoned.into_inner(),
         };
@@ -268,7 +241,7 @@ impl ModelRegistry {
     }
 
     fn tenant(&self, name: &str) -> Result<Arc<Tenant>, RegistryError> {
-        Self::read_shard(self.shard(name))
+        self.read_map()
             .get(name)
             .cloned()
             .ok_or_else(|| RegistryError::UnknownTenant(name.to_string()))
@@ -296,11 +269,11 @@ impl ModelRegistry {
             observations: AtomicU64::new(0),
         });
         {
-            let mut shard = Self::write_shard(self.shard(name));
-            if shard.contains_key(name) {
+            let mut tenants = self.write_map();
+            if tenants.contains_key(name) {
                 return Err(RegistryError::DuplicateTenant(name.to_string()));
             }
-            shard.insert(name.to_string(), tenant);
+            tenants.insert(name.to_string(), tenant);
         }
         self.rebalance();
         Ok(())
@@ -310,30 +283,23 @@ impl ModelRegistry {
     /// predictions that pinned one of its epochs finish undisturbed; the
     /// epochs are reclaimed when the last pin drops.
     pub fn remove(&self, name: &str) -> bool {
-        let removed = Self::write_shard(self.shard(name)).remove(name).is_some();
+        let removed = self.write_map().remove(name).is_some();
         if removed {
             self.rebalance();
         }
         removed
     }
 
-    /// Names of all registered tenants, sorted (stable across shard layout).
+    /// Names of all registered tenants, sorted.
     pub fn names(&self) -> Vec<String> {
-        let mut names: Vec<String> = self
-            .shards
-            .iter()
-            .flat_map(|shard| Self::read_shard(shard).keys().cloned().collect::<Vec<_>>())
-            .collect();
+        let mut names: Vec<String> = self.read_map().keys().cloned().collect();
         names.sort();
         names
     }
 
     /// Number of registered tenants.
     pub fn len(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|shard| Self::read_shard(shard).len())
-            .sum()
+        self.read_map().len()
     }
 
     /// Whether the registry has no tenants.
@@ -472,16 +438,7 @@ impl ModelRegistry {
     /// so it keeps the share too.
     pub fn rebalance(&self) {
         let fleet = self.fleet_budget();
-        let tenants: Vec<Arc<Tenant>> = self
-            .shards
-            .iter()
-            .flat_map(|shard| {
-                Self::read_shard(shard)
-                    .values()
-                    .cloned()
-                    .collect::<Vec<_>>()
-            })
-            .collect();
+        let tenants: Vec<Arc<Tenant>> = self.read_map().values().cloned().collect();
         if tenants.is_empty() {
             return;
         }
@@ -632,7 +589,6 @@ mod tests {
     fn fleet_budget_is_arbitrated_equally_across_dmt_tenants() {
         let registry = ModelRegistry::new(RegistryConfig {
             fleet_budget_bytes: Some(1 << 20),
-            ..RegistryConfig::default()
         });
         register_dmt(&registry, "a");
         assert_eq!(
@@ -689,7 +645,6 @@ mod tests {
         const FLEET: usize = 1 << 20;
         let registry = ModelRegistry::new(RegistryConfig {
             fleet_budget_bytes: Some(FLEET),
-            ..RegistryConfig::default()
         });
         register_dmt(&registry, "a");
         let (xs, ys) = toy_batch(32);
@@ -772,7 +727,7 @@ mod tests {
     }
 
     #[test]
-    fn names_and_len_cover_all_shards() {
+    fn names_and_len_cover_every_tenant() {
         let registry = registry();
         assert!(registry.is_empty());
         for i in 0..20 {

@@ -4,7 +4,9 @@
 //! allocation count per batch is independent of the batch size. Prediction
 //! keeps no buffers at all: `predict_batch` allocates exactly its result
 //! vector, and `predict_batch_into` and `predict` allocate nothing, on a
-//! fresh clone (a published serving epoch) too.
+//! fresh clone (a published serving epoch) too. The clone itself makes a
+//! bounded number of allocations per node, independent of the number of
+//! stored split candidates.
 //!
 //! A counting global allocator makes this measurable. All measurements live
 //! in a single `#[test]` so parallel test threads cannot pollute the counter.
@@ -289,6 +291,37 @@ fn deep_tree_measurement() {
     );
 }
 
+/// Cloning a trained tree, which is how the registry publishes a serving
+/// epoch, makes at most four allocations per live node (its model, its
+/// gradient window and the two of its candidate pool) plus a constant for
+/// the schema (name, feature list, one name per feature), the nominal mask,
+/// the seven arena columns and the decision log. The bound does not depend
+/// on how many candidates the pools store.
+fn clone_measurement(tree: &DynamicModelTree) {
+    let nodes = tree.num_inner_nodes() + tree.num_leaves();
+    let fixed = 2 + tree.schema().num_features() as u64 + 1 + 7 + 1;
+    let arena = tree.arena();
+    let mut ids = Vec::new();
+    arena.preorder_ids(tree.root_id(), &mut ids);
+    let candidates: usize = ids.iter().map(|&id| arena.stats(id).candidates.len()).sum();
+    // One allocation per stored candidate would break the bound only if
+    // the pools store more candidates than the tree has nodes.
+    assert!(
+        candidates as u64 > nodes,
+        "{candidates} candidates in {nodes} nodes cannot tell the layouts apart"
+    );
+    let before = allocations();
+    let epoch = tree.clone();
+    let clone_allocs = allocations() - before;
+    drop(epoch);
+    assert!(
+        clone_allocs <= 4 * nodes + fixed,
+        "clone() made {clone_allocs} allocations for {nodes} nodes storing \
+         {candidates} candidates (bound {})",
+        4 * nodes + fixed
+    );
+}
+
 fn steady_state_measurement(batch_mode: dmt::models::BatchMode) {
     let schema = StreamSchema::numeric("alloc-probe", 3, 2);
     let config = DmtConfig {
@@ -356,6 +389,8 @@ fn steady_state_measurement(batch_mode: dmt::models::BatchMode) {
         "unexpectedly many allocations per learned batch: {per_batch:.1} \
          for a tree with {node_count} nodes"
     );
+
+    clone_measurement(&tree);
 
     // predict_batch: exactly the result vector, nothing per instance.
     const PREDICT_BUDGET: u64 = 1;

@@ -396,7 +396,6 @@ fn start_server(registry: Arc<ModelRegistry>, threads: usize) -> DmtServer {
 fn registry_with_dmt_tenant(fleet_budget: Option<usize>) -> Arc<ModelRegistry> {
     let registry = Arc::new(ModelRegistry::new(RegistryConfig {
         fleet_budget_bytes: fleet_budget,
-        ..RegistryConfig::default()
     }));
     let tree = DynamicModelTree::new(serve_schema(), eager_config());
     registry
