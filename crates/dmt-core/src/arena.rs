@@ -186,12 +186,14 @@ impl NodeArena {
         self.free.sort_unstable_by(|a, b| b.cmp(a));
     }
 
-    /// Push `slot` and all its descendants onto the free list.
+    /// Push `slot` and all its descendants onto the free list, dropping
+    /// their payloads: a free slot holds a placeholder until it is reused.
     fn free_subtree(&mut self, slot: u32) {
         let i = slot as usize;
         let (l, r) = (self.left[i], self.right[i]);
         self.left[i] = NONE;
         self.right[i] = NONE;
+        self.stats[i] = NodeStats::placeholder();
         self.free.push(slot);
         if l != NONE {
             self.free_subtree(l);
@@ -537,10 +539,10 @@ impl NodeArena {
 
 impl MemoryUsage for NodeArena {
     /// Heap bytes of all seven SoA columns plus every slot's payload
-    /// (leaf model parameters, loss window, candidate pools). Free slots
-    /// still count whatever their placeholder stats retain — the point of
-    /// the accounting is resident bytes, not live bytes, which is exactly
-    /// what [`NodeArena::compact`] reclaims.
+    /// (leaf model parameters, loss window, candidate pools). A free slot
+    /// holds a placeholder payload of 0 heap bytes, so what it still costs
+    /// is its share of the columns: the accounting counts resident bytes,
+    /// not live bytes, and [`NodeArena::compact`] reclaims the difference.
     fn memory_bytes(&self) -> usize {
         vec_bytes(&self.split_feature)
             + vec_bytes(&self.split_value)
@@ -724,6 +726,24 @@ mod tests {
         assert_eq!(new_root, NodeId(0));
         assert_eq!(arena.num_slots(), 1);
         assert_eq!(arena.stats(new_root).loss_sum, 2.5);
+    }
+
+    #[test]
+    fn freed_slots_hold_no_payload_memory() {
+        let (mut arena, root) = NodeArena::with_root(leaf_stats());
+        let (l, r) = arena.install_split(root, numeric_key(0, 0.5), leaf_stats(), leaf_stats());
+        arena.install_split(l, numeric_key(1, 0.25), leaf_stats(), leaf_stats());
+        arena.install_split(r, numeric_key(1, 0.75), leaf_stats(), leaf_stats());
+        let live_payload = arena.stats(root).memory_bytes();
+        assert!(live_payload > 0);
+        arena.collapse_to_leaf(root);
+        assert_eq!(arena.num_free(), 6);
+        for &slot in arena.snapshot_columns().5 {
+            let bytes = arena.stats[slot as usize].memory_bytes();
+            assert_eq!(bytes, 0, "free slot {slot} holds {bytes} payload bytes");
+        }
+        assert_eq!(arena.stats(root).memory_bytes(), live_payload);
+        arena.validate(root).unwrap();
     }
 
     #[test]

@@ -67,13 +67,8 @@ impl LeafExplanation {
     pub fn from_model(path: Vec<DecisionStep>, model: &Glm, x: &[f64]) -> Self {
         let probabilities = model.predict_proba(x);
         let predicted_class = dmt_models::argmax(&probabilities);
-        let (weights, bias) = match model {
-            Glm::Logit(m) => (m.weights().to_vec(), m.bias()),
-            Glm::Softmax(m) => (
-                m.class_weights(predicted_class).to_vec(),
-                m.class_bias(predicted_class),
-            ),
-        };
+        let weights = model.class_weights(predicted_class).to_vec();
+        let bias = model.class_bias(predicted_class);
         let contributions = weights.iter().zip(x.iter()).map(|(w, xi)| w * xi).collect();
         Self {
             path,

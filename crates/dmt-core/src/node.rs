@@ -112,10 +112,10 @@ impl NodeStats {
     }
 
     /// A zero-parameter placeholder payload that performs no heap allocation
-    /// (empty model, empty gradient buffer). It back-fills the slots whose
-    /// payloads [`NodeArena::compact`] moves out, and the free-listed slots
-    /// of a decoded snapshot; a placeholder is never read before being
-    /// overwritten.
+    /// (empty model, empty gradient buffer). It fills every free-listed slot
+    /// (freed by a prune or replace, or restored from a snapshot) and the
+    /// slots whose payloads [`NodeArena::compact`] moves out; a placeholder
+    /// is never read before being overwritten.
     pub(crate) fn placeholder() -> Self {
         Self::new(Glm::placeholder())
     }

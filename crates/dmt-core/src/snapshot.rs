@@ -523,10 +523,9 @@ fn encode_arena(arena: &NodeArena, w: &mut Writer) {
     w.put_u32_slice(left);
     w.put_u32_slice(right);
     w.put_u32_slice(free);
-    // Free-listed slots may still hold the payload of the pruned node they
-    // used to be; that state is dead (the allocator overwrites it before any
-    // read), so it is written as an explicit "absent" marker and restored as
-    // a placeholder — smaller files, identical behaviour.
+    // Free-listed slots hold placeholder payloads that are never read (the
+    // allocator overwrites a slot before reuse), so each is written as an
+    // explicit "absent" marker and restored as a placeholder.
     let mut is_free = vec![false; stats.len()];
     for &slot in free {
         is_free[slot as usize] = true;

@@ -6,18 +6,16 @@
 //! The crate provides:
 //!
 //! * [`linalg`] — small dense-vector helpers (dot products, axpy, norms).
-//! * [`logit`] — a binary logistic-regression (logit) model trained by SGD.
-//! * [`softmax`] — a multinomial logistic-regression (softmax) model.
-//! * [`glm`] — [`glm::Glm`], a dispatcher that picks the logit model for binary
-//!   targets and the softmax model otherwise, exactly as proposed in §V-A of
-//!   the paper.
+//! * [`glm`] — [`glm::Glm`], the simple model of §V-A of the paper: a binary
+//!   logistic-regression (logit) model for two classes and a multinomial
+//!   logistic-regression (softmax) model otherwise, trained by SGD.
 //! * [`naive_bayes`] — incremental Gaussian Naive Bayes, used by the
 //!   VFDT (NBA) baseline leaves. It updates counts and Welford estimates,
 //!   has no gradient, and so does not implement [`SimpleModel`].
 //! * [`mod@aic`] — Akaike Information Criterion helpers and the ε-threshold test of
 //!   eq. (11).
 //!
-//! The GLMs implement [`SimpleModel`], the contract the Dynamic Model Tree
+//! [`Glm`] implements [`SimpleModel`], the contract the Dynamic Model Tree
 //! relies on: incremental SGD updates, per-batch negative log-likelihood and
 //! gradients evaluated *at the current parameters* (needed for the candidate
 //! loss approximation of eq. (6)–(7)).
@@ -52,21 +50,28 @@
 pub mod aic;
 pub mod glm;
 pub mod linalg;
-pub mod logit;
-pub mod loss;
 pub mod memory;
 pub mod naive_bayes;
 pub mod online;
-pub mod softmax;
 pub mod wire;
+
+// Tests of one `Glm` shape each, named after the model that shape is (§V-A):
+// the binary logit and the multinomial softmax. `glm.rs` tests what both
+// shapes share: shape selection, warm starts, the loss and the codec.
+#[cfg(test)]
+mod logit {
+    mod tests;
+}
+#[cfg(test)]
+mod softmax {
+    mod tests;
+}
 
 pub use aic::{aic_split_threshold, AicTest};
 pub use glm::Glm;
-pub use logit::LogitModel;
 pub use memory::MemoryUsage;
 pub use naive_bayes::GaussianNaiveBayes;
 pub use online::{Complexity, OnlineClassifier};
-pub use softmax::SoftmaxModel;
 pub use wire::{WireError, Writer};
 
 /// A batch of observations: one row per instance, dense `f64` features.
@@ -120,8 +125,8 @@ impl BatchMode {
     }
 }
 
-/// Contract shared by all simple models that can live at a node of a
-/// (Dynamic) Model Tree.
+/// Contract of the simple model at a node of a Dynamic Model Tree; [`Glm`]
+/// is its one implementor.
 ///
 /// The three core operations mirror Algorithm 1 of the paper:
 ///
@@ -174,15 +179,8 @@ pub trait SimpleModel: Send + Sync {
         out
     }
 
-    /// Most probable class for a single instance.
-    ///
-    /// The default goes through [`SimpleModel::predict_proba`] (and therefore
-    /// allocates); the GLM implementations override it with an allocation-free
-    /// argmax over the linear scores.
-    fn predict(&self, x: &[f64]) -> usize {
-        let proba = self.predict_proba(x);
-        argmax(&proba)
-    }
+    /// Most probable class for a single instance, without allocating.
+    fn predict(&self, x: &[f64]) -> usize;
 
     /// Negative log-likelihood of the batch evaluated at the *current*
     /// parameters; the gradient of that loss w.r.t. the flattened parameter
@@ -238,20 +236,9 @@ pub trait SimpleModel: Send + Sync {
     ///
     /// Contract: bit-identical to calling
     /// [`SimpleModel::predict_proba_into`] on each row in order — batching
-    /// only restructures the loops. The GLM implementations override the
-    /// default per-row loop with `gemv`-style kernels over the contiguous
-    /// rows.
-    fn predict_proba_batch_into(&self, xs: linalg::MatRef<'_>, out: &mut [f64]) {
-        let c = self.num_classes();
-        debug_assert_eq!(
-            out.len(),
-            xs.rows() * c,
-            "predict_proba_batch_into: buffer length"
-        );
-        for (row, out_row) in xs.row_iter().zip(out.chunks_exact_mut(c.max(1))) {
-            self.predict_proba_into(row, out_row);
-        }
-    }
+    /// only restructures the loops into `gemv`-style kernels over the
+    /// contiguous rows.
+    fn predict_proba_batch_into(&self, xs: linalg::MatRef<'_>, out: &mut [f64]);
 
     /// Per-row loss and gradient of a contiguous batch, evaluated at the
     /// *current* parameters: `losses[i]` receives row `i`'s negative
@@ -269,21 +256,9 @@ pub trait SimpleModel: Send + Sync {
         xs: linalg::MatRef<'_>,
         ys: &[usize],
         losses: &mut [f64],
-        mut grads: linalg::MatMut<'_>,
+        grads: linalg::MatMut<'_>,
         class_buf: &mut [f64],
-    ) -> f64 {
-        debug_assert_eq!(xs.rows(), ys.len());
-        debug_assert_eq!(losses.len(), xs.rows());
-        debug_assert_eq!(grads.rows(), xs.rows());
-        let mut total = 0.0;
-        for i in 0..xs.rows() {
-            let loss =
-                self.loss_and_gradient_into(&[xs.row(i)], &[ys[i]], grads.row_mut(i), class_buf);
-            losses[i] = loss;
-            total += loss;
-        }
-        total
-    }
+    ) -> f64;
 
     /// Train on a whole contiguous batch with constant learning rate; `mode`
     /// selects the traversal (see [`BatchMode`]). Only the parameters
@@ -293,27 +268,19 @@ pub trait SimpleModel: Send + Sync {
     /// so the GLM sweeps evaluate residuals (`σ(z) − y`, `p − onehot(y)`)
     /// and skip the log-likelihood.
     ///
-    /// In [`BatchMode::Deterministic`] the parameters are bit-identical to
-    /// calling [`SimpleModel::sgd_step_into`] on every row in order. The
-    /// default implementation always performs that sweep (discarding each
-    /// step's loss) — models without a batched kernel (Naive Bayes)
-    /// silently fall back to it; the GLM implementations
-    /// override it with windowed summed-gradient steps over the contiguous
-    /// rows, the deterministic sweep being a window of one.
+    /// The sweep takes windowed summed-gradient steps over the contiguous
+    /// rows. In [`BatchMode::Deterministic`] the window is one row, and the
+    /// parameters are bit-identical to calling
+    /// [`SimpleModel::sgd_step_into`] on every row in order.
     fn learn_batch_into(
         &mut self,
         xs: linalg::MatRef<'_>,
         ys: &[usize],
         learning_rate: f64,
-        _mode: BatchMode,
+        mode: BatchMode,
         grad_buf: &mut [f64],
         class_buf: &mut [f64],
-    ) {
-        debug_assert_eq!(xs.rows(), ys.len());
-        for (x, &y) in xs.row_iter().zip(ys.iter()) {
-            self.sgd_step_into(&[x], &[y], learning_rate, grad_buf, class_buf);
-        }
-    }
+    );
 
     /// Total number of observations this model has been trained on.
     fn observations_seen(&self) -> u64;

@@ -47,27 +47,6 @@ pub fn slice_deep_bytes<T: MemoryUsage>(items: &[T]) -> usize {
     items.iter().map(MemoryUsage::memory_bytes).sum()
 }
 
-impl MemoryUsage for crate::logit::LogitModel {
-    fn memory_bytes(&self) -> usize {
-        self.params_heap_bytes()
-    }
-}
-
-impl MemoryUsage for crate::softmax::SoftmaxModel {
-    fn memory_bytes(&self) -> usize {
-        self.params_heap_bytes()
-    }
-}
-
-impl MemoryUsage for crate::glm::Glm {
-    fn memory_bytes(&self) -> usize {
-        match self {
-            crate::glm::Glm::Logit(m) => m.memory_bytes(),
-            crate::glm::Glm::Softmax(m) => m.memory_bytes(),
-        }
-    }
-}
-
 impl MemoryUsage for crate::naive_bayes::GaussianNaiveBayes {
     fn memory_bytes(&self) -> usize {
         self.heap_bytes()

@@ -94,38 +94,17 @@ pub fn workspace_config() -> WorkspaceConfig {
                 ],
             ),
             (
-                "crates/dmt-models/src/logit.rs",
+                "crates/dmt-models/src/glm.rs",
                 &[
                     "decision_function",
                     "proba_positive",
-                    "predict",
                     "row_loss_residual",
                     "row_residual",
-                    "predict_proba_into",
-                    "loss_and_gradient_into",
-                    "sgd_step_into",
-                    "predict_proba_batch_into",
-                    "loss_and_gradient_batch_into",
-                    "learn_batch_into",
-                ],
-            ),
-            (
-                "crates/dmt-models/src/softmax.rs",
-                &[
                     "logits_into",
+                    "softmax_proba_into",
+                    "argmax_logits",
                     "row_loss_probs",
-                    "predict_proba_into",
-                    "predict",
-                    "loss_and_gradient_into",
-                    "sgd_step_into",
-                    "predict_proba_batch_into",
-                    "loss_and_gradient_batch_into",
-                    "learn_batch_into",
-                ],
-            ),
-            (
-                "crates/dmt-models/src/glm.rs",
-                &[
+                    "add_softmax_residuals",
                     "predict",
                     "predict_proba_into",
                     "loss_and_gradient_into",
