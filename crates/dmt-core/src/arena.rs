@@ -322,6 +322,42 @@ impl NodeArena {
         &self.stats
     }
 
+    /// Every slot's payload, live or free, for edits that visit all nodes
+    /// and must not allocate (the budget ladder's pool trim).
+    pub(crate) fn stats_column_mut(&mut self) -> &mut [NodeStats] {
+        &mut self.stats
+    }
+
+    /// A copy of the same shape and split keys in which only the leaves
+    /// keep a payload: each leaf slot holds a clone of its model with an
+    /// empty window and an empty pool ([`NodeStats::model_only`]), and every
+    /// inner slot a placeholder. A free slot already holds a placeholder,
+    /// whose model-only copy is a placeholder again. The copy makes one
+    /// allocation per leaf beside its seven columns.
+    pub(crate) fn predict_only(&self) -> NodeArena {
+        let stats = self
+            .stats
+            .iter()
+            .zip(&self.left)
+            .map(|(stats, &left)| {
+                if left == NONE {
+                    NodeStats::model_only(stats.model.clone())
+                } else {
+                    NodeStats::placeholder()
+                }
+            })
+            .collect();
+        NodeArena {
+            split_feature: self.split_feature.clone(),
+            split_value: self.split_value.clone(),
+            split_nominal: self.split_nominal.clone(),
+            left: self.left.clone(),
+            right: self.right.clone(),
+            stats,
+            free: self.free.clone(),
+        }
+    }
+
     /// Rebuild an arena from decoded snapshot columns, enforcing the local
     /// invariants a hostile file could violate: all columns must have the
     /// same length, child links must be in bounds and paired (a slot has

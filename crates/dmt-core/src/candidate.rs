@@ -83,8 +83,9 @@ pub struct SplitCandidate {
 ///
 /// A push grows each allocation by exactly one row when it is full, so a
 /// pool's capacity is whatever its owner reserved (a node pool reserves
-/// `max_candidates` rows on its first admission) or, for the scratch
-/// space's proposal pool, the largest proposal count seen.
+/// `max_candidates` rows on its first admission, or the lower pool cap of a
+/// binding memory budget) or, for the scratch space's proposal pool, the
+/// largest proposal count seen.
 #[derive(Debug, Clone, Default)]
 pub struct CandidatePool {
     num_params: usize,
@@ -187,6 +188,32 @@ impl CandidatePool {
         for (row, entry) in self.entries.iter_mut().enumerate() {
             entry.last_gain = gain(entry, &self.grads[row * k..(row + 1) * k]);
         }
+    }
+
+    /// Keep the `cap` candidates with the best `last_gain` (a NaN gain
+    /// counts as the worst, and of equal gains the earlier in pool order is
+    /// kept), in pool order, and shrink both allocations to `cap` rows.
+    pub(crate) fn trim_to(&mut self, cap: usize) {
+        let rank = |c: &SplitCandidate| {
+            if c.last_gain.is_nan() {
+                f64::NEG_INFINITY
+            } else {
+                c.last_gain
+            }
+        };
+        while self.entries.len() > cap {
+            let mut worst = 0;
+            for (row, entry) in self.entries.iter().enumerate().skip(1) {
+                if rank(entry) <= rank(&self.entries[worst]) {
+                    worst = row;
+                }
+            }
+            self.entries.remove(worst);
+            let span = self.span(worst);
+            self.grads.drain(span);
+        }
+        self.entries.shrink_to(cap);
+        self.grads.shrink_to(cap * self.num_params);
     }
 }
 
@@ -379,6 +406,53 @@ mod tests {
             second.is_empty(),
             "identical batch should propose nothing new"
         );
+    }
+
+    #[test]
+    fn trim_keeps_the_best_candidates_in_pool_order() {
+        // Gains by pool position; feature ids tag the rows, and each row's
+        // gradient repeats its id.
+        let gains = [0.5, f64::NAN, 2.0, 0.5, -1.0, 2.0, 0.5];
+        let mut pool = CandidatePool::new(2);
+        for (row, _) in gains.iter().enumerate() {
+            pool.push(CandidateKey {
+                feature: row,
+                value: 0.0,
+                is_nominal: false,
+            });
+            pool.add(row, 0.0, 0, &[row as f64, row as f64]);
+        }
+        pool.refresh_gains(|c, _| gains[c.key.feature]);
+        let kept = |pool: &CandidatePool| pool.iter().map(|c| c.key.feature).collect::<Vec<_>>();
+        let row_bytes = std::mem::size_of::<SplitCandidate>() + 2 * 8;
+
+        // Of the three 0.5 gains the earliest two survive a cut to four;
+        // NaN counts as the worst gain.
+        pool.trim_to(4);
+        assert_eq!(kept(&pool), [0, 2, 3, 5]);
+        for (row, c) in pool.iter().enumerate() {
+            let id = c.key.feature as f64;
+            assert_eq!(pool.grad(row), [id, id]);
+        }
+        assert_eq!(pool.memory_bytes(), 4 * row_bytes);
+
+        pool.trim_to(1);
+        assert_eq!(kept(&pool), [2]);
+        assert_eq!(pool.grad(0), [2.0, 2.0]);
+        assert_eq!(pool.memory_bytes(), row_bytes);
+
+        // A pool already within the cap keeps its rows and shrinks only
+        // its allocation.
+        let mut roomy = CandidatePool::new(2);
+        roomy.reserve_rows(6);
+        roomy.push(CandidateKey {
+            feature: 9,
+            value: 0.0,
+            is_nominal: false,
+        });
+        roomy.trim_to(3);
+        assert_eq!(kept(&roomy), [9]);
+        assert_eq!(roomy.memory_bytes(), 3 * row_bytes);
     }
 
     #[test]

@@ -4,16 +4,21 @@
 //! The serving plane (`dmt-serve`) must answer predictions from a tree that
 //! is *simultaneously learning*. Taking the writer's lock per prediction
 //! would couple predict tail latency to `learn_batch` duration; instead the
-//! writer periodically **publishes** an immutable snapshot — for a
-//! [`DynamicModelTree`](crate::DynamicModelTree) a clone is a near-memcpy of
-//! the flat SoA arena — and readers **pin** whichever snapshot is current:
+//! writer periodically **publishes** an immutable snapshot and readers
+//! **pin** whichever snapshot is current. The registry publishes a
+//! [`PredictView`](crate::PredictView) of its
+//! [`DynamicModelTree`](crate::DynamicModelTree): the arena's split columns
+//! plus one clone of every leaf model, one allocation per leaf beside the
+//! seven columns. The inner models, loss windows and candidate pools stay
+//! with the writer, because only learning reads them. The cell itself is
+//! generic over what it publishes.
 //!
 //! ```text
 //!  writer thread                         reader threads
 //!  ─────────────                         ──────────────
-//!  learn_batch(&mut tree)   (seconds)    pin()  ── Arc clone ──▶ epoch N
-//!  clone tree               (memcpy)     predict_batch(&epoch)  (no locks)
-//!  publish(clone)           (O(1) swap)  pin()  ───────────────▶ epoch N+1
+//!  learn_batch(&mut tree)                pin()  ── Arc clone ──▶ epoch N
+//!  tree.predict_view()  (leaf models)    predict(&epoch)        (no locks)
+//!  publish(view)        (O(1) swap)      pin()  ───────────────▶ epoch N+1
 //! ```
 //!
 //! The only shared state is one `RwLock<Arc<Epoch<T>>>` held for the

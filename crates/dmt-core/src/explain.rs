@@ -9,6 +9,27 @@
 
 use dmt_models::{Glm, SimpleModel};
 
+use crate::arena::{NodeArena, NodeId};
+
+/// Explain the prediction for `x` of the tree rooted at `root`: the decision
+/// path plus the linear weights of the responsible leaf model.
+pub(crate) fn explain_at(arena: &NodeArena, root: NodeId, x: &[f64]) -> LeafExplanation {
+    let mut id = root;
+    let mut path = Vec::new();
+    while let Some((left, right)) = arena.children(id) {
+        let key = arena.split_key(id);
+        let went_left = key.goes_left(x);
+        path.push(DecisionStep {
+            feature: key.feature,
+            value: key.value,
+            is_nominal: key.is_nominal,
+            went_left,
+        });
+        id = if went_left { left } else { right };
+    }
+    LeafExplanation::from_model(path, &arena.stats(id).model, x)
+}
+
 /// One decision on the path from the root to a leaf.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DecisionStep {

@@ -32,7 +32,8 @@
 //! batches down the tree with a stable in-place index partition. The
 //! tree learns and predicts on the calling thread: this crate spawns no
 //! threads and forbids `unsafe` code. Concurrent readers share a tree
-//! through the copy-on-write epochs of the [`epoch`] module.
+//! through the copy-on-write epochs of the [`epoch`] module, each holding a
+//! predict-only [`PredictView`].
 //!
 //! ```
 //! use dmt_core::{DmtConfig, DynamicModelTree};
@@ -65,6 +66,7 @@ pub mod node;
 pub mod scratch;
 pub mod snapshot;
 pub mod tree;
+pub mod view;
 
 pub use arena::{NodeArena, NodeId};
 pub use candidate::{CandidateKey, CandidatePool, SplitCandidate};
@@ -76,7 +78,8 @@ pub use lockrank::{LockRank, RankToken, Ranked};
 pub use node::{GainDecision, NodeStats};
 pub use scratch::UpdateScratch;
 pub use snapshot::SnapshotError;
-pub use tree::{DmtConfig, DynamicModelTree};
+pub use tree::{BudgetCounters, DmtConfig, DynamicModelTree};
+pub use view::PredictView;
 
 // Re-exported so `DmtConfig::batch_mode` can be set without a direct
 // `dmt-models` dependency.

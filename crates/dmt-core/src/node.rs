@@ -74,6 +74,28 @@ pub(crate) enum Routing {
     PerInstance,
 }
 
+/// The budget ladder's two levers on the learn path (see
+/// [`DmtConfig::memory_budget_bytes`]). An unbudgeted tree passes a pool
+/// cap of `max_candidates(m)`, which caps nothing; a lone node's update
+/// outside a tree passes [`Levers::UNBOUNDED`]'s.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Levers {
+    /// The most candidates a node's pool may hold (rung 1). Pools hold at
+    /// most `min(max_candidates(m), pool_cap)`.
+    pub(crate) pool_cap: usize,
+    /// `false` while growth is frozen (rung 5): no new splits and no
+    /// replacements, the only structural moves that allocate.
+    pub(crate) allow_growth: bool,
+}
+
+impl Levers {
+    /// No cap below `max_candidates(m)` and growth allowed.
+    pub(crate) const UNBOUNDED: Levers = Levers {
+        pool_cap: usize::MAX,
+        allow_growth: true,
+    };
+}
+
 /// Per-node accumulated statistics: the simple model, the loss/gradient sums
 /// over the node's current time window and the stored split candidates.
 #[derive(Debug, Clone)]
@@ -86,7 +108,8 @@ pub struct NodeStats {
     pub grad_sum: Vec<f64>,
     /// Number of observations in the current window `|S_t|`.
     pub count: u64,
-    /// Stored split candidates (at most `3·m` by default).
+    /// Stored split candidates: at most `3·m` by default, fewer while a
+    /// binding memory budget holds the pool cap lower.
     pub candidates: CandidatePool,
 }
 
@@ -120,6 +143,20 @@ impl NodeStats {
         Self::new(Glm::placeholder())
     }
 
+    /// A payload that holds only `model`: an empty window and an empty
+    /// candidate pool, neither allocated. What a leaf keeps in a
+    /// predict-only view ([`crate::PredictView`]).
+    pub(crate) fn model_only(model: Glm) -> Self {
+        let params = model.num_params();
+        Self {
+            model,
+            loss_sum: 0.0,
+            grad_sum: Vec::new(),
+            count: 0,
+            candidates: CandidatePool::new(params),
+        }
+    }
+
     /// Reset the accumulation window (after a structural change) while
     /// keeping the trained model parameters.
     pub fn reset_window(&mut self) {
@@ -135,9 +172,11 @@ impl NodeStats {
     }
 
     /// Drop the stored candidate pool and return its backing allocations
-    /// to the allocator. First rung of the budget ladder: the pool is
-    /// re-proposed from future batches, so this costs adaptation latency
-    /// on the affected node but no model quality.
+    /// to the allocator. Second rung of the budget ladder, once the pool
+    /// cap is at its floor: the next batch re-proposes the pool from
+    /// scratch, so the node's split and replace checks restart from one
+    /// batch of candidate statistics. That costs model quality as well as
+    /// adaptation latency, which is why the cap comes first.
     pub(crate) fn shed_candidates(&mut self) {
         self.candidates = CandidatePool::new(self.k());
     }
@@ -257,18 +296,21 @@ impl NodeStats {
         }
         scratch.gather(xs, ys, idx);
         sort_columns(scratch, xs[idx[0]].len(), nominal_features);
-        self.update_gathered(nominal_features, config, scratch, 0);
+        let pool_cap = Levers::UNBOUNDED.pool_cap;
+        self.update_gathered(nominal_features, config, scratch, 0, pool_cap);
     }
 
     /// The node update over the non-empty sub-batch already gathered into
     /// `scratch.xbuf`/`scratch.ybuf`, whose rows sorted by every numeric
-    /// column sit at `offset` of each `scratch.orders` stripe.
+    /// column sit at `offset` of each `scratch.orders` stripe. The pool
+    /// holds at most `pool_cap` candidates afterwards.
     fn update_gathered(
         &mut self,
         nominal_features: &[bool],
         config: &DmtConfig,
         scratch: &mut UpdateScratch,
         offset: usize,
+        pool_cap: usize,
     ) {
         let k = self.model.num_params();
         let b = scratch.ybuf.len();
@@ -369,7 +411,7 @@ impl NodeStats {
 
         // Candidate pool management (§V-D): let the freshly proposed
         // candidates displace at most `replacement_rate` of the pool.
-        self.manage_candidate_pool(m, config, proposals_buf, admit_order);
+        self.manage_candidate_pool(m, config, pool_cap, proposals_buf, admit_order);
 
         // Finally, train the simple model with constant-learning-rate SGD
         // over the gathered batch (§V-A); `config.batch_mode` selects the
@@ -685,17 +727,19 @@ impl NodeStats {
     }
 
     /// Candidate pool management (§V-D): rank the gain-scored proposals and
-    /// let them displace at most `replacement_rate` of the stored pool.
+    /// let them displace at most `replacement_rate` of the stored pool,
+    /// whose size is `max_candidates(m)` or the lower `pool_cap`.
     /// `order` receives the proposal indices by descending gain; the sort is
     /// stable, so proposals of equal gain keep their proposal order.
     fn manage_candidate_pool(
         &mut self,
         num_features: usize,
         config: &DmtConfig,
+        pool_cap: usize,
         proposals: &CandidatePool,
         order: &mut Vec<u32>,
     ) {
-        let max_candidates = config.max_candidates(num_features);
+        let max_candidates = config.max_candidates(num_features).min(pool_cap);
         let max_replacements = ((max_candidates as f64) * config.replacement_rate).ceil() as usize;
 
         if proposals.is_empty() {
@@ -778,8 +822,8 @@ fn numeric_sort_key(v: f64) -> u64 {
 /// then let each proposal displace the worst stored candidate (the first one
 /// with the least gain) if it beats it, at most `max_replacements` times.
 /// Admission copies the proposal's row into the pool. The first admission
-/// into a pool reserves it to exactly `max_candidates` rows, so a shed pool
-/// regrows with two allocations.
+/// into a pool reserves it to exactly `max_candidates` rows (the pool cap
+/// when a budget lowers it), so a shed pool regrows with two allocations.
 ///
 /// The loop stops at the first proposal that cannot beat the worst stored
 /// candidate: the pool is then unchanged, so the worst gain is too, and
@@ -962,32 +1006,42 @@ fn split_orders(scratch: &mut UpdateScratch, offset: usize, rows: usize, left_ro
 
 /// The structural checks of Algorithm 1 for an *inner* node whose children
 /// have already consumed the batch: prune (gain (5)) and replace (gain (4)),
-/// thresholded by the AIC test. Returns the decision taken at `id`. It runs
-/// at the tail of [`learn_at`], after both children's subtrees have learned
-/// the batch, and only reads or mutates `id`'s own subtree.
+/// thresholded by the AIC test. `leaf_loss` and `num_leaves` are the sum of
+/// the leaf losses and the leaf count of `id`'s subtree after the children's
+/// own checks, which [`learn_at`] hands up from below. Returns the decision
+/// taken at `id`. It runs at the tail of [`learn_at`], after both children's
+/// subtrees have learned the batch, and only reads or mutates `id`'s own
+/// subtree.
 ///
-/// `allow_growth` is the budget ladder's hard floor (rung 4): when `false`,
+/// `allow_growth` is the budget ladder's hard floor: when `false`,
 /// replacements are suppressed (they re-allocate child payloads) while prunes
 /// — which only ever release memory — still run. Unbudgeted trees always
 /// pass `true`, so the flag is inert unless a memory budget is armed.
 fn structural_check_inner(
     arena: &mut NodeArena,
     id: NodeId,
+    (leaf_loss, num_leaves): (f64, u64),
     config: &DmtConfig,
     scratch: &mut UpdateScratch,
     allow_growth: bool,
 ) -> GainDecision {
+    // Debug builds re-walk the subtree: the handed-up sums must be the very
+    // bits the walk produces.
+    #[cfg(debug_assertions)]
+    if let Some((left, right)) = arena.children(id) {
+        let ((ll, lc), (rl, rc)) = (
+            arena.subtree_leaf_loss(left),
+            arena.subtree_leaf_loss(right),
+        );
+        debug_assert_eq!(
+            (leaf_loss.to_bits(), num_leaves),
+            ((ll + rl).to_bits(), lc + rc)
+        );
+    }
     if arena.stats(id).count < config.min_observations_split {
         return GainDecision::Keep;
     }
     let key = arena.split_key(id);
-    let (left, right) = arena.children(id).expect("inner node has children");
-
-    let (leaf_loss, num_leaves) = {
-        let (ll, lc) = arena.subtree_leaf_loss(left);
-        let (rl, rc) = arena.subtree_leaf_loss(right);
-        (ll + rl, lc + rc)
-    };
     let stats = arena.stats(id);
     let k = stats.k();
     let k_subtree = (num_leaves as usize) * k;
@@ -1039,7 +1093,12 @@ fn structural_check_inner(
 
 /// Learn the sub-batch selected by `idx` at the arena node `id` and apply
 /// the structural checks of Algorithm 1 to the subtree below it. Returns the
-/// structural decision taken at `id` itself.
+/// structural decision taken at `id` itself, and the subtree's leaf-loss sum
+/// and leaf count after every check — the values
+/// [`NodeArena::subtree_leaf_loss`] computes, from the same additions in the
+/// same order — so the parent's checks read them without walking the
+/// subtree again. A node the batch does not reach learns nothing and sums
+/// its subtree recursively.
 ///
 /// Inner nodes (which keep full statistics and keep training their model —
 /// the key difference from FIMT-DD, §IV-D) route instances by stably
@@ -1050,11 +1109,12 @@ fn structural_check_inner(
 /// `routing` selects where the split test reads its feature value from; see
 /// [`Routing`].
 ///
-/// `allow_growth` is the budget ladder's hard floor (rung 4): `false`
-/// suppresses new splits and replacements — the only structural moves that
-/// allocate — while statistics keep accumulating and prunes keep running, so
-/// a tree pinned at its floor still learns and adapts. Unbudgeted trees
-/// always pass `true`.
+/// `levers` carries the budget ladder's pool cap and its hard floor:
+/// `allow_growth == false` suppresses new splits and replacements — the
+/// only structural moves that allocate — while statistics keep accumulating
+/// and prunes keep running, so a tree pinned at its floor still learns and
+/// adapts. Unbudgeted trees never cap a pool below `max_candidates(m)` and
+/// always allow growth.
 ///
 /// `inherited` is the offset of this node's rows in the presorted stripes
 /// of `scratch.orders`, or `None` when no order is inherited and the node
@@ -1075,11 +1135,11 @@ pub(crate) fn learn_at(
     config: &DmtConfig,
     scratch: &mut UpdateScratch,
     routing: Routing,
-    allow_growth: bool,
+    levers: Levers,
     inherited: Option<usize>,
-) -> GainDecision {
+) -> (GainDecision, (f64, u64)) {
     if idx.is_empty() {
-        return GainDecision::Keep;
+        return (GainDecision::Keep, arena.subtree_leaf_loss(id));
     }
     let m = xs[idx[0]].len();
     scratch.gather(xs, ys, idx);
@@ -1092,10 +1152,10 @@ pub(crate) fn learn_at(
     };
     if arena.is_leaf(id) {
         let stats = arena.stats_mut(id);
-        stats.update_gathered(nominal_features, config, scratch, offset);
+        stats.update_gathered(nominal_features, config, scratch, offset, levers.pool_cap);
         // Split check (gain (3) against the AIC threshold).
-        if stats.count < config.min_observations_split || !allow_growth {
-            return GainDecision::Keep;
+        if stats.count < config.min_observations_split || !levers.allow_growth {
+            return (GainDecision::Keep, (stats.loss_sum, 1));
         }
         if let Some((best_idx, gain)) = stats.best_candidate(stats.loss_sum, config.learning_rate) {
             let k = stats.k();
@@ -1110,18 +1170,23 @@ pub(crate) fn learn_at(
                     NodeStats::new(left_model),
                     NodeStats::new(right_model),
                 );
-                return GainDecision::Split { key, gain };
+                // Two fresh leaves with zeroed windows.
+                return (GainDecision::Split { key, gain }, (0.0, 2));
             }
         }
-        GainDecision::Keep
+        (GainDecision::Keep, (stats.loss_sum, 1))
     } else {
         // Update the inner node's own statistics and model with the full
         // sub-batch (DMT keeps training inner models, §IV-D). The node
         // update is independent of the children's, so doing it before
         // routing lets the children permute `idx` freely.
-        arena
-            .stats_mut(id)
-            .update_gathered(nominal_features, config, scratch, offset);
+        arena.stats_mut(id).update_gathered(
+            nominal_features,
+            config,
+            scratch,
+            offset,
+            levers.pool_cap,
+        );
 
         // Route the sub-batch to the children: stable in-place partition of
         // the index slice (left prefix, right suffix) using the reusable
@@ -1142,7 +1207,7 @@ pub(crate) fn learn_at(
 
         let (left, right) = arena.children(id).expect("inner node has children");
         let (left_idx, right_idx) = idx.split_at_mut(write);
-        learn_at(
+        let (_, (left_loss, left_leaves)) = learn_at(
             arena,
             left,
             xs,
@@ -1152,10 +1217,10 @@ pub(crate) fn learn_at(
             config,
             scratch,
             routing,
-            allow_growth,
+            levers,
             left_order,
         );
-        learn_at(
+        let (_, (right_loss, right_leaves)) = learn_at(
             arena,
             right,
             xs,
@@ -1165,11 +1230,20 @@ pub(crate) fn learn_at(
             config,
             scratch,
             routing,
-            allow_growth,
+            levers,
             right_order,
         );
-
-        structural_check_inner(arena, id, config, scratch, allow_growth)
+        let subtree = (left_loss + right_loss, left_leaves + right_leaves);
+        let decision =
+            structural_check_inner(arena, id, subtree, config, scratch, levers.allow_growth);
+        // A prune leaves one reset leaf and a replace two fresh leaves, all
+        // with zeroed windows.
+        let subtree = match decision {
+            GainDecision::Keep => subtree,
+            GainDecision::Prune { .. } => (0.0, 1),
+            GainDecision::Split { .. } | GainDecision::Replace { .. } => (0.0, 2),
+        };
+        (decision, subtree)
     }
 }
 
@@ -1554,7 +1628,7 @@ mod tests {
             let ys: Vec<usize> = xs.iter().map(|x| usize::from(x[0] > 0.75)).collect();
             let rows: Vec<&[f64]> = xs.iter().map(|v| v.as_slice()).collect();
             let mut idx: Vec<usize> = (0..rows.len()).collect();
-            if let GainDecision::Split { .. } = learn_at(
+            if let (GainDecision::Split { .. }, _) = learn_at(
                 &mut arena,
                 root,
                 &rows,
@@ -1564,7 +1638,7 @@ mod tests {
                 &cfg,
                 &mut scratch,
                 Routing::Gathered,
-                true,
+                Levers::UNBOUNDED,
                 None,
             ) {
                 split_seen = true;
@@ -1596,10 +1670,10 @@ mod tests {
                 &cfg,
                 &mut scratch,
                 Routing::Gathered,
-                true,
+                Levers::UNBOUNDED,
                 None,
             ),
-            GainDecision::Keep
+            (GainDecision::Keep, (0.0, 1))
         );
         assert_eq!(arena.stats(root).count, 0);
     }
@@ -1710,7 +1784,7 @@ mod tests {
                 &cfg,
                 &mut scratch,
                 Routing::Gathered,
-                true,
+                Levers::UNBOUNDED,
                 None,
             );
 

@@ -6,10 +6,12 @@ use dmt_models::{AicTest, BatchMode, Glm, MemoryUsage, Rows};
 use dmt_stream::schema::StreamSchema;
 
 use crate::arena::{NodeArena, NodeId};
+use crate::candidate::SplitCandidate;
 use crate::error::DmtError;
-use crate::explain::{DecisionStep, LeafExplanation};
-use crate::node::{learn_at, GainDecision, NodeStats, Routing};
+use crate::explain::{explain_at, LeafExplanation};
+use crate::node::{learn_at, GainDecision, Levers, NodeStats, Routing};
 use crate::scratch::UpdateScratch;
+use crate::view::{predict_proba_row, predict_row, try_predict_rows, validate_rows, PredictView};
 
 /// Hyperparameters of the Dynamic Model Tree with the defaults proposed in
 /// §V-D of the paper.
@@ -50,16 +52,25 @@ pub struct DmtConfig {
     /// ([`DynamicModelTree::memory_bytes`] must not exceed it after a batch).
     /// `None` (the default) disables all budget machinery — the tree is
     /// bit-identical to an unbudgeted build. `Some(budget)` arms a
-    /// four-rung degradation ladder that runs at the end of every learn
+    /// five-rung degradation ladder that runs at the end of every learn
     /// batch while the tree is over budget:
     ///
-    /// 1. retire split-candidate pools on the coldest nodes (re-proposed
-    ///    from later batches — costs adaptation latency, no model quality),
-    /// 2. compact the arena and drop the update scratch (pure-cache
+    /// 1. lower the pool cap, one candidate at a time, and trim every
+    ///    candidate pool to its best candidates by last gain (the pool size
+    ///    of §V-D, `n_saved_candidates` in the reference implementation,
+    ///    turned into the budget's lever). The cap is derived state,
+    ///    not a field here: it starts at [`DmtConfig::max_candidates`] and
+    ///    climbs back one candidate at a time once every live node has
+    ///    headroom for two more rows, so the byte footprint settles instead
+    ///    of shedding and regrowing pools on every batch,
+    /// 2. with the cap at its floor of one candidate, retire whole pools on
+    ///    the coldest nodes (re-proposed from later batches, so their split
+    ///    checks restart from one batch of statistics),
+    /// 3. compact the arena and drop the update scratch (pure-cache
     ///    reclamation, no behavioural change at all),
-    /// 3. merge subtrees back into model leaves, best prune gain first
+    /// 4. merge subtrees back into model leaves, best prune gain first
     ///    (the paper's own gain (5) machinery, applied under duress),
-    /// 4. freeze growth: new splits/replacements are deferred until the
+    /// 5. freeze growth: new splits/replacements are deferred until the
     ///    tree is back under budget; learning, prediction and prunes
     ///    continue.
     ///
@@ -125,13 +136,38 @@ pub struct DynamicModelTree {
     /// Reusable buffers for the update loop; after the first batches the
     /// learn path performs no per-instance heap allocations.
     scratch: UpdateScratch,
-    /// Rung 4 of the budget ladder: `true` while the last budget enforcement
+    /// Rung 5 of the budget ladder: `true` while the last budget enforcement
     /// could not get under [`DmtConfig::memory_budget_bytes`] even after
     /// merging the tree down, so the next batch learns without growing.
     /// Always `false` on unbudgeted trees. Derived state — recomputed by
     /// every budget pass, deliberately not serialised (a restored tree
     /// re-evaluates its budget on the first batch it learns).
     growth_frozen: bool,
+    /// Rung 1 of the budget ladder: the most candidates a node's pool may
+    /// hold. [`DmtConfig::max_candidates`] unless a budget binds. Derived
+    /// state like `growth_frozen`: never serialised, so a restored tree
+    /// starts at the maximum and derives the cap again.
+    pool_cap: usize,
+    /// How often each rung fired; kept with the writer, never serialised.
+    budget_counters: BudgetCounters,
+}
+
+/// How often each rung of the budget ladder (see
+/// [`DmtConfig::memory_budget_bytes`]) fired: the number of learn batches
+/// on which it ran. Deterministic counters of the writer tree; snapshots
+/// and the wire carry none of them.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct BudgetCounters {
+    /// Batches that lowered the pool cap and trimmed the pools (rung 1).
+    pub cap_lowered: u64,
+    /// Batches that shed at least one whole candidate pool (rung 2).
+    pub pools_shed: u64,
+    /// Batches that compacted the arena and dropped the scratch (rung 3).
+    pub compacted: u64,
+    /// Batches that merged at least one subtree into a leaf (rung 4).
+    pub merged: u64,
+    /// Batches that ended with growth frozen (rung 5).
+    pub frozen: u64,
 }
 
 impl Clone for DynamicModelTree {
@@ -148,6 +184,8 @@ impl Clone for DynamicModelTree {
             decisions: self.decisions.clone(),
             scratch: UpdateScratch::new(),
             growth_frozen: self.growth_frozen,
+            pool_cap: self.pool_cap,
+            budget_counters: self.budget_counters,
         }
     }
 }
@@ -163,6 +201,7 @@ impl DynamicModelTree {
         let root_model = Glm::new_random(schema.num_features(), schema.num_classes, config.seed);
         let (arena, root) = NodeArena::with_root(NodeStats::new(root_model));
         Self {
+            pool_cap: config.max_candidates(schema.num_features()),
             config,
             schema,
             nominal_features,
@@ -172,6 +211,7 @@ impl DynamicModelTree {
             decisions: Vec::new(),
             scratch: UpdateScratch::new(),
             growth_frozen: false,
+            budget_counters: BudgetCounters::default(),
         }
     }
 
@@ -192,6 +232,7 @@ impl DynamicModelTree {
             .map(|f| f.feature_type.is_nominal())
             .collect();
         Self {
+            pool_cap: config.max_candidates(schema.num_features()),
             config,
             schema,
             nominal_features,
@@ -201,6 +242,7 @@ impl DynamicModelTree {
             decisions,
             scratch: UpdateScratch::new(),
             growth_frozen: false,
+            budget_counters: BudgetCounters::default(),
         }
     }
 
@@ -257,42 +299,21 @@ impl DynamicModelTree {
     /// Explain the prediction for `x`: the decision path plus the linear
     /// weights of the responsible leaf model.
     pub fn explain(&self, x: &[f64]) -> LeafExplanation {
-        let mut id = self.root;
-        let mut path = Vec::new();
-        while let Some((left, right)) = self.arena.children(id) {
-            let key = self.arena.split_key(id);
-            let went_left = key.goes_left(x);
-            path.push(DecisionStep {
-                feature: key.feature,
-                value: key.value,
-                is_nominal: key.is_nominal,
-                went_left,
-            });
-            id = if went_left { left } else { right };
-        }
-        LeafExplanation::from_model(path, &self.arena.stats(id).model, x)
+        explain_at(&self.arena, self.root, x)
     }
 
-    /// Reject rows that would corrupt the update: wrong feature dimension
-    /// (out-of-bounds routing) or non-finite values (NaN/Inf would poison
-    /// every loss/gradient accumulator on the row's path).
-    fn validate_rows(&self, xs: Rows<'_>) -> Result<(), DmtError> {
-        let expected = self.schema.num_features();
-        for (row, x) in xs.iter().enumerate() {
-            if x.len() != expected {
-                return Err(DmtError::FeatureDimension {
-                    row,
-                    got: x.len(),
-                    expected,
-                });
-            }
-            for (feature, &v) in x.iter().enumerate() {
-                if !v.is_finite() {
-                    return Err(DmtError::NonFiniteFeature { row, feature });
-                }
-            }
-        }
-        Ok(())
+    /// A predict-only copy of the tree, the value a serving epoch holds:
+    /// the same arena shape and split keys, a clone of every leaf model
+    /// with an empty window and an empty pool, and placeholders everywhere
+    /// else. It has no decision log, no scratch and no configuration. It
+    /// descends and predicts through the same code as the tree, so its
+    /// predictions are bit-identical to the tree's at the time of the call.
+    pub fn predict_view(&self) -> PredictView {
+        PredictView::new(
+            self.arena.predict_only(),
+            self.root,
+            self.schema.num_features(),
+        )
     }
 
     /// Checked form of [`OnlineClassifier::learn_batch`]: validate the whole
@@ -318,7 +339,7 @@ impl DynamicModelTree {
         if xs.is_empty() {
             return Err(DmtError::EmptyBatch);
         }
-        self.validate_rows(xs)?;
+        validate_rows(xs, self.schema.num_features())?;
         let num_classes = self.schema.num_classes;
         for (row, &label) in ys.iter().enumerate() {
             if label >= num_classes {
@@ -338,15 +359,7 @@ impl DynamicModelTree {
     /// output length, wrong feature dimensions and non-finite features are
     /// typed errors.
     pub fn try_predict_batch_into(&self, xs: Rows<'_>, out: &mut [usize]) -> Result<(), DmtError> {
-        if xs.len() != out.len() {
-            return Err(DmtError::LengthMismatch {
-                xs: xs.len(),
-                ys: out.len(),
-            });
-        }
-        self.validate_rows(xs)?;
-        self.predict_batch_into(xs, out);
-        Ok(())
+        try_predict_rows(&self.arena, self.root, self.schema.num_features(), xs, out)
     }
 
     /// Reference form of [`DynamicModelTree::try_learn_batch`] whose
@@ -374,7 +387,11 @@ impl DynamicModelTree {
         let mut indices = std::mem::take(&mut self.scratch.indices);
         indices.clear();
         indices.extend(0..xs.len());
-        let decision = learn_at(
+        let levers = Levers {
+            pool_cap: self.pool_cap,
+            allow_growth: !self.growth_frozen,
+        };
+        let (decision, _) = learn_at(
             &mut self.arena,
             self.root,
             xs,
@@ -384,7 +401,7 @@ impl DynamicModelTree {
             &self.config,
             &mut self.scratch,
             routing,
-            !self.growth_frozen,
+            levers,
             None,
         );
         self.scratch.indices = indices;
@@ -403,9 +420,7 @@ impl DynamicModelTree {
     /// (`out.len() == num_classes`); the allocation-free analogue of
     /// [`OnlineClassifier::predict_proba`].
     pub fn predict_proba_into(&self, x: &[f64], out: &mut [f64]) {
-        use dmt_models::SimpleModel;
-        let leaf = self.arena.leaf_for(self.root, x);
-        self.arena.stats(leaf).model.predict_proba_into(x, out);
+        predict_proba_row(&self.arena, self.root, x, out);
     }
 
     /// Predict the most probable class of every row of `xs` into `out`
@@ -443,21 +458,45 @@ impl DynamicModelTree {
     /// tenants join or leave, every tree's share of the fleet-wide byte pool
     /// is recomputed and applied here. The new budget takes effect at the
     /// end of the next learn batch (the ladder runs at batch boundaries);
-    /// disarming a budget also clears a standing growth freeze so the tree
-    /// resumes splitting immediately.
+    /// disarming a budget also clears a standing growth freeze and resets
+    /// the pool cap, so the tree resumes splitting and refills its pools
+    /// immediately.
     pub fn set_memory_budget(&mut self, budget: Option<usize>) {
         self.config.memory_budget_bytes = budget;
         if budget.is_none() {
             self.growth_frozen = false;
+            self.pool_cap = self.max_candidates();
         }
     }
 
     /// Whether the budget ladder is currently sitting on its hard floor
-    /// (rung 4): the last enforcement pass could not fit the tree under
+    /// (rung 5): the last enforcement pass could not fit the tree under
     /// [`DmtConfig::memory_budget_bytes`], so new splits and replacements
     /// are deferred. Always `false` on unbudgeted trees.
     pub fn growth_frozen(&self) -> bool {
         self.growth_frozen
+    }
+
+    /// The most candidates a node's pool may hold right now (rung 1 of the
+    /// budget ladder): [`DmtConfig::max_candidates`] unless a budget binds.
+    pub fn pool_cap(&self) -> usize {
+        self.pool_cap
+    }
+
+    /// How often each rung of the budget ladder fired so far.
+    pub fn budget_counters(&self) -> BudgetCounters {
+        self.budget_counters
+    }
+
+    /// [`DmtConfig::max_candidates`] for the tree's features.
+    fn max_candidates(&self) -> usize {
+        self.config.max_candidates(self.schema.num_features())
+    }
+
+    /// Heap bytes one more stored candidate adds to a node's pool.
+    fn candidate_row_bytes(&self) -> usize {
+        std::mem::size_of::<SplitCandidate>()
+            + std::mem::size_of::<f64>() * self.arena.stats(self.root).k()
     }
 
     /// Budget-enforcement ladder, run at the end of every learn batch.
@@ -468,22 +507,49 @@ impl DynamicModelTree {
     /// While over budget the rungs escalate in order of increasing cost to
     /// model quality — see the [`DmtConfig::memory_budget_bytes`] docs for
     /// the ladder. The tree never refuses a batch and never panics under
-    /// pressure; the worst case (rung 4) is a frozen structure that still
+    /// pressure; the worst case (rung 5) is a frozen structure that still
     /// trains its node models and still predicts.
     fn enforce_budget(&mut self) {
         let Some(budget) = self.config.memory_budget_bytes else {
             return;
         };
         self.growth_frozen = false;
-        let mut bytes = self.memory_bytes();
+        let bytes = self.memory_bytes();
         if bytes <= budget {
+            // Raise the cap by one only when every live node could take two
+            // more rows: one for the raise, one as the margin that keeps a
+            // growing tree from crossing the budget on the next batch and
+            // trimming straight back.
+            let live = self.arena.live_count(self.root);
+            let headroom = 2 * live * self.candidate_row_bytes();
+            if self.pool_cap < self.max_candidates() && bytes + headroom <= budget {
+                self.pool_cap += 1;
+            }
             return;
         }
 
-        // Rung 1: retire split-candidate pools, coldest window first (ties
+        // Rung 1: lower the pool cap one candidate at a time, trimming every
+        // pool to its best candidates by last gain, until the tree fits or
+        // the cap is at its floor of one. The stored candidates keep their
+        // statistics, so the split checks keep their evidence.
+        if self.pool_cap > 1 {
+            self.budget_counters.cap_lowered += 1;
+            while self.pool_cap > 1 {
+                self.pool_cap -= 1;
+                for stats in self.arena.stats_column_mut() {
+                    stats.candidates.trim_to(self.pool_cap);
+                }
+                if self.memory_bytes() <= budget {
+                    return;
+                }
+            }
+        }
+
+        // Rung 2: retire split-candidate pools, coldest window first (ties
         // broken by preorder position — fully deterministic). The pools are
         // re-proposed from later batches, so this trades adaptation latency
         // on cold nodes for bytes.
+        let mut bytes = self.memory_bytes();
         let mut order = Vec::new();
         self.arena.preorder_ids(self.root, &mut order);
         let mut by_cold: Vec<(u64, usize, NodeId)> = order
@@ -493,6 +559,7 @@ impl DynamicModelTree {
             .map(|(pos, &id)| (self.arena.stats(id).count, pos, id))
             .collect();
         by_cold.sort_unstable_by_key(|&(count, pos, _)| (count, pos));
+        let mut shed = false;
         for &(_, _, id) in &by_cold {
             if bytes <= budget {
                 break;
@@ -501,30 +568,35 @@ impl DynamicModelTree {
             let freed = stats.candidates.memory_bytes();
             stats.shed_candidates();
             bytes = bytes.saturating_sub(freed);
+            shed = true;
+        }
+        if shed {
+            self.budget_counters.pools_shed += 1;
         }
         // The decremented counter above is only a stop heuristic; every exit
         // decision of the ladder is taken on a fresh measurement, so a drift
         // between `freed` and the real footprint can never end enforcement
         // while the tree is still over budget.
-        bytes = self.memory_bytes();
-        if bytes <= budget {
+        if self.memory_bytes() <= budget {
             return;
         }
 
-        // Rung 2: compact the arena into a dense layout and drop the update
+        // Rung 3: compact the arena into a dense layout and drop the update
         // scratch (pure reclamation — predictions and future learning are
         // unaffected; the scratch regrows to what the workload actually needs).
+        self.budget_counters.compacted += 1;
         self.root = self.arena.compact(self.root);
         self.scratch = UpdateScratch::new();
         if self.memory_bytes() <= budget {
             return;
         }
 
-        // Rung 3: merge subtrees back into model leaves, best prune gain
+        // Rung 4: merge subtrees back into model leaves, best prune gain
         // (eq. (5)) first, re-compacting after every merge so the freed
         // slots actually leave the resident set. This reuses the paper's own
         // prune machinery; when no merge is AIC-justified the smallest loss
         // increase goes first. Floor: a single-leaf tree.
+        let mut merged = false;
         while !self.arena.is_leaf(self.root) && self.memory_bytes() > budget {
             let mut order = Vec::new();
             self.arena.preorder_ids(self.root, &mut order);
@@ -545,14 +617,19 @@ impl DynamicModelTree {
             self.root = self.arena.compact(self.root);
             self.decisions
                 .push((self.observations, GainDecision::Prune { gain }));
+            merged = true;
+        }
+        if merged {
+            self.budget_counters.merged += 1;
         }
         if self.memory_bytes() <= budget {
             return;
         }
 
-        // Rung 4: hard floor. Even a single leaf with shed candidates does
+        // Rung 5: hard floor. Even a single leaf with shed candidates does
         // not fit — keep learning and predicting, defer all growth until a
         // later pass gets back under budget.
+        self.budget_counters.frozen += 1;
         self.growth_frozen = true;
     }
 }
@@ -567,10 +644,7 @@ impl OnlineClassifier for DynamicModelTree {
     }
 
     fn predict(&self, x: &[f64]) -> usize {
-        // Allocation-free: descend to the leaf and argmax its linear scores.
-        use dmt_models::SimpleModel;
-        let leaf = self.arena.leaf_for(self.root, x);
-        self.arena.stats(leaf).model.predict(x)
+        predict_row(&self.arena, self.root, x)
     }
 
     fn predict_proba(&self, x: &[f64]) -> Vec<f64> {
@@ -889,6 +963,59 @@ mod tests {
         for (x, &predicted) in rows.iter().zip(batched.iter()) {
             assert_eq!(predicted, tree.predict(x));
         }
+    }
+
+    #[test]
+    fn the_pool_cap_is_derived_state() {
+        // A split-eager tree over eight features under a budget that binds:
+        // the first rung lowers the cap below `max_candidates` and trims
+        // every pool to it.
+        let config = DmtConfig {
+            use_aic_threshold: false,
+            min_observations_split: 40,
+            memory_budget_bytes: Some(24 * 1024),
+            ..DmtConfig::default()
+        };
+        let schema = StreamSchema::numeric("cap", 8, 2);
+        let max = config.max_candidates(8);
+        let mut tree = DynamicModelTree::new(schema.clone(), config);
+        assert_eq!(tree.pool_cap(), max);
+        for round in 0..60usize {
+            let xs: Vec<Vec<f64>> = (0..64)
+                .map(|i| {
+                    (0..8)
+                        .map(|f| ((i * (f + 3) + round * 7) % 97) as f64 / 97.0)
+                        .collect()
+                })
+                .collect();
+            let ys: Vec<usize> = xs.iter().map(|x| usize::from(x[0] + x[1] > 1.0)).collect();
+            let rows: Vec<&[f64]> = xs.iter().map(|v| v.as_slice()).collect();
+            tree.learn_batch(&rows, &ys);
+            assert!(tree.memory_bytes() <= 24 * 1024);
+        }
+        let cap = tree.pool_cap();
+        assert!(cap < max, "the budget must bind");
+        assert!(tree.budget_counters().cap_lowered > 0);
+        let mut ids = Vec::new();
+        tree.arena().preorder_ids(tree.root_id(), &mut ids);
+        for &id in &ids {
+            assert!(tree.arena().stats(id).candidates.len() <= cap);
+        }
+        // A clone is the same tree; a restored tree starts at the maximum
+        // and derives the cap again; disarming the budget resets it.
+        assert_eq!(tree.clone().pool_cap(), cap);
+        assert_eq!(tree.clone().budget_counters(), tree.budget_counters());
+        let restored = DynamicModelTree::from_snapshot_bytes(&tree.to_snapshot_bytes()).unwrap();
+        assert_eq!(restored.pool_cap(), max);
+        assert_eq!(restored.budget_counters(), BudgetCounters::default());
+        tree.set_memory_budget(None);
+        assert_eq!(tree.pool_cap(), max);
+        // Unbudgeted trees never move the cap.
+        let mut free = DynamicModelTree::new(schema, DmtConfig::default());
+        let x: &[f64] = &[0.5; 8];
+        free.learn_batch(&[x, x], &[0, 1]);
+        assert_eq!(free.pool_cap(), max);
+        assert_eq!(free.budget_counters(), BudgetCounters::default());
     }
 
     #[test]

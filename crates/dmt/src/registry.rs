@@ -7,11 +7,13 @@
 //!   `learn_batch` at a time per tenant, exactly like a single-threaded
 //!   training loop.
 //! * **Predict traffic** never touches the writer lock: after every learn
-//!   batch the writer publishes an immutable **epoch snapshot** (a
-//!   near-memcpy clone of the flat SoA arena) through an [`EpochCell`], and
-//!   predictions pin whichever epoch is current — see [`dmt_core::epoch`]. A
-//!   prediction is therefore always bit-identical to *some* published epoch,
-//!   and its latency is independent of any concurrent `learn_batch`.
+//!   batch the writer publishes an immutable **epoch snapshot** through an
+//!   [`EpochCell`], and predictions pin whichever epoch is current — see
+//!   [`dmt_core::epoch`]. An epoch is a [`PredictView`]: the tree's split
+//!   keys and leaf models, without the inner models, loss windows and
+//!   candidate pools only learning reads. A prediction is therefore always
+//!   bit-identical to *some* published epoch, and its latency is
+//!   independent of any concurrent `learn_batch`.
 //!
 //! The registry serves Dynamic Model Trees only; [`ModelRegistry::register`]
 //! refuses every other zoo kind with [`RegistryError::UnsupportedKind`].
@@ -46,7 +48,7 @@ use std::sync::{Arc, Mutex, MutexGuard, RwLock};
 
 use dmt_core::epoch::EpochCell;
 use dmt_core::lockrank::{LockRank, RankToken, Ranked};
-use dmt_core::{DmtError, DynamicModelTree, SnapshotError};
+use dmt_core::{DmtError, DynamicModelTree, PredictView, SnapshotError};
 use dmt_models::Rows;
 use dmt_stream::StreamSchema;
 
@@ -182,8 +184,9 @@ struct Tenant {
     /// The learning tree. Learn/checkpoint/swap serialise here; predict
     /// traffic never takes this lock.
     writer: Mutex<DynamicModelTree>,
-    /// Epoch publication point.
-    epochs: EpochCell<DynamicModelTree>,
+    /// Epoch publication point: each epoch is a predict-only view of the
+    /// writer. Checkpoints come from the writer, never from an epoch.
+    epochs: EpochCell<PredictView>,
     /// Rows consumed since registration. Written and read only under the
     /// writer lock, so it always pairs with the epoch published there.
     observations: AtomicU64,
@@ -264,7 +267,7 @@ impl ModelRegistry {
         let tenant = Arc::new(Tenant {
             name: name.to_string(),
             schema,
-            epochs: EpochCell::new(tree.clone()),
+            epochs: EpochCell::new(tree.predict_view()),
             writer: Mutex::new(tree),
             observations: AtomicU64::new(0),
         });
@@ -321,8 +324,8 @@ impl ModelRegistry {
         })
     }
 
-    /// Learn a batch for a tenant and publish the post-batch tree as the
-    /// next serving epoch.
+    /// Learn a batch for a tenant and publish a predict-only view of the
+    /// post-batch tree as the next serving epoch.
     ///
     /// Hostile batches are rejected with a typed error before any state is
     /// touched — the tenant keeps serving its current epoch.
@@ -335,7 +338,7 @@ impl ModelRegistry {
         let tenant = self.tenant(name)?;
         let mut tree = tenant.lock_writer();
         tree.try_learn_batch(xs, ys)?;
-        let epoch = tenant.epochs.publish(tree.clone());
+        let epoch = tenant.epochs.publish(tree.predict_view());
         // Counted before the writer lock drops, so two learners on one
         // tenant each get the row count of the epoch they published.
         let rows = xs.len() as u64;
@@ -389,7 +392,7 @@ impl ModelRegistry {
         // the budget ladder against the saver's budget.
         restored.set_memory_budget(tree.config().memory_budget_bytes);
         *tree = restored;
-        Ok(tenant.epochs.publish(tree.clone()))
+        Ok(tenant.epochs.publish(tree.predict_view()))
     }
 
     /// Stats snapshot for one tenant. Every field is read under the writer
@@ -529,6 +532,26 @@ mod tests {
     }
 
     #[test]
+    fn epochs_are_predict_only_views_of_the_writer() {
+        let registry = registry();
+        register_dmt(&registry, "m");
+        let (xs, ys) = toy_batch(64);
+        let xs = rows(&xs);
+        for _ in 0..8 {
+            registry.learn("m", &xs, &ys).expect("learn");
+        }
+        let tenant = registry.tenant("m").expect("tenant");
+        let writer = tenant.lock_writer();
+        let epoch = tenant.epochs.pin();
+        // The view drops the windows, pools and inner models the writer
+        // keeps for learning, and predicts exactly as the writer does.
+        assert!(epoch.memory_bytes() < writer.memory_bytes() / 2);
+        for &x in &xs {
+            assert_eq!(epoch.predict(x), writer.predict(x));
+        }
+    }
+
+    #[test]
     fn unknown_and_duplicate_tenants_are_typed_errors() {
         let registry = registry();
         let (xs, _) = toy_batch(4);
@@ -661,11 +684,11 @@ mod tests {
         registry.swap_from_snapshot("a", &path).expect("swap");
         let half = Some((FLEET / 2) as u64);
         assert_eq!(registry.stats("a").expect("stats").budget_bytes, half);
-        // The published epoch already carries the share: no learn can run
+        // The swapped-in writer already carries the share: no learn can run
         // on the saver's budget between the swap and a later rebalance.
         let tenant = registry.tenant("a").expect("tenant");
         assert_eq!(
-            tenant.epochs.pin().config().memory_budget_bytes,
+            tenant.lock_writer().config().memory_budget_bytes,
             Some(FLEET / 2)
         );
         std::fs::remove_dir_all(&dir).ok();

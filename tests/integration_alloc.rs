@@ -1,12 +1,15 @@
 //! Enforces the allocation contract of the Dynamic Model Tree hot path: in
 //! steady state (scratch buffers at their high-water mark, tree structure
 //! stable), `learn_batch` performs no *per-instance* heap allocations — the
-//! allocation count per batch is independent of the batch size. Prediction
-//! keeps no buffers at all: `predict_batch` allocates exactly its result
-//! vector, and `predict_batch_into` and `predict` allocate nothing, on a
-//! fresh clone (a published serving epoch) too. The clone itself makes a
-//! bounded number of allocations per node, independent of the number of
-//! stored split candidates.
+//! allocation count per batch is independent of the batch size. Under a
+//! binding byte budget the pool cap lets the footprint settle, so a
+//! budgeted learn stays under a constant number of allocations per batch
+//! instead of shedding and regrowing candidate pools. Prediction keeps no
+//! buffers at all: `predict_batch` allocates exactly its result vector, and
+//! `predict_batch_into` and `predict` allocate nothing, on a fresh clone
+//! and on a fresh predict-only view (a published serving epoch) too. A
+//! clone makes a bounded number of allocations per node, independent of the
+//! number of stored split candidates, and a view one per leaf.
 //!
 //! A counting global allocator makes this measurable. All measurements live
 //! in a single `#[test]` so parallel test threads cannot pollute the counter.
@@ -15,6 +18,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use dmt::prelude::*;
+use dmt::stream::workload;
 
 struct CountingAllocator;
 
@@ -91,6 +95,7 @@ fn steady_state_hot_path_is_allocation_free_per_instance() {
         steady_state_measurement(mode);
     }
     deep_tree_measurement();
+    budgeted_learn_measurement();
     ensemble_prediction_measurement();
     pooled_ensemble_learn_measurement();
 }
@@ -291,12 +296,11 @@ fn deep_tree_measurement() {
     );
 }
 
-/// Cloning a trained tree, which is how the registry publishes a serving
-/// epoch, makes at most four allocations per live node (its model, its
-/// gradient window and the two of its candidate pool) plus a constant for
-/// the schema (name, feature list, one name per feature), the nominal mask,
-/// the seven arena columns and the decision log. The bound does not depend
-/// on how many candidates the pools store.
+/// Cloning a trained tree makes at most four allocations per live node (its
+/// model, its gradient window and the two of its candidate pool) plus a
+/// constant for the schema (name, feature list, one name per feature), the
+/// nominal mask, the seven arena columns and the decision log. The bound
+/// does not depend on how many candidates the pools store.
 fn clone_measurement(tree: &DynamicModelTree) {
     let nodes = tree.num_inner_nodes() + tree.num_leaves();
     let fixed = 2 + tree.schema().num_features() as u64 + 1 + 7 + 1;
@@ -320,6 +324,94 @@ fn clone_measurement(tree: &DynamicModelTree) {
          {candidates} candidates (bound {})",
         4 * nodes + fixed
     );
+}
+
+/// A predict-only view, which is what the registry publishes as a serving
+/// epoch, makes at most one allocation per leaf (its model) plus the seven
+/// arena columns, and predicting from a fresh view allocates nothing and
+/// matches the tree.
+fn view_measurement(tree: &DynamicModelTree, rows: &[&[f64]]) {
+    let leaves = tree.num_leaves();
+    let before = allocations();
+    let view = tree.predict_view();
+    let view_allocs = allocations() - before;
+    assert!(
+        view_allocs <= leaves + 7,
+        "predict_view() made {view_allocs} allocations for {leaves} leaves (bound {})",
+        leaves + 7
+    );
+    let mut expected = vec![0usize; rows.len()];
+    tree.predict_batch_into(rows, &mut expected);
+    let mut out = vec![0usize; rows.len()];
+    let before = allocations();
+    view.try_predict_batch_into(rows, &mut out)
+        .expect("valid rows");
+    let predict_allocs = allocations() - before;
+    assert_eq!(out, expected, "a view must predict as its tree");
+    assert_eq!(
+        predict_allocs, 0,
+        "predicting from a fresh predict-only view must not allocate"
+    );
+}
+
+/// The most allocations a budgeted learn may make per batch, on average,
+/// once warm. A ladder that empties whole pools on almost every batch for
+/// the next batch to refill makes 113–130 per learn here and fails it.
+const BUDGETED_ALLOCS_PER_BATCH: f64 = 40.0;
+
+/// serve-budget's configuration in process: the memory-budget file learned
+/// twice in 24-row batches under a 384 KiB budget. After 250 warm-up
+/// batches the pool cap has settled, so the remaining 1,750 batches stay
+/// under a constant number of allocations each, whatever the tree grows
+/// to. The trained tree then takes the view measurement.
+fn budgeted_learn_measurement() {
+    const BATCH: usize = 24;
+    const WARMUP: usize = 250;
+    const BATCHES: usize = 2_000;
+    let dir = std::env::temp_dir().join(format!("dmt-alloc-budget-{}", std::process::id()));
+    let mut stream = workload::build_workload("memory-budget", &dir)
+        .expect("synthesize + load")
+        .expect("known workload");
+    let schema = stream.schema().clone();
+    let (mut xs, mut ys) = (Vec::new(), Vec::new());
+    while let Some(instance) = stream.next_instance() {
+        xs.push(instance.x);
+        ys.push(instance.y);
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+    let batches: Vec<(Vec<&[f64]>, &[usize])> = xs
+        .chunks_exact(BATCH)
+        .zip(ys.chunks_exact(BATCH))
+        .map(|(x, y)| (x.iter().map(Vec::as_slice).collect(), y))
+        .collect();
+    let mut tree = DynamicModelTree::new(
+        schema,
+        DmtConfig {
+            memory_budget_bytes: Some(384 * 1024),
+            ..DmtConfig::default()
+        },
+    );
+    let mut before = 0;
+    for i in 0..BATCHES {
+        if i == WARMUP {
+            before = allocations();
+        }
+        let (rows, ys) = &batches[i % batches.len()];
+        tree.learn_batch(rows, ys);
+    }
+    let per_batch = (allocations() - before) as f64 / (BATCHES - WARMUP) as f64;
+    assert!(
+        tree.pool_cap() < DmtConfig::default().max_candidates(tree.schema().num_features()),
+        "the budget must bind for the measurement to mean anything"
+    );
+    assert!(
+        per_batch <= BUDGETED_ALLOCS_PER_BATCH,
+        "a budgeted learn made {per_batch:.1} allocations per batch \
+         (bound {BUDGETED_ALLOCS_PER_BATCH}, {} nodes, pool cap {})",
+        tree.num_inner_nodes() + tree.num_leaves(),
+        tree.pool_cap()
+    );
+    view_measurement(&tree, &batches[0].0);
 }
 
 fn steady_state_measurement(batch_mode: dmt::models::BatchMode) {
@@ -391,6 +483,7 @@ fn steady_state_measurement(batch_mode: dmt::models::BatchMode) {
     );
 
     clone_measurement(&tree);
+    view_measurement(&tree, &large_rows);
 
     // predict_batch: exactly the result vector, nothing per instance.
     const PREDICT_BUDGET: u64 = 1;

@@ -1,7 +1,8 @@
 //! Integration pins for memory accounting and the byte-budget degradation
 //! ladder: a budgeted tree never exceeds its budget over a whole hostile
 //! run, keeps ≥ 95 % of the unbudgeted accuracy while
-//! doing so, a budget that never binds is bit-identical to no budget at all,
+//! doing so, settles through its pool cap instead of shedding whole pools,
+//! a budget that never binds is bit-identical to no budget at all,
 //! predicting never moves what a budgeted tree learns, and budget
 //! enforcement (compaction included) leaves snapshots byte-stable.
 //! These back the CI `memory-discipline` job.
@@ -102,6 +103,59 @@ fn budget_soak_stays_bounded_on_the_memory_budget_workload() {
         "graceful degradation broke: budgeted {acc_budgeted:.4} vs \
          unbudgeted {acc_unbudgeted:.4}"
     );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// serve-budget's configuration in process: the memory-budget file learned
+/// twice in 24-row batches under 384 KiB, at the default seed. The pool cap
+/// is the ladder's first lever, so the budget settles: whole-pool shedding
+/// fires on at most 10 % of the last 1,750 of 2,000 batches, where a ladder
+/// without the cap sheds them on 1,739 of them.
+#[test]
+fn pool_cap_settles_the_budget_without_shedding_whole_pools() {
+    const BATCH: usize = 24;
+    const WARMUP: usize = 250;
+    const BATCHES: usize = 2_000;
+    let dir = scratch_dir("pool-cap");
+    let mut stream = workload::build_workload("memory-budget", &dir)
+        .expect("synthesize + load")
+        .expect("known workload");
+    let schema = stream.schema().clone();
+    let (mut xs, mut ys) = (Vec::new(), Vec::new());
+    while let Some(instance) = stream.next_instance() {
+        xs.push(instance.x);
+        ys.push(instance.y);
+    }
+    let max_candidates = DmtConfig::default().max_candidates(schema.num_features());
+    let mut tree = DynamicModelTree::new(
+        schema,
+        DmtConfig {
+            memory_budget_bytes: Some(SOAK_BUDGET),
+            ..DmtConfig::default()
+        },
+    );
+    let mut warm = tree.budget_counters();
+    for i in 0..BATCHES {
+        if i == WARMUP {
+            warm = tree.budget_counters();
+        }
+        let lo = i * BATCH % xs.len();
+        let rows: Vec<&[f64]> = xs[lo..lo + BATCH].iter().map(Vec::as_slice).collect();
+        tree.learn_batch(&rows, &ys[lo..lo + BATCH]);
+        assert!(
+            tree.memory_bytes() <= SOAK_BUDGET,
+            "over budget after batch {i}"
+        );
+    }
+    let end = tree.budget_counters();
+    let shed = end.pools_shed - warm.pools_shed;
+    assert!(
+        shed <= ((BATCHES - WARMUP) / 10) as u64,
+        "whole pools were shed on {shed} of the last {} batches ({end:?})",
+        BATCHES - WARMUP
+    );
+    assert!(end.cap_lowered > 0, "the budget must bind: {end:?}");
+    assert!(tree.pool_cap() < max_candidates);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -260,7 +314,7 @@ fn predicting_never_moves_a_budgeted_tree() {
     );
 }
 
-/// Rung 4 (the hard floor): a budget below even a single leaf's footprint
+/// Rung 5 (the hard floor): a budget below even a single leaf's footprint
 /// (64 bytes buys one eight-slot `Vec<f64>` — less than the root model's
 /// weights alone) collapses the tree to its root, freezes growth, and the
 /// tree *still* learns and predicts without panicking — degraded, never dead.
@@ -283,6 +337,8 @@ fn impossible_budget_freezes_growth_but_never_kills_the_tree() {
         assert!(tree.growth_frozen(), "an impossible budget freezes growth");
     }
     assert_eq!(tree.observations(), 4_000);
+    assert_eq!(tree.pool_cap(), 1, "the cap sits at its floor");
+    assert_eq!(tree.budget_counters().frozen, 40, "every batch ends frozen");
     let proba = tree.predict_proba(&[0.5, 0.5, 0.5]);
     assert!((proba.iter().sum::<f64>() - 1.0).abs() < 1e-9);
     assert!(proba.iter().all(|p| p.is_finite()));

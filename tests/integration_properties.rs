@@ -456,10 +456,11 @@ proptest! {
     // ---- arena compaction / memory-budget invariants -----------------------
     //
     // Compaction renumbers the arena into dense preorder; the budget ladder
-    // drives it (plus candidate shedding and subtree merges) whenever a tree
-    // runs over its byte budget. These properties pin the bookkeeping over
-    // *random* structural histories — arbitrary interleavings of splits and
-    // prunes, which is exactly the state space drift adaptation explores.
+    // drives it (plus pool-cap trims, candidate shedding and subtree merges)
+    // whenever a tree runs over its byte budget. These properties pin the
+    // bookkeeping over *random* structural histories — arbitrary
+    // interleavings of splits and prunes, which is exactly the state space
+    // drift adaptation explores.
 
     #[test]
     fn arena_compaction_preserves_predictions_over_random_histories(
