@@ -22,8 +22,9 @@
 //! ```
 //!
 //! The only shared state is one `RwLock<Arc<Epoch<T>>>` held for the
-//! duration of an `Arc` clone (readers) or an `Arc` store (writer) — both
-//! O(1) pointer operations, never while learning or predicting. A reader
+//! duration of an `Arc` clone (readers) or an `Arc` swap (writer) — both
+//! O(1) pointer operations, never while learning, predicting or freeing the
+//! superseded epoch. A reader
 //! therefore observes either the epoch before a publish or the epoch after
 //! it, never a torn intermediate: every prediction is attributable to
 //! exactly one published epoch (`integration_serve` pins this bit-exactly).
@@ -105,8 +106,8 @@ pub type PinnedEpoch<T> = Arc<Epoch<T>>;
 #[derive(Debug)]
 pub struct EpochCell<T> {
     /// The current epoch. The lock is held only for an `Arc` clone (readers)
-    /// or an `Arc` store (the writer) — never across learning, predicting,
-    /// or the snapshot clone itself.
+    /// or an `Arc` swap (the writer) — never across learning, predicting,
+    /// the snapshot clone, or freeing the superseded epoch.
     current: RwLock<PinnedEpoch<T>>,
     /// Sequence number of the current epoch, readable without the lock.
     seq: AtomicU64,
@@ -169,12 +170,17 @@ impl<T> EpochCell<T> {
             value,
             live: Arc::clone(&self.live),
         });
-        let _rank = RankToken::acquire(LockRank::EpochCell);
-        let mut guard = match self.current.write() {
-            Ok(guard) => guard,
-            Err(poisoned) => poisoned.into_inner(),
+        let superseded = {
+            let _rank = RankToken::acquire(LockRank::EpochCell);
+            let mut guard = match self.current.write() {
+                Ok(guard) => guard,
+                Err(poisoned) => poisoned.into_inner(),
+            };
+            std::mem::replace(&mut *guard, epoch)
         };
-        *guard = epoch;
+        // When no reader pins the superseded epoch, freeing its value runs
+        // here, after the unlock, so no `pin()` waits on it.
+        drop(superseded);
         seq
     }
 
@@ -238,6 +244,28 @@ mod tests {
             leaked.push(cell.pin());
             cell.publish(i);
         }
+    }
+
+    #[cfg(debug_assertions)]
+    #[test]
+    fn epoch_publish_frees_the_superseded_value_outside_the_lock() {
+        // A value whose drop takes the cell's own rank: freed while publish
+        // still held the lock, it would trip the lock-rank checker.
+        struct RankedDrop(Arc<AtomicUsize>);
+        impl Drop for RankedDrop {
+            fn drop(&mut self) {
+                let _rank = RankToken::acquire(LockRank::EpochCell);
+                self.0.fetch_add(1, Ordering::Relaxed);
+            }
+        }
+        let freed = Arc::new(AtomicUsize::new(0));
+        let cell = EpochCell::new(RankedDrop(Arc::clone(&freed)));
+        for _ in 0..3 {
+            cell.publish(RankedDrop(Arc::clone(&freed)));
+        }
+        // Each publish freed the value it superseded, none of them pinned.
+        assert_eq!(freed.load(Ordering::Relaxed), 3);
+        assert_eq!(cell.live_epochs(), 1);
     }
 
     #[test]

@@ -60,7 +60,6 @@ pub mod candidate;
 pub mod epoch;
 pub mod error;
 pub mod explain;
-pub mod export;
 pub mod lockrank;
 pub mod node;
 pub mod scratch;
@@ -73,7 +72,6 @@ pub use candidate::{CandidateKey, CandidatePool, SplitCandidate};
 pub use epoch::{Epoch, EpochCell, PinnedEpoch};
 pub use error::DmtError;
 pub use explain::{DecisionStep, LeafExplanation};
-pub use export::TreeSummary;
 pub use lockrank::{LockRank, RankToken, Ranked};
 pub use node::{GainDecision, NodeStats};
 pub use scratch::UpdateScratch;

@@ -291,7 +291,7 @@ impl DynamicModelTree {
     /// at the **root node** so far. Only actual changes are recorded — this
     /// is the "why did you split this node at time u?" audit trail motivated
     /// in §I-A, currently limited to root-level events (deeper changes show
-    /// up in [`DynamicModelTree::summary`] / the arena, not in this log).
+    /// up in the arena, not in this log).
     pub fn decision_log(&self) -> &[(u64, GainDecision)] {
         &self.decisions
     }

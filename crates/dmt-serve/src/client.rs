@@ -2,7 +2,8 @@
 //!
 //! [`ServeClient`] speaks one request / one response over a single TCP
 //! connection. The typed helpers ([`ServeClient::predict`],
-//! [`ServeClient::learn`], …) cover the whole opcode table; the raw hooks
+//! [`ServeClient::learn`], [`ServeClient::stats`]) cover the whole opcode
+//! table; the raw hooks
 //! ([`ServeClient::send_raw`], [`ServeClient::read_response`]) exist so the
 //! fuzz battery can push hostile bytes through a real connection and still
 //! decode whatever the server answers.
@@ -132,31 +133,6 @@ impl ServeClient {
                 epoch,
                 observations,
             } => Ok((epoch, observations)),
-            other => Err(Self::unexpected(other)),
-        }
-    }
-
-    /// Checkpoint the tenant's model to a server-side path.
-    pub fn checkpoint(&mut self, tenant: &str, path: &str) -> Result<(), ClientError> {
-        let response = self.request(&Request::Checkpoint {
-            tenant: tenant.to_string(),
-            path: path.to_string(),
-        })?;
-        match response {
-            Response::Checkpointed => Ok(()),
-            other => Err(Self::unexpected(other)),
-        }
-    }
-
-    /// Hot-swap the tenant's model from a server-side snapshot file; returns
-    /// the republished epoch.
-    pub fn swap(&mut self, tenant: &str, path: &str) -> Result<Option<u64>, ClientError> {
-        let response = self.request(&Request::Swap {
-            tenant: tenant.to_string(),
-            path: path.to_string(),
-        })?;
-        match response {
-            Response::Swapped { epoch } => Ok(epoch),
             other => Err(Self::unexpected(other)),
         }
     }

@@ -1,15 +1,15 @@
 //! The typed error surface of the serving plane.
 //!
 //! Every failure a request can hit — hostile frames, malformed bodies,
-//! unknown tenants, rejected batches, broken snapshot files — maps onto one
+//! unknown opcodes, unknown tenants, rejected batches — maps onto one
 //! [`ServeError`] variant with a stable wire code, so a client can match on
 //! the *kind* of failure without parsing messages, and the fuzz battery can
 //! assert that no hostile input ever produces anything but one of these.
 //!
-//! Codes are never reused. Code 8 once meant "checkpoint unsupported", for
-//! registry tenants that were not Dynamic Model Trees; the registry serves
-//! DMTs only, so the code is reserved and a client decodes it as a typed
-//! [`ServeError::BadResponse`].
+//! Codes are never reused. Codes 6 (duplicate tenant), 8 (checkpoint
+//! unsupported), 9 (checkpoint failed) and 10 (schema mismatch) are
+//! reserved, because no opcode registers, checkpoints or swaps a tenant; a
+//! client decodes each as a typed [`ServeError::BadResponse`].
 
 use dmt::registry::RegistryError;
 
@@ -32,16 +32,9 @@ pub enum ServeError {
     UnknownOpcode(u8),
     /// No tenant with the requested name.
     UnknownTenant(String),
-    /// A tenant with that name already exists.
-    DuplicateTenant(String),
     /// The model rejected the batch (shape, non-finite values, label range);
     /// the tenant is untouched and keeps serving.
     RejectedBatch(String),
-    /// Checkpoint or swap failed in the snapshot machinery (I/O, corruption,
-    /// version skew, forged state).
-    Checkpoint(String),
-    /// A swapped-in snapshot disagrees with the tenant's registered schema.
-    SchemaMismatch(String),
     /// A response payload decoded to garbage (client side only — a server
     /// never emits this code).
     BadResponse(String),
@@ -56,11 +49,9 @@ impl ServeError {
             ServeError::BadRequest(_) => 3,
             ServeError::UnknownOpcode(_) => 4,
             ServeError::UnknownTenant(_) => 5,
-            ServeError::DuplicateTenant(_) => 6,
+            // 6 is reserved (see the module docs).
             ServeError::RejectedBatch(_) => 7,
-            // 8 is reserved (see the module docs).
-            ServeError::Checkpoint(_) => 9,
-            ServeError::SchemaMismatch(_) => 10,
+            // 8, 9 and 10 are reserved (see the module docs).
             ServeError::BadResponse(_) => 11,
         }
     }
@@ -75,18 +66,16 @@ impl ServeError {
             | ServeError::BadHeader(m)
             | ServeError::BadRequest(m)
             | ServeError::UnknownTenant(m)
-            | ServeError::DuplicateTenant(m)
             | ServeError::RejectedBatch(m)
-            | ServeError::Checkpoint(m)
-            | ServeError::SchemaMismatch(m)
             | ServeError::BadResponse(m) => m.clone(),
         }
     }
 
     /// Rebuild a variant from its wire code and message (the client side of
-    /// [`ServeError::code`]). Unknown codes, the reserved code 8 among them,
-    /// collapse to [`ServeError::BadResponse`] — a server speaking a newer
-    /// or an older error vocabulary still yields a typed error, not a panic.
+    /// [`ServeError::code`]). Unknown codes, the reserved codes 6, 8, 9 and
+    /// 10 among them, collapse to [`ServeError::BadResponse`] — a server
+    /// speaking a newer or an older error vocabulary still yields a typed
+    /// error, not a panic.
     pub fn from_code(code: u8, message: String) -> Self {
         match code {
             1 => ServeError::BadFrame(message),
@@ -94,10 +83,7 @@ impl ServeError {
             3 => ServeError::BadRequest(message),
             4 => ServeError::UnknownOpcode(message.parse().unwrap_or(u8::MAX)),
             5 => ServeError::UnknownTenant(message),
-            6 => ServeError::DuplicateTenant(message),
             7 => ServeError::RejectedBatch(message),
-            9 => ServeError::Checkpoint(message),
-            10 => ServeError::SchemaMismatch(message),
             11 => ServeError::BadResponse(message),
             other => ServeError::BadResponse(format!("unknown error code {other}: {message}")),
         }
@@ -120,10 +106,7 @@ impl std::fmt::Display for ServeError {
             ServeError::BadRequest(m) => write!(f, "bad request: {m}"),
             ServeError::UnknownOpcode(op) => write!(f, "unknown opcode {op}"),
             ServeError::UnknownTenant(m) => write!(f, "unknown tenant: {m}"),
-            ServeError::DuplicateTenant(m) => write!(f, "duplicate tenant: {m}"),
             ServeError::RejectedBatch(m) => write!(f, "rejected batch: {m}"),
-            ServeError::Checkpoint(m) => write!(f, "checkpoint failed: {m}"),
-            ServeError::SchemaMismatch(m) => write!(f, "schema mismatch: {m}"),
             ServeError::BadResponse(m) => write!(f, "bad response: {m}"),
         }
     }
@@ -135,15 +118,13 @@ impl From<RegistryError> for ServeError {
     fn from(e: RegistryError) -> Self {
         match e {
             RegistryError::UnknownTenant(name) => ServeError::UnknownTenant(name),
-            RegistryError::DuplicateTenant(name) => ServeError::DuplicateTenant(name),
-            // No opcode registers a tenant, so this arm is reachable only
-            // from in-process callers.
-            RegistryError::UnsupportedKind(_) => ServeError::BadRequest(e.to_string()),
             RegistryError::Model(err) => ServeError::RejectedBatch(err.to_string()),
-            RegistryError::Checkpoint(err) => ServeError::Checkpoint(err.to_string()),
-            RegistryError::SchemaMismatch { expected, found } => {
-                ServeError::SchemaMismatch(format!("tenant has {expected}, snapshot has {found}"))
-            }
+            // No opcode registers, checkpoints or swaps a tenant, so these
+            // arms are reachable only from in-process callers.
+            RegistryError::DuplicateTenant(_)
+            | RegistryError::UnsupportedKind(_)
+            | RegistryError::Checkpoint(_)
+            | RegistryError::SchemaMismatch { .. } => ServeError::BadRequest(e.to_string()),
         }
     }
 }
@@ -161,10 +142,7 @@ mod tests {
             ServeError::BadHeader("m".into()),
             ServeError::BadRequest("m".into()),
             ServeError::UnknownTenant("m".into()),
-            ServeError::DuplicateTenant("m".into()),
             ServeError::RejectedBatch("m".into()),
-            ServeError::Checkpoint("m".into()),
-            ServeError::SchemaMismatch("m".into()),
             ServeError::BadResponse("m".into()),
         ];
         for variant in variants {
@@ -176,9 +154,9 @@ mod tests {
         let original = ServeError::UnknownOpcode(9);
         let rebuilt = ServeError::from_code(original.code(), original.message());
         assert_eq!(rebuilt, original);
-        // Unknown future codes, and the reserved code 8, degrade to a typed
-        // BadResponse.
-        for code in [8, 200] {
+        // Unknown future codes, and the reserved codes 6, 8, 9 and 10,
+        // degrade to a typed BadResponse.
+        for code in [6, 8, 9, 10, 200] {
             assert!(matches!(
                 ServeError::from_code(code, "???".into()),
                 ServeError::BadResponse(_)
@@ -188,11 +166,19 @@ mod tests {
 
     #[test]
     fn registry_errors_map_onto_typed_wire_errors() {
-        let broken: ServeError =
-            RegistryError::Checkpoint(SnapshotError::Invalid("forged".to_string())).into();
-        assert!(matches!(broken, ServeError::Checkpoint(_)), "{broken:?}");
-        let refused: ServeError = RegistryError::UnsupportedKind(ModelKind::HtAda).into();
-        assert!(matches!(refused, ServeError::BadRequest(_)), "{refused:?}");
+        // Errors only in-process callers can hit are BadRequest.
+        for in_process in [
+            RegistryError::DuplicateTenant("m".to_string()),
+            RegistryError::UnsupportedKind(ModelKind::HtAda),
+            RegistryError::Checkpoint(SnapshotError::Invalid("forged".to_string())),
+            RegistryError::SchemaMismatch {
+                expected: "2 features / 2 classes".to_string(),
+                found: "5 features / 3 classes".to_string(),
+            },
+        ] {
+            let mapped: ServeError = in_process.into();
+            assert!(matches!(mapped, ServeError::BadRequest(_)), "{mapped:?}");
+        }
         let unknown: ServeError = RegistryError::UnknownTenant("ghost".to_string()).into();
         assert!(matches!(unknown, ServeError::UnknownTenant(_)));
     }
@@ -205,7 +191,6 @@ mod tests {
             ServeError::BadRequest("m".into()),
             ServeError::UnknownTenant("m".into()),
             ServeError::RejectedBatch("m".into()),
-            ServeError::Checkpoint("m".into()),
         ] {
             assert!(!survivable.closes_connection(), "{survivable:?}");
         }

@@ -8,11 +8,13 @@
 //!
 //! The three pieces:
 //!
-//! * [`protocol`] — a compact length-prefixed wire protocol (predict, learn,
-//!   checkpoint, swap, stats) whose frames reuse the sealed snapshot
+//! * [`protocol`] — a compact length-prefixed wire protocol of three
+//!   requests (predict, learn, stats) whose frames reuse the sealed snapshot
 //!   envelope of [`dmt_core::snapshot`] (magic, version, CRC-32), so hostile
 //!   bytes on the wire hit the same hardened decoding path as hostile bytes
-//!   on disk.
+//!   on disk. No request names a server-side file: checkpoint and hot swap
+//!   are [`ModelRegistry`](dmt::registry::ModelRegistry) methods for the
+//!   process that owns the registry.
 //! * [`server`] — [`DmtServer`]: worker threads each accepting on a clone of
 //!   one listening socket, serving connections with blocking I/O. Predict
 //!   requests answer from pinned epoch snapshots

@@ -20,6 +20,10 @@
 //!                  tag u8    | tag body               (responses)
 //! ```
 //!
+//! A request is predict (opcode 1), learn (2) or stats (5). Opcodes 3 and 4
+//! and response tags 3 and 4 are reserved: they once carried checkpoint and
+//! hot swap, which named a server-side file, and are never reused.
+//!
 //! # Corruption semantics
 //!
 //! The two halves of a frame fail differently, and the connection contract
@@ -54,16 +58,14 @@ pub const MAX_FRAME_LEN: usize = 16 << 20;
 /// arithmetic far from overflow.
 pub const MAX_COLS: usize = 65_536;
 
-/// Request opcodes, the first payload byte of every request frame.
+/// Request opcodes, the first payload byte of every request frame. Opcodes
+/// 3 and 4 are reserved (see the module docs) and decode as
+/// [`ServeError::UnknownOpcode`].
 pub mod opcode {
     /// Predict a feature batch from the tenant's current epoch.
     pub const PREDICT: u8 = 1;
     /// Learn a labelled batch and publish the next epoch.
     pub const LEARN: u8 = 2;
-    /// Write a crash-safe checkpoint of the tenant's model.
-    pub const CHECKPOINT: u8 = 3;
-    /// Hot-swap the tenant's model from a snapshot file.
-    pub const SWAP: u8 = 4;
     /// Report the tenant's serving stats.
     pub const STATS: u8 = 5;
 }
@@ -152,20 +154,6 @@ pub enum Request {
         /// One label per row.
         labels: Vec<u32>,
     },
-    /// Checkpoint the tenant's model to a server-side path.
-    Checkpoint {
-        /// Target tenant.
-        tenant: String,
-        /// Server-side snapshot path.
-        path: String,
-    },
-    /// Hot-swap the tenant's model from a server-side snapshot file.
-    Swap {
-        /// Target tenant.
-        tenant: String,
-        /// Server-side snapshot path.
-        path: String,
-    },
     /// Report the tenant's serving stats.
     Stats {
         /// Target tenant.
@@ -174,17 +162,6 @@ pub enum Request {
 }
 
 impl Request {
-    /// The tenant the request addresses.
-    pub fn tenant(&self) -> &str {
-        match self {
-            Request::Predict { tenant, .. }
-            | Request::Learn { tenant, .. }
-            | Request::Checkpoint { tenant, .. }
-            | Request::Swap { tenant, .. }
-            | Request::Stats { tenant } => tenant,
-        }
-    }
-
     /// Encode into a frame payload (not yet sealed).
     pub fn encode(&self) -> Vec<u8> {
         let mut w = Writer::new();
@@ -203,16 +180,6 @@ impl Request {
                 w.put_str(tenant);
                 features.encode(&mut w);
                 w.put_u32_slice(labels);
-            }
-            Request::Checkpoint { tenant, path } => {
-                w.put_u8(opcode::CHECKPOINT);
-                w.put_str(tenant);
-                w.put_str(path);
-            }
-            Request::Swap { tenant, path } => {
-                w.put_u8(opcode::SWAP);
-                w.put_str(tenant);
-                w.put_str(path);
             }
             Request::Stats { tenant } => {
                 w.put_u8(opcode::STATS);
@@ -251,14 +218,6 @@ impl Request {
                     labels,
                 }
             }
-            opcode::CHECKPOINT => Request::Checkpoint {
-                tenant,
-                path: r.get_str().map_err(bad_request)?,
-            },
-            opcode::SWAP => Request::Swap {
-                tenant,
-                path: r.get_str().map_err(bad_request)?,
-            },
             opcode::STATS => Request::Stats { tenant },
             other => return Err(ServeError::UnknownOpcode(other)),
         };
@@ -288,12 +247,11 @@ pub struct WireStats {
 }
 
 /// Response frame tags (the first payload byte; `0` marks an error frame).
+/// Tags 3 and 4 are reserved (see the module docs).
 mod tag {
     pub const ERROR: u8 = 0;
     pub const PREDICTIONS: u8 = 1;
     pub const LEARNED: u8 = 2;
-    pub const CHECKPOINTED: u8 = 3;
-    pub const SWAPPED: u8 = 4;
     pub const STATS: u8 = 5;
 }
 
@@ -314,13 +272,6 @@ pub enum Response {
         epoch: Option<u64>,
         /// Total rows consumed by the tenant.
         observations: u64,
-    },
-    /// The checkpoint was written and synced.
-    Checkpointed,
-    /// The model was hot-swapped; `epoch` is the republished snapshot.
-    Swapped {
-        /// Newly published epoch (always `Some` from a server).
-        epoch: Option<u64>,
     },
     /// Tenant stats.
     Stats(WireStats),
@@ -365,11 +316,6 @@ impl Response {
                 put_opt_u64(&mut w, *epoch);
                 w.put_u64(*observations);
             }
-            Response::Checkpointed => w.put_u8(tag::CHECKPOINTED),
-            Response::Swapped { epoch } => {
-                w.put_u8(tag::SWAPPED);
-                put_opt_u64(&mut w, *epoch);
-            }
             Response::Stats(stats) => {
                 w.put_u8(tag::STATS);
                 w.put_str(&stats.name);
@@ -400,10 +346,6 @@ impl Response {
             tag::LEARNED => Response::Learned {
                 epoch: get_opt_u64(&mut r)?,
                 observations: r.get_u64().map_err(bad_response)?,
-            },
-            tag::CHECKPOINTED => Response::Checkpointed,
-            tag::SWAPPED => Response::Swapped {
-                epoch: get_opt_u64(&mut r)?,
             },
             tag::STATS => Response::Stats(WireStats {
                 name: r.get_str().map_err(bad_response)?,
@@ -540,14 +482,6 @@ mod tests {
             features,
             labels: vec![0, 1, 1],
         });
-        round_trip_request(Request::Checkpoint {
-            tenant: "m".to_string(),
-            path: "/tmp/m.dmt".to_string(),
-        });
-        round_trip_request(Request::Swap {
-            tenant: "m".to_string(),
-            path: "/tmp/m.dmt".to_string(),
-        });
         round_trip_request(Request::Stats {
             tenant: "m".to_string(),
         });
@@ -568,8 +502,6 @@ mod tests {
                 epoch: Some(8),
                 observations: 12_345,
             },
-            Response::Checkpointed,
-            Response::Swapped { epoch: Some(9) },
             Response::Stats(WireStats {
                 name: "m".to_string(),
                 kind: "DMT (ours)".to_string(),
@@ -584,6 +516,13 @@ mod tests {
             let payload = response.encode();
             assert_eq!(Response::decode(&payload).expect("decode"), response);
         }
+        // The reserved tags of the deleted file responses are unknown tags.
+        for reserved in [3u8, 4] {
+            match Response::decode(&[reserved, 0]) {
+                Err(ServeError::BadResponse(_)) => {}
+                other => panic!("tag {reserved}: expected BadResponse, got {other:?}"),
+            }
+        }
     }
 
     #[test]
@@ -595,6 +534,17 @@ mod tests {
         match Request::decode(w.as_bytes()) {
             Err(ServeError::UnknownOpcode(99)) => {}
             other => panic!("expected UnknownOpcode, got {other:?}"),
+        }
+        // The reserved file opcodes, in their old layout (tenant, path).
+        for op in [3, 4] {
+            let mut w = Writer::new();
+            w.put_u8(op);
+            w.put_str("m");
+            w.put_str("/tmp/m.dmt");
+            match Request::decode(w.as_bytes()) {
+                Err(ServeError::UnknownOpcode(got)) => assert_eq!(got, op),
+                other => panic!("opcode {op}: expected UnknownOpcode, got {other:?}"),
+            }
         }
         // Label count disagrees with the matrix rows.
         let mut w = Writer::new();

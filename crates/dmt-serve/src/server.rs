@@ -198,12 +198,6 @@ fn execute(registry: &ModelRegistry, request: Request) -> Response {
                     observations: outcome.observations,
                 })
         }
-        Request::Checkpoint { tenant, path } => registry
-            .checkpoint(&tenant, &path)
-            .map(|()| Response::Checkpointed),
-        Request::Swap { tenant, path } => registry
-            .swap_from_snapshot(&tenant, &path)
-            .map(|epoch| Response::Swapped { epoch: Some(epoch) }),
         Request::Stats { tenant } => registry.stats(&tenant).map(|stats| {
             Response::Stats(WireStats {
                 name: stats.name,

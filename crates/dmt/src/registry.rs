@@ -40,6 +40,9 @@
 //! epoch, so a fleet can roll back or promote a model without dropping
 //! predict traffic. I/O failures, corruption and version skew surface as the
 //! typed [`RegistryError::Checkpoint`] — never a panic, never a silent drop.
+//!
+//! Both are an in-process API for the code that owns the registry: no
+//! `dmt-serve` opcode reaches them, so no network peer can name a file.
 
 use std::collections::HashMap;
 use std::path::Path;
@@ -62,9 +65,9 @@ pub struct RegistryConfig {
     pub fleet_budget_bytes: Option<usize>,
 }
 
-/// Why a registry operation failed. Every failure mode of the serving plane
-/// maps onto one of these variants — the wire protocol transports them as
-/// typed error responses.
+/// Why a registry operation failed. `dmt-serve` maps each variant onto a
+/// typed wire error; the ones only in-process callers can hit (register,
+/// checkpoint, swap) all become `BadRequest`.
 #[derive(Debug)]
 pub enum RegistryError {
     /// No tenant with this name is registered.
@@ -721,6 +724,18 @@ mod tests {
         assert_eq!(
             rolled_back.predictions, trained.predictions,
             "swap must serve exactly the checkpointed state"
+        );
+        // Swapping from a missing file is a typed error that publishes
+        // nothing: the tenant keeps serving the same epoch.
+        match registry.swap_from_snapshot("m", dir.join("missing.dmt")) {
+            Err(RegistryError::Checkpoint(_)) => {}
+            other => panic!("expected Checkpoint, got {other:?}"),
+        }
+        assert_eq!(registry.stats("m").expect("stats").epoch, 11);
+        assert_eq!(
+            registry.predict("m", &xs).expect("predict"),
+            rolled_back,
+            "a failed swap must leave the serving epoch untouched"
         );
         // The swapped-in model keeps learning.
         registry.learn("m", &xs, &ys).expect("learn");

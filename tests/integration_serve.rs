@@ -15,7 +15,8 @@
 //! 3. **Hostility tolerance** — every corrupt frame, truncated body or
 //!    garbage byte stream yields a typed error response, never a panic; the
 //!    connection survives payload-level corruption and is cleanly closed
-//!    (reconnect works) on header-level corruption.
+//!    (reconnect works) on header-level corruption. No frame names a
+//!    server-side file: the reserved file opcodes touch nothing.
 //!
 //! The fuzz half is deterministic: fixed seed, pinned iteration counts.
 //! The CI `serve-soak` job runs it serial and with `DMT_PARALLELISM=4`,
@@ -32,6 +33,7 @@ use dmt::registry::{ModelRegistry, RegistryConfig};
 use dmt::zoo::ZooModel;
 use dmt_core::epoch::EpochCell;
 use dmt_core::{DmtConfig, DynamicModelTree};
+use dmt_models::wire::Writer;
 use dmt_models::OnlineClassifier;
 use dmt_serve::protocol::{self, FrameIssue, FrameRead, Request, Response, WireMatrix};
 use dmt_serve::{ClientError, DmtServer, ServeClient, ServeConfig, ServeError};
@@ -513,16 +515,6 @@ fn fuzz_corpus() -> Vec<Vec<u8>> {
             labels: vec![1; probes.len()],
         }
         .encode(),
-        Request::Checkpoint {
-            tenant: "m".to_string(),
-            path: "/tmp/serve-fuzz.dmt".to_string(),
-        }
-        .encode(),
-        Request::Swap {
-            tenant: "tenant-with-a-longer-name".to_string(),
-            path: "relative/path.dmt".to_string(),
-        }
-        .encode(),
         Request::Stats {
             tenant: "m".to_string(),
         }
@@ -755,52 +747,65 @@ fn assert_connection_closed(client: &mut ServeClient, iteration: usize) {
 }
 
 // ---------------------------------------------------------------------------
-// 6. Checkpoint / swap over the wire
+// 6. The wire names no server-side file
 // ---------------------------------------------------------------------------
 
-/// Checkpoint a learning DMT tenant over the wire, keep learning, then
-/// hot-swap back: the tenant reverts to the checkpointed state bit-exactly
-/// and republishes it as a fresh epoch.
+/// Opcodes 3 and 4 once checkpointed to, and hot-swapped from, a path the
+/// peer named. Sent to a live server in that layout (opcode, tenant, path),
+/// each gets `UnknownOpcode`: opcode 3 writes no file, opcode 4 naming a
+/// real snapshot leaves the tenant's epoch and predictions as they were,
+/// and the connection keeps serving.
 #[test]
-fn checkpoint_and_swap_round_trip_over_the_wire() {
+fn file_opcodes_are_unknown_and_touch_no_file() {
     let probes = probe_rows();
     let registry = registry_with_dmt_tenant(None);
     let server = start_server(Arc::clone(&registry), 2);
     let mut client = ServeClient::connect(server.local_addr()).expect("connect");
-
-    let dir = std::env::temp_dir().join(format!("dmt-serve-swap-{}", std::process::id()));
+    let dir = std::env::temp_dir().join(format!("dmt-serve-file-ops-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
     std::fs::create_dir_all(&dir).expect("temp dir");
-    let path = dir.join("m.dmt");
-    let path_str = path.to_str().expect("utf-8 path").to_string();
 
-    for round in 0..30 {
-        let (xs, ys) = step_batch(round, 0, 24);
+    // An earlier state, checkpointed in process: a swap from it would
+    // republish the tenant.
+    let snapshot = dir.join("m.dmt");
+    for round in 0..50 {
+        let (xs, ys) = step_batch(round, round / 30, 24);
         client.learn("m", &rows(&xs), &ys).expect("learn");
+        if round == 29 {
+            registry.checkpoint("m", &snapshot).expect("checkpoint");
+        }
     }
-    client.checkpoint("m", &path_str).expect("checkpoint rpc");
-    let (_, checkpointed_preds) = client.predict("m", &rows(&probes)).expect("predict");
+    let (epoch, served) = client.predict("m", &rows(&probes)).expect("predict");
+    assert_eq!(epoch, Some(50));
 
-    for round in 30..50 {
-        let (xs, ys) = step_batch(round, 1, 24);
-        client.learn("m", &rows(&xs), &ys).expect("learn");
+    for (op, path) in [(3u8, dir.join("named-by-peer.dmt")), (4u8, snapshot)] {
+        let mut w = Writer::new();
+        w.put_u8(op);
+        w.put_str("m");
+        w.put_str(path.to_str().expect("utf-8 path"));
+        let mut frame = Vec::new();
+        protocol::write_frame(&mut frame, w.as_bytes()).expect("seal");
+        client.send_raw(&frame).expect("send");
+        match client.read_response() {
+            Ok(Response::Error(ServeError::UnknownOpcode(got))) => assert_eq!(got, op),
+            other => panic!("opcode {op}: expected UnknownOpcode, got {other:?}"),
+        }
     }
 
-    let epoch = client.swap("m", &path_str).expect("swap rpc");
-    assert_eq!(epoch, Some(51), "swap republishes as the next epoch");
-    let (epoch, swapped_preds) = client.predict("m", &rows(&probes)).expect("predict");
+    // Opcode 3 left no file, not even a staging file.
+    let files: Vec<_> = std::fs::read_dir(&dir)
+        .expect("read temp dir")
+        .map(|entry| entry.expect("dir entry").file_name())
+        .collect();
+    assert_eq!(files, ["m.dmt"]);
+
+    // Opcode 4 swapped nothing in, and the same connection keeps serving.
+    assert_eq!(client.stats("m").expect("stats").epoch, 50);
+    let (epoch, after) = client.predict("m", &rows(&probes)).expect("predict");
+    assert_eq!((epoch, after), (Some(50), served));
+    let (xs, ys) = step_batch(50, 1, 24);
+    let (epoch, _) = client.learn("m", &rows(&xs), &ys).expect("learn");
     assert_eq!(epoch, Some(51));
-    assert_eq!(
-        swapped_preds, checkpointed_preds,
-        "swap must restore the checkpointed state bit-exactly"
-    );
-
-    // Swapping from a missing path is a typed error, tenant unharmed.
-    match client.swap("m", dir.join("missing.dmt").to_str().unwrap()) {
-        Err(ClientError::Server(ServeError::Checkpoint(_))) => {}
-        other => panic!("expected Checkpoint error, got {other:?}"),
-    }
-    let stats = client.stats("m").expect("stats");
-    assert_eq!(stats.epoch, 51);
 
     std::fs::remove_dir_all(&dir).ok();
 }
