@@ -22,7 +22,7 @@ use dmt_stream::schema::StreamSchema;
 
 use crate::leaf_stats::{LeafPolicy, LeafStats};
 use crate::observer::SplitTest;
-use crate::split_criterion::{hoeffding_bound, InfoGainCriterion, SplitCriterion};
+use crate::split_criterion::{hoeffding_bound, info_gain_range};
 
 /// Configuration of the EFDT.
 #[derive(Debug, Clone)]
@@ -128,23 +128,16 @@ impl EfdtNode {
         }
     }
 
-    fn learn(
-        &mut self,
-        x: &[f64],
-        y: usize,
-        schema: &StreamSchema,
-        config: &EfdtConfig,
-        criterion: &dyn SplitCriterion,
-    ) {
+    fn learn(&mut self, x: &[f64], y: usize, schema: &StreamSchema, config: &EfdtConfig) {
         match self {
             EfdtNode::Leaf { stats, depth } => {
                 stats.update(x, y);
                 let weight = stats.total_weight();
                 if !stats.is_pure() && weight - stats.weight_at_last_eval >= config.grace_period {
                     stats.weight_at_last_eval = weight;
-                    let suggestions = stats.split_suggestions(criterion);
+                    let suggestions = stats.split_suggestions();
                     if let Some(best) = suggestions.first() {
-                        let range = criterion.range(&stats.class_counts);
+                        let range = info_gain_range(&stats.class_counts);
                         let eps = hoeffding_bound(range, config.split_confidence, weight);
                         // HATT criterion: best attribute vs. the null split
                         // (merit 0 for information gain).
@@ -192,13 +185,13 @@ impl EfdtNode {
                 // Periodic re-evaluation of the installed split.
                 if weight - *weight_at_last_reevaluation >= config.reevaluation_period {
                     *weight_at_last_reevaluation = weight;
-                    let suggestions = stats.split_suggestions(criterion);
+                    let suggestions = stats.split_suggestions();
                     if let Some(best) = suggestions.first() {
                         let current_merit = suggestions
                             .iter()
                             .find(|s| s.feature == *feature)
                             .map_or(0.0, |s| s.merit);
-                        let range = criterion.range(&stats.class_counts);
+                        let range = info_gain_range(&stats.class_counts);
                         let eps = hoeffding_bound(range, config.split_confidence, weight);
                         if best.feature != *feature && best.merit - current_merit > eps {
                             // The installed attribute lost: kill the subtree
@@ -227,7 +220,7 @@ impl EfdtNode {
                                 depth: new_depth - 1,
                             };
                             // Route the instance into the fresh structure.
-                            self.learn_route_only(x, y, schema, config, criterion);
+                            self.learn_route_only(x, y, schema, config);
                             return;
                         }
                     }
@@ -237,7 +230,7 @@ impl EfdtNode {
                 } else {
                     right
                 };
-                child.learn(x, y, schema, config, criterion);
+                child.learn(x, y, schema, config);
             }
         }
     }
@@ -250,7 +243,6 @@ impl EfdtNode {
         y: usize,
         schema: &StreamSchema,
         config: &EfdtConfig,
-        criterion: &dyn SplitCriterion,
     ) {
         if let EfdtNode::Inner {
             feature,
@@ -265,7 +257,7 @@ impl EfdtNode {
             } else {
                 right
             };
-            child.learn(x, y, schema, config, criterion);
+            child.learn(x, y, schema, config);
         }
     }
 }
@@ -274,7 +266,6 @@ impl EfdtNode {
 pub struct EfdtClassifier {
     config: EfdtConfig,
     schema: StreamSchema,
-    criterion: InfoGainCriterion,
     root: EfdtNode,
     observations: u64,
 }
@@ -286,7 +277,6 @@ impl EfdtClassifier {
         Self {
             config,
             schema,
-            criterion: InfoGainCriterion,
             root,
             observations: 0,
         }
@@ -295,8 +285,7 @@ impl EfdtClassifier {
     /// Learn a single labelled instance.
     pub fn learn_one(&mut self, x: &[f64], y: usize) {
         self.observations += 1;
-        self.root
-            .learn(x, y, &self.schema, &self.config, &self.criterion);
+        self.root.learn(x, y, &self.schema, &self.config);
     }
 
     /// Number of inner nodes (splits).

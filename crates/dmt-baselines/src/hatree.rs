@@ -16,7 +16,7 @@ use dmt_stream::schema::StreamSchema;
 
 use crate::leaf_stats::{LeafPolicy, LeafStats};
 use crate::observer::SplitTest;
-use crate::split_criterion::{hoeffding_bound, InfoGainCriterion, SplitCriterion};
+use crate::split_criterion::{hoeffding_bound, info_gain_range};
 
 /// Configuration of the Hoeffding Adaptive Tree.
 #[derive(Debug, Clone)]
@@ -150,14 +150,7 @@ impl AdaNode {
     /// Learn one instance. Returns 1.0 if this subtree misclassified the
     /// instance *before* learning it (the error signal fed to the parent's
     /// ADWIN).
-    fn learn(
-        &mut self,
-        x: &[f64],
-        y: usize,
-        schema: &StreamSchema,
-        config: &HatConfig,
-        criterion: &dyn SplitCriterion,
-    ) -> f64 {
+    fn learn(&mut self, x: &[f64], y: usize, schema: &StreamSchema, config: &HatConfig) -> f64 {
         let mut proba = vec![0.0; schema.num_classes];
         self.predict_proba_into(x, &mut proba);
         let prediction = dmt_models::argmax(&proba);
@@ -173,10 +166,10 @@ impl AdaNode {
                 let weight = stats.total_weight();
                 if !stats.is_pure() && weight - stats.weight_at_last_eval >= config.grace_period {
                     stats.weight_at_last_eval = weight;
-                    let suggestions = stats.split_suggestions(criterion);
+                    let suggestions = stats.split_suggestions();
                     if let Some(best) = suggestions.first() {
                         let second = suggestions.get(1).map_or(0.0, |s| s.merit);
-                        let range = criterion.range(&stats.class_counts);
+                        let range = info_gain_range(&stats.class_counts);
                         let eps = hoeffding_bound(range, config.split_confidence, weight);
                         if (best.merit - second > eps || eps < config.tie_threshold)
                             && best.merit > 0.0
@@ -227,7 +220,7 @@ impl AdaNode {
                 } else {
                     right
                 };
-                child.learn(x, y, schema, config, criterion);
+                child.learn(x, y, schema, config);
 
                 // Maintain the alternate subtree.
                 if drift && alternate.is_none() {
@@ -236,7 +229,7 @@ impl AdaNode {
                 }
                 let mut replace = false;
                 if let Some(alt) = alternate {
-                    alt.learn(x, y, schema, config, criterion);
+                    alt.learn(x, y, schema, config);
                     *alternate_weight += 1.0;
                     if *alternate_weight >= config.alternate_min_weight
                         && alt.mean_error() < error_monitor.mean()
@@ -258,7 +251,6 @@ impl AdaNode {
 pub struct HoeffdingAdaptiveTree {
     config: HatConfig,
     schema: StreamSchema,
-    criterion: InfoGainCriterion,
     root: AdaNode,
     observations: u64,
 }
@@ -270,7 +262,6 @@ impl HoeffdingAdaptiveTree {
         Self {
             config,
             schema,
-            criterion: InfoGainCriterion,
             root,
             observations: 0,
         }
@@ -279,8 +270,7 @@ impl HoeffdingAdaptiveTree {
     /// Learn a single labelled instance.
     pub fn learn_one(&mut self, x: &[f64], y: usize) {
         self.observations += 1;
-        self.root
-            .learn(x, y, &self.schema, &self.config, &self.criterion);
+        self.root.learn(x, y, &self.schema, &self.config);
     }
 
     /// Number of inner nodes (splits) in the deployed tree.

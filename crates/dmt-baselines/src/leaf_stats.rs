@@ -3,11 +3,10 @@
 //!
 //! Every learning leaf keeps a class distribution, one attribute observer per
 //! feature and (when the policy requires it) an incremental Gaussian Naive
-//! Bayes model. The three policies correspond to the paper's baselines:
+//! Bayes model. The two policies correspond to the paper's baselines:
 //!
 //! * [`LeafPolicy::MajorityClass`] — VFDT (MC), HT-Ada and EFDT as configured
 //!   in §VI-C (majority voting in the leaves).
-//! * [`LeafPolicy::NaiveBayes`] — plain Naive Bayes leaves.
 //! * [`LeafPolicy::NaiveBayesAdaptive`] — VFDT (NBA): predicts with whichever
 //!   of majority class / Naive Bayes has been more accurate at this leaf so
 //!   far (Gama et al., 2003).
@@ -17,15 +16,12 @@ use dmt_models::{GaussianNaiveBayes, MemoryUsage};
 use dmt_stream::schema::{FeatureType, StreamSchema};
 
 use crate::observer::{AttributeObserver, SplitSuggestion};
-use crate::split_criterion::SplitCriterion;
 
 /// Leaf prediction policy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LeafPolicy {
     /// Predict the majority class of the leaf.
     MajorityClass,
-    /// Predict with an incremental Gaussian Naive Bayes model.
-    NaiveBayes,
     /// Predict with majority class or Naive Bayes, whichever has the better
     /// running accuracy at this leaf ("adaptive", Gama et al. 2003).
     NaiveBayesAdaptive,
@@ -133,7 +129,7 @@ impl LeafStats {
     pub fn predict_proba_into(&self, x: &[f64], out: &mut [f64]) {
         // Hard assert (not debug): a wrong-sized buffer would otherwise
         // silently leave stale tail values on the majority-class path while
-        // the Naive-Bayes path panics — fail loudly and consistently.
+        // the Naive Bayes path panics — fail loudly and consistently.
         assert_eq!(
             out.len(),
             self.class_counts.len(),
@@ -151,10 +147,6 @@ impl LeafStats {
         };
         match self.policy {
             LeafPolicy::MajorityClass => mc_proba_into(out),
-            LeafPolicy::NaiveBayes => match &self.nb {
-                Some(nb) if total > 0.0 => nb.predict_proba_into(x, out),
-                _ => mc_proba_into(out),
-            },
             LeafPolicy::NaiveBayesAdaptive => {
                 if self.nb_correct >= self.mc_correct {
                     match &self.nb {
@@ -178,12 +170,12 @@ impl LeafStats {
     }
 
     /// Best split suggestion per attribute, sorted by descending merit.
-    pub fn split_suggestions(&self, criterion: &dyn SplitCriterion) -> Vec<SplitSuggestion> {
+    pub fn split_suggestions(&self) -> Vec<SplitSuggestion> {
         let mut suggestions: Vec<SplitSuggestion> = self
             .observers
             .iter()
             .enumerate()
-            .filter_map(|(i, o)| o.best_split(i, &self.class_counts, criterion))
+            .filter_map(|(i, o)| o.best_split(i, &self.class_counts))
             .collect();
         suggestions.sort_by(|a, b| {
             b.merit
@@ -197,7 +189,6 @@ impl LeafStats {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::split_criterion::InfoGainCriterion;
     use dmt_stream::schema::StreamSchema;
 
     fn schema() -> StreamSchema {
@@ -243,19 +234,6 @@ mod tests {
     }
 
     #[test]
-    fn naive_bayes_policy_uses_feature_information() {
-        let mut stats = LeafStats::new(&schema(), LeafPolicy::NaiveBayes);
-        fill_separable(&mut stats, 200);
-        let p_low = stats.predict_proba(&[0.1, 0.9]);
-        let p_high = stats.predict_proba(&[0.9, 0.1]);
-        assert!(p_low[0] > 0.5, "low x should look like class 0: {p_low:?}");
-        assert!(
-            p_high[1] > 0.5,
-            "high x should look like class 1: {p_high:?}"
-        );
-    }
-
-    #[test]
     fn adaptive_policy_tracks_both_accuracies() {
         let mut stats = LeafStats::new(&schema(), LeafPolicy::NaiveBayesAdaptive);
         fill_separable(&mut stats, 300);
@@ -270,7 +248,7 @@ mod tests {
     fn split_suggestions_are_sorted_and_identify_the_informative_feature() {
         let mut stats = LeafStats::new(&schema(), LeafPolicy::MajorityClass);
         fill_separable(&mut stats, 400);
-        let suggestions = stats.split_suggestions(&InfoGainCriterion);
+        let suggestions = stats.split_suggestions();
         assert!(!suggestions.is_empty());
         // Both features are informative here (x1 = 1 - x0), but merits must be
         // sorted in descending order.
@@ -306,7 +284,7 @@ mod tests {
             let label = usize::from(color == 0.0);
             stats.update(&[color, i as f64 / 120.0], label);
         }
-        let suggestions = stats.split_suggestions(&InfoGainCriterion);
+        let suggestions = stats.split_suggestions();
         assert_eq!(
             suggestions[0].feature, 0,
             "the nominal feature determines the label"

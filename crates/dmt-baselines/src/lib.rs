@@ -4,8 +4,8 @@
 //! paper compares against:
 //!
 //! * [`vfdt`] — the Very Fast Decision Tree (Hoeffding Tree) with
-//!   majority-class, Naive Bayes or adaptive Naive Bayes leaves
-//!   (VFDT (MC) and VFDT (NBA) in the paper's tables).
+//!   majority-class or adaptive Naive Bayes leaves (VFDT (MC) and
+//!   VFDT (NBA) in the paper's tables).
 //! * [`hatree`] — HT-Ada, the Hoeffding Adaptive Tree with ADWIN-monitored
 //!   subtree replacement.
 //! * [`efdt`] — the Extremely Fast Decision Tree (Hoeffding Anytime Tree)
@@ -16,8 +16,8 @@
 //!
 //! Shared substrate:
 //!
-//! * [`split_criterion`] — information gain, Gini reduction, standard
-//!   deviation reduction and the Hoeffding bound.
+//! * [`split_criterion`] — information gain, standard deviation reduction
+//!   and the Hoeffding bound.
 //! * [`observer`] — per-attribute sufficient statistics (Gaussian for numeric
 //!   features, count tables for nominal features) that propose binary split
 //!   candidates.
@@ -45,5 +45,5 @@ pub use fimtdd::{FimtDdClassifier, FimtDdConfig};
 pub use hatree::{HatConfig, HoeffdingAdaptiveTree};
 pub use leaf_stats::{LeafPolicy, LeafStats};
 pub use observer::{AttributeObserver, SplitSuggestion};
-pub use split_criterion::{hoeffding_bound, GiniCriterion, InfoGainCriterion, SplitCriterion};
+pub use split_criterion::hoeffding_bound;
 pub use vfdt::{HoeffdingTreeClassifier, VfdtConfig};

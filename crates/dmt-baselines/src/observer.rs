@@ -12,7 +12,7 @@ use dmt_models::memory::vec_bytes;
 use dmt_models::naive_bayes::RunningStats;
 use dmt_models::MemoryUsage;
 
-use crate::split_criterion::SplitCriterion;
+use crate::split_criterion::info_gain;
 
 /// Number of candidate thresholds evaluated per numeric attribute.
 pub const NUM_THRESHOLDS: usize = 10;
@@ -25,7 +25,7 @@ pub struct SplitSuggestion {
     /// Split test: numeric `x[feature] <= threshold` or nominal
     /// `x[feature] == value`.
     pub test: SplitTest,
-    /// Merit of the split under the criterion used to generate it.
+    /// Information gain of the split.
     pub merit: f64,
     /// Class distributions of the two children `[left, right]`.
     pub children_dists: Vec<Vec<f64>>,
@@ -137,14 +137,9 @@ impl GaussianObserver {
         vec![left, right]
     }
 
-    /// Best split for this attribute under `criterion`, or `None` if the
+    /// Best split for this attribute by information gain, or `None` if the
     /// attribute has not seen at least two distinct values.
-    pub fn best_split(
-        &self,
-        feature: usize,
-        pre_dist: &[f64],
-        criterion: &dyn SplitCriterion,
-    ) -> Option<SplitSuggestion> {
+    pub fn best_split(&self, feature: usize, pre_dist: &[f64]) -> Option<SplitSuggestion> {
         if !self.min.is_finite() || !self.max.is_finite() || self.max <= self.min {
             return None;
         }
@@ -153,7 +148,7 @@ impl GaussianObserver {
             let threshold =
                 self.min + (self.max - self.min) * i as f64 / (NUM_THRESHOLDS + 1) as f64;
             let dists = self.split_distributions(threshold);
-            let merit = criterion.merit(pre_dist, &dists);
+            let merit = info_gain(pre_dist, &dists);
             if best.as_ref().is_none_or(|b| merit > b.merit) {
                 best = Some(SplitSuggestion {
                     feature,
@@ -205,13 +200,8 @@ impl NominalObserver {
         }
     }
 
-    /// Best one-vs-rest binary split under `criterion`.
-    pub fn best_split(
-        &self,
-        feature: usize,
-        pre_dist: &[f64],
-        criterion: &dyn SplitCriterion,
-    ) -> Option<SplitSuggestion> {
+    /// Best one-vs-rest binary split by information gain.
+    pub fn best_split(&self, feature: usize, pre_dist: &[f64]) -> Option<SplitSuggestion> {
         let mut best: Option<SplitSuggestion> = None;
         for (value, value_counts) in self.counts.iter().enumerate() {
             let total: f64 = value_counts.iter().sum();
@@ -225,7 +215,7 @@ impl NominalObserver {
                 .map(|(p, v)| (p - v).max(0.0))
                 .collect();
             let dists = vec![left, right];
-            let merit = criterion.merit(pre_dist, &dists);
+            let merit = info_gain(pre_dist, &dists);
             if best.as_ref().is_none_or(|b| merit > b.merit) {
                 best = Some(SplitSuggestion {
                     feature,
@@ -279,15 +269,10 @@ impl AttributeObserver {
     }
 
     /// Best split proposal for this attribute.
-    pub fn best_split(
-        &self,
-        feature: usize,
-        pre_dist: &[f64],
-        criterion: &dyn SplitCriterion,
-    ) -> Option<SplitSuggestion> {
+    pub fn best_split(&self, feature: usize, pre_dist: &[f64]) -> Option<SplitSuggestion> {
         match self {
-            AttributeObserver::Numeric(o) => o.best_split(feature, pre_dist, criterion),
-            AttributeObserver::Nominal(o) => o.best_split(feature, pre_dist, criterion),
+            AttributeObserver::Numeric(o) => o.best_split(feature, pre_dist),
+            AttributeObserver::Nominal(o) => o.best_split(feature, pre_dist),
         }
     }
 }
@@ -295,7 +280,6 @@ impl AttributeObserver {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::split_criterion::InfoGainCriterion;
 
     #[test]
     fn normal_cdf_is_monotone_and_symmetric() {
@@ -323,7 +307,7 @@ mod tests {
             obs.update(0.8 - jitter, 1);
         }
         let pre = vec![200.0, 200.0];
-        let split = obs.best_split(3, &pre, &InfoGainCriterion).unwrap();
+        let split = obs.best_split(3, &pre).unwrap();
         assert_eq!(split.feature, 3);
         match split.test {
             SplitTest::NumericThreshold { threshold } => {
@@ -340,13 +324,9 @@ mod tests {
         for _ in 0..50 {
             obs.update(1.0, 0);
         }
-        assert!(obs
-            .best_split(0, &[50.0, 0.0], &InfoGainCriterion)
-            .is_none());
+        assert!(obs.best_split(0, &[50.0, 0.0]).is_none());
         let empty = GaussianObserver::new(2);
-        assert!(empty
-            .best_split(0, &[0.0, 0.0], &InfoGainCriterion)
-            .is_none());
+        assert!(empty.best_split(0, &[0.0, 0.0]).is_none());
     }
 
     #[test]
@@ -372,7 +352,7 @@ mod tests {
             obs.update(2.0, (i + 1) % 2);
         }
         let pre = vec![100.0, 50.0];
-        let split = obs.best_split(1, &pre, &InfoGainCriterion).unwrap();
+        let split = obs.best_split(1, &pre).unwrap();
         match split.test {
             SplitTest::NominalEquals { value } => assert_eq!(value, 0.0),
             _ => panic!("expected nominal test"),
@@ -384,7 +364,7 @@ mod tests {
         let mut obs = NominalObserver::new(2, 2);
         obs.update(7.0, 1);
         let pre = vec![0.0, 1.0];
-        let split = obs.best_split(0, &pre, &InfoGainCriterion);
+        let split = obs.best_split(0, &pre);
         assert!(split.is_some());
     }
 
@@ -408,8 +388,8 @@ mod tests {
             nom.update((i % 3) as f64, usize::from(i % 3 == 0));
         }
         let pre = vec![30.0, 30.0];
-        assert!(num.best_split(0, &pre, &InfoGainCriterion).is_some());
+        assert!(num.best_split(0, &pre).is_some());
         let pre_nom = vec![40.0, 20.0];
-        assert!(nom.best_split(1, &pre_nom, &InfoGainCriterion).is_some());
+        assert!(nom.best_split(1, &pre_nom).is_some());
     }
 }

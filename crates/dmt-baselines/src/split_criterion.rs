@@ -5,9 +5,8 @@
 //! mechanisms the Dynamic Model Tree replaces with loss-based gains. They are
 //! implemented here for the baselines:
 //!
-//! * [`InfoGainCriterion`] — information gain (entropy reduction), the VFDT
-//!   default.
-//! * [`GiniCriterion`] — Gini-impurity reduction.
+//! * [`info_gain`] — information gain (entropy reduction), the criterion of
+//!   VFDT, HT-Ada and EFDT, with [`info_gain_range`] for the Hoeffding bound.
 //! * [`sdr`] — standard deviation reduction of a numeric target, used by
 //!   FIMT-DD (applied to the class index, as in the authors' classification
 //!   re-implementation).
@@ -20,16 +19,6 @@ pub fn hoeffding_bound(range: f64, delta: f64, n: f64) -> f64 {
         return f64::INFINITY;
     }
     ((range * range * (1.0 / delta).ln()) / (2.0 * n)).sqrt()
-}
-
-/// A purity-based split criterion over class distributions.
-pub trait SplitCriterion: Send + Sync {
-    /// Merit of splitting the `pre` distribution into the `post`
-    /// distributions (children). Higher is better.
-    fn merit(&self, pre: &[f64], post: &[Vec<f64>]) -> f64;
-
-    /// Range of the merit value (needed by the Hoeffding bound).
-    fn range(&self, pre: &[f64]) -> f64;
 }
 
 /// Shannon entropy of a class-count distribution (in bits).
@@ -48,70 +37,28 @@ pub fn entropy(dist: &[f64]) -> f64 {
     h
 }
 
-/// Gini impurity of a class-count distribution.
-pub fn gini(dist: &[f64]) -> f64 {
-    let total: f64 = dist.iter().sum();
+/// Information gain (entropy reduction) of splitting the `pre` class
+/// distribution into the `post` distributions (children). Higher is better.
+pub fn info_gain(pre: &[f64], post: &[Vec<f64>]) -> f64 {
+    let total: f64 = pre.iter().sum();
     if total <= 0.0 {
         return 0.0;
     }
-    1.0 - dist
-        .iter()
-        .map(|&count| {
-            let p = count / total;
-            p * p
-        })
-        .sum::<f64>()
+    let mut weighted = 0.0;
+    for child in post {
+        let child_total: f64 = child.iter().sum();
+        if child_total > 0.0 {
+            weighted += child_total / total * entropy(child);
+        }
+    }
+    entropy(pre) - weighted
 }
 
-/// Information-gain criterion (entropy reduction).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct InfoGainCriterion;
-
-impl SplitCriterion for InfoGainCriterion {
-    fn merit(&self, pre: &[f64], post: &[Vec<f64>]) -> f64 {
-        let total: f64 = pre.iter().sum();
-        if total <= 0.0 {
-            return 0.0;
-        }
-        let mut weighted = 0.0;
-        for child in post {
-            let child_total: f64 = child.iter().sum();
-            if child_total > 0.0 {
-                weighted += child_total / total * entropy(child);
-            }
-        }
-        entropy(pre) - weighted
-    }
-
-    fn range(&self, pre: &[f64]) -> f64 {
-        let classes = pre.iter().filter(|&&c| c > 0.0).count().max(2);
-        (classes as f64).log2()
-    }
-}
-
-/// Gini-reduction criterion.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct GiniCriterion;
-
-impl SplitCriterion for GiniCriterion {
-    fn merit(&self, pre: &[f64], post: &[Vec<f64>]) -> f64 {
-        let total: f64 = pre.iter().sum();
-        if total <= 0.0 {
-            return 0.0;
-        }
-        let mut weighted = 0.0;
-        for child in post {
-            let child_total: f64 = child.iter().sum();
-            if child_total > 0.0 {
-                weighted += child_total / total * gini(child);
-            }
-        }
-        gini(pre) - weighted
-    }
-
-    fn range(&self, _pre: &[f64]) -> f64 {
-        1.0
-    }
+/// Range of [`info_gain`] over `pre` (needed by the Hoeffding bound):
+/// `log2` of the number of observed classes, at least 1.
+pub fn info_gain_range(pre: &[f64]) -> f64 {
+    let classes = pre.iter().filter(|&&c| c > 0.0).count().max(2);
+    (classes as f64).log2()
 }
 
 /// Standard deviation reduction (SDR) for a numeric target, the FIMT-DD split
@@ -165,17 +112,10 @@ mod tests {
     }
 
     #[test]
-    fn gini_extremes() {
-        assert_eq!(gini(&[10.0, 0.0]), 0.0);
-        assert!((gini(&[5.0, 5.0]) - 0.5).abs() < 1e-12);
-        assert_eq!(gini(&[0.0]), 0.0);
-    }
-
-    #[test]
     fn info_gain_of_perfect_split_is_parent_entropy() {
         let pre = vec![5.0, 5.0];
         let post = vec![vec![5.0, 0.0], vec![0.0, 5.0]];
-        let ig = InfoGainCriterion.merit(&pre, &post);
+        let ig = info_gain(&pre, &post);
         assert!((ig - 1.0).abs() < 1e-12);
     }
 
@@ -183,24 +123,16 @@ mod tests {
     fn info_gain_of_useless_split_is_zero() {
         let pre = vec![6.0, 6.0];
         let post = vec![vec![3.0, 3.0], vec![3.0, 3.0]];
-        let ig = InfoGainCriterion.merit(&pre, &post);
+        let ig = info_gain(&pre, &post);
         assert!(ig.abs() < 1e-12);
     }
 
     #[test]
-    fn gini_criterion_prefers_purer_splits() {
-        let pre = vec![5.0, 5.0];
-        let pure = vec![vec![5.0, 0.0], vec![0.0, 5.0]];
-        let mixed = vec![vec![4.0, 2.0], vec![1.0, 3.0]];
-        let g = GiniCriterion;
-        assert!(g.merit(&pre, &pure) > g.merit(&pre, &mixed));
-    }
-
-    #[test]
     fn criterion_ranges() {
-        assert!((InfoGainCriterion.range(&[1.0, 1.0]) - 1.0).abs() < 1e-12);
-        assert!((InfoGainCriterion.range(&[1.0, 1.0, 1.0, 1.0]) - 2.0).abs() < 1e-12);
-        assert_eq!(GiniCriterion.range(&[1.0, 1.0]), 1.0);
+        assert!((info_gain_range(&[1.0, 1.0]) - 1.0).abs() < 1e-12);
+        assert!((info_gain_range(&[1.0, 1.0, 1.0, 1.0]) - 2.0).abs() < 1e-12);
+        // Fewer than two observed classes still count as two.
+        assert!((info_gain_range(&[3.0, 0.0]) - 1.0).abs() < 1e-12);
     }
 
     #[test]

@@ -17,7 +17,7 @@ use dmt_stream::schema::StreamSchema;
 
 use crate::leaf_stats::{LeafPolicy, LeafStats};
 use crate::observer::SplitTest;
-use crate::split_criterion::{hoeffding_bound, InfoGainCriterion, SplitCriterion};
+use crate::split_criterion::{hoeffding_bound, info_gain_range};
 
 /// Configuration of a Hoeffding tree.
 #[derive(Debug, Clone)]
@@ -145,7 +145,6 @@ impl Node {
 pub struct HoeffdingTreeClassifier {
     config: VfdtConfig,
     schema: StreamSchema,
-    criterion: InfoGainCriterion,
     root: Node,
     name: String,
     observations: u64,
@@ -156,7 +155,6 @@ impl HoeffdingTreeClassifier {
     pub fn new(schema: StreamSchema, config: VfdtConfig) -> Self {
         let name = match config.leaf_policy {
             LeafPolicy::MajorityClass => "VFDT (MC)",
-            LeafPolicy::NaiveBayes => "VFDT (NB)",
             LeafPolicy::NaiveBayesAdaptive => "VFDT (NBA)",
         }
         .to_string();
@@ -164,7 +162,6 @@ impl HoeffdingTreeClassifier {
         Self {
             config,
             schema,
-            criterion: InfoGainCriterion,
             root,
             name,
             observations: 0,
@@ -197,14 +194,7 @@ impl HoeffdingTreeClassifier {
     /// Learn a single labelled instance.
     pub fn learn_one(&mut self, x: &[f64], y: usize) {
         self.observations += 1;
-        Self::learn_recursive(
-            &mut self.root,
-            x,
-            y,
-            &self.schema,
-            &self.config,
-            &self.criterion,
-        );
+        Self::learn_recursive(&mut self.root, x, y, &self.schema, &self.config);
     }
 
     fn learn_recursive(
@@ -213,7 +203,6 @@ impl HoeffdingTreeClassifier {
         y: usize,
         schema: &StreamSchema,
         config: &VfdtConfig,
-        criterion: &dyn SplitCriterion,
     ) {
         match node {
             Node::Inner {
@@ -228,7 +217,7 @@ impl HoeffdingTreeClassifier {
                 } else {
                     right
                 };
-                Self::learn_recursive(child, x, y, schema, config, criterion);
+                Self::learn_recursive(child, x, y, schema, config);
             }
             Node::Leaf { stats, depth } => {
                 stats.update(x, y);
@@ -240,7 +229,7 @@ impl HoeffdingTreeClassifier {
                 {
                     stats.weight_at_last_eval = weight;
                     if let Some((feature, test, left_dist, right_dist)) =
-                        Self::try_split(stats, weight, config, criterion)
+                        Self::try_split(stats, weight, config)
                     {
                         let new_depth = *depth + 1;
                         let mut left_leaf = LeafStats::new(schema, config.leaf_policy);
@@ -272,15 +261,14 @@ impl HoeffdingTreeClassifier {
         stats: &LeafStats,
         weight: f64,
         config: &VfdtConfig,
-        criterion: &dyn SplitCriterion,
     ) -> Option<(usize, SplitTest, Vec<f64>, Vec<f64>)> {
-        let suggestions = stats.split_suggestions(criterion);
+        let suggestions = stats.split_suggestions();
         if suggestions.is_empty() {
             return None;
         }
         let best = &suggestions[0];
         let second_merit = suggestions.get(1).map_or(0.0, |s| s.merit);
-        let range = criterion.range(&stats.class_counts);
+        let range = info_gain_range(&stats.class_counts);
         let eps = hoeffding_bound(range, config.split_confidence, weight);
         let should_split = best.merit - second_merit > eps || eps < config.tie_threshold;
         if should_split && best.merit > 0.0 {
@@ -309,7 +297,7 @@ impl HoeffdingTreeClassifier {
             LeafPolicy::MajorityClass => (0.0, 1.0),
             // Simple-model leaves: one extra split for binary targets, `c` for
             // multiclass; `m` parameters per class for the conditionals.
-            LeafPolicy::NaiveBayes | LeafPolicy::NaiveBayesAdaptive => {
+            LeafPolicy::NaiveBayesAdaptive => {
                 let extra_splits = if num_classes == 2 {
                     1.0
                 } else {

@@ -1,5 +1,5 @@
-//! Extension experiments: ablations of the Dynamic Model Tree design choices
-//! called out in DESIGN.md — not part of the paper's tables, but directly
+//! Extension experiments: ablations of the Dynamic Model Tree's
+//! hyperparameters — not part of the paper's tables, but directly
 //! motivated by its §V ("one might experiment with different base models,
 //! optimization strategies ...") and §VI-E discussion.
 //!

@@ -34,7 +34,7 @@
 
 use std::process::ExitCode;
 
-use dmt_bench::compare::{load_rows, matched_rows, Tolerance};
+use dmt_bench::compare::{flag_pairs, load_rows, matched_rows, parse_tolerance, Tolerance};
 
 struct Options {
     baseline: String,
@@ -69,64 +69,28 @@ impl Default for Options {
     }
 }
 
-fn parse_options() -> Options {
+fn parse_options() -> Result<Options, String> {
     let mut options = Options::default();
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut i = 0;
-    while i < args.len() {
-        let value = args.get(i + 1);
-        match args[i].as_str() {
-            "--baseline" => {
-                if let Some(v) = value {
-                    options.baseline = v.clone();
-                    i += 1;
-                }
-            }
-            "--current" => {
-                if let Some(v) = value {
-                    options.current = v.clone();
-                    i += 1;
-                }
-            }
+    for (flag, value) in flag_pairs(&args)? {
+        match flag {
+            "--baseline" => options.baseline = value.to_string(),
+            "--current" => options.current = value.to_string(),
             "--models" => {
-                if let Some(v) = value {
-                    options.models = v
-                        .split(',')
-                        .map(|s| s.trim().to_string())
-                        .filter(|s| !s.is_empty())
-                        .collect();
-                    i += 1;
-                }
+                options.models = value
+                    .split(',')
+                    .map(|s| s.trim().to_string())
+                    .filter(|s| !s.is_empty())
+                    .collect();
             }
-            "--tol-accuracy" => {
-                if let Some(v) = value.and_then(|v| v.parse().ok()) {
-                    options.tol_accuracy = v;
-                    i += 1;
-                }
-            }
-            "--tol-kappa" => {
-                if let Some(v) = value.and_then(|v| v.parse().ok()) {
-                    options.tol_kappa = v;
-                    i += 1;
-                }
-            }
-            "--tol-f1" => {
-                if let Some(v) = value.and_then(|v| v.parse().ok()) {
-                    options.tol_f1 = v;
-                    i += 1;
-                }
-            }
-            "--tol-bytes" => {
-                if let Some(v) = value.and_then(|v| v.parse().ok()) {
-                    options.tol_bytes = v;
-                    i += 1;
-                }
-            }
-            _ => {}
+            "--tol-accuracy" => options.tol_accuracy = parse_tolerance(flag, value)?,
+            "--tol-kappa" => options.tol_kappa = parse_tolerance(flag, value)?,
+            "--tol-f1" => options.tol_f1 = parse_tolerance(flag, value)?,
+            "--tol-bytes" => options.tol_bytes = parse_tolerance(flag, value)?,
+            _ => return Err(format!("unknown flag {flag}")),
         }
-        i += 1;
     }
-    options
+    Ok(options)
 }
 
 fn run(options: &Options) -> Result<bool, String> {
@@ -210,8 +174,7 @@ fn run(options: &Options) -> Result<bool, String> {
 }
 
 fn main() -> ExitCode {
-    let options = parse_options();
-    match run(&options) {
+    match parse_options().and_then(|options| run(&options)) {
         Ok(true) => ExitCode::SUCCESS,
         Ok(false) => ExitCode::FAILURE,
         Err(message) => {

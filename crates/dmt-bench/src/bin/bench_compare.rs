@@ -32,7 +32,7 @@
 use std::collections::BTreeMap;
 use std::process::ExitCode;
 
-use dmt_bench::compare::{load_rows, matched_rows, Tolerance};
+use dmt_bench::compare::{flag_pairs, load_rows, matched_rows, parse_tolerance, Tolerance};
 
 struct Options {
     baseline: String,
@@ -58,48 +58,22 @@ impl Default for Options {
     }
 }
 
-fn parse_options() -> Options {
+fn parse_options() -> Result<Options, String> {
     let mut options = Options::default();
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut i = 0;
-    while i < args.len() {
-        let value = args.get(i + 1);
-        match args[i].as_str() {
-            "--baseline" => {
-                if let Some(v) = value {
-                    options.baseline = v.clone();
-                    i += 1;
-                }
-            }
-            "--current" => {
-                if let Some(v) = value {
-                    options.current = v.clone();
-                    i += 1;
-                }
-            }
-            "--tolerance" => {
-                if let Some(v) = value.and_then(|v| v.parse().ok()) {
-                    options.tolerance = v;
-                    i += 1;
-                }
-            }
-            "--control" => {
-                if let Some(v) = value {
-                    options.control = v.clone();
-                    i += 1;
-                }
-            }
+    for (flag, value) in flag_pairs(&args)? {
+        match flag {
+            "--baseline" => options.baseline = value.to_string(),
+            "--current" => options.current = value.to_string(),
+            "--tolerance" => options.tolerance = parse_tolerance(flag, value)?,
+            "--control" => options.control = value.to_string(),
             "--models" => {
-                if let Some(v) = value {
-                    options.models = v.split(',').map(|s| s.trim().to_string()).collect();
-                    i += 1;
-                }
+                options.models = value.split(',').map(|s| s.trim().to_string()).collect();
             }
-            _ => {}
+            _ => return Err(format!("unknown flag {flag}")),
         }
-        i += 1;
     }
-    options
+    Ok(options)
 }
 
 /// The per-cell metrics the gate iterates over: display label → JSON field.
@@ -184,8 +158,7 @@ fn run(options: &Options) -> Result<bool, String> {
 }
 
 fn main() -> ExitCode {
-    let options = parse_options();
-    match run(&options) {
+    match parse_options().and_then(|options| run(&options)) {
         Ok(true) => ExitCode::SUCCESS,
         Ok(false) => ExitCode::FAILURE,
         Err(message) => {

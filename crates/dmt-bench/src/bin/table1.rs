@@ -54,7 +54,8 @@ fn main() {
         );
     }
     println!(
-        "\nReal-world rows are simulators matching the published shape (see DESIGN.md §4); \
-         synthetic rows use the paper's generator configurations."
+        "\nReal-world rows are simulators matching the published shape (the \
+         `dmt_stream::realworld` module docs give the argument); synthetic rows use the \
+         paper's generator configurations."
     );
 }

@@ -121,6 +121,6 @@ fn main() {
     println!(
         "\nNote: absolute numbers differ from the paper (different hardware, scaled streams, \
          simulated real-world data); the comparison of interest is the *relative* ordering of \
-         the models, which EXPERIMENTS.md discusses row by row."
+         the models, and README's \"Reproduce the paper\" section says what to expect."
     );
 }

@@ -9,6 +9,11 @@
 //! The binaries keep only their domain-specific policy: throughput gates on
 //! relative ratios, raw and normalised by a control row; accuracy gates
 //! bounded `[0, 1]` scores on absolute deltas.
+//!
+//! Both read their command line through [`flag_pairs`] and
+//! [`parse_tolerance`], so a misspelt flag or a value that is not a number
+//! fails the gate with a message naming the flag instead of gating at a
+//! default.
 
 use std::collections::BTreeMap;
 
@@ -166,6 +171,34 @@ pub fn matched_rows<'a>(
     Ok(matched)
 }
 
+/// Split a gate binary's arguments into `(flag, value)` pairs. Every flag
+/// starts with `--` and takes exactly one value (which may be empty, as in
+/// `--control ""`); a bare word or a trailing flag without a value is an
+/// error. Each binary rejects the flags it does not know.
+pub fn flag_pairs(args: &[String]) -> Result<Vec<(&str, &str)>, String> {
+    let mut pairs = Vec::new();
+    let mut args = args.iter();
+    while let Some(flag) = args.next() {
+        if !flag.starts_with("--") {
+            return Err(format!("unexpected argument {flag:?}"));
+        }
+        let value = args.next().ok_or_else(|| format!("{flag} needs a value"))?;
+        pairs.push((flag.as_str(), value.as_str()));
+    }
+    Ok(pairs)
+}
+
+/// Parse the tolerance a flag carries: a finite, non-negative number.
+/// `--tolerance 15%` is an error naming the flag, never a silent fallback
+/// to the default.
+pub fn parse_tolerance(flag: &str, value: &str) -> Result<f64, String> {
+    value
+        .parse::<f64>()
+        .ok()
+        .filter(|v| v.is_finite() && *v >= 0.0)
+        .ok_or_else(|| format!("{flag}: {value:?} is not a non-negative number"))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -280,6 +313,32 @@ mod tests {
         let only_dmt = matched_rows(&baseline, &current, &["DMT".to_string()]).unwrap();
         assert_eq!(only_dmt.len(), 2);
         assert!(only_dmt.iter().all(|(model, ..)| *model == "DMT"));
+    }
+
+    #[test]
+    fn flags_pair_with_their_values_and_reject_strays() {
+        let args = |list: &[&str]| list.iter().map(|a| a.to_string()).collect::<Vec<_>>();
+        let ok = args(&["--baseline", "B.json", "--control", ""]);
+        assert_eq!(
+            flag_pairs(&ok).unwrap(),
+            vec![("--baseline", "B.json"), ("--control", "")]
+        );
+        let trailing = args(&["--baseline", "B.json", "--tolerance"]);
+        assert!(flag_pairs(&trailing)
+            .unwrap_err()
+            .contains("--tolerance needs a value"));
+        let stray = args(&["B.json"]);
+        assert!(flag_pairs(&stray).unwrap_err().contains("B.json"));
+    }
+
+    #[test]
+    fn tolerances_must_be_non_negative_numbers() {
+        assert_eq!(parse_tolerance("--tolerance", "0.15"), Ok(0.15));
+        assert_eq!(parse_tolerance("--tol-bytes", "524288"), Ok(524_288.0));
+        for bad in ["15%", "", "-0.1", "NaN", "inf"] {
+            let err = parse_tolerance("--tol-accuracy", bad).unwrap_err();
+            assert!(err.contains("--tol-accuracy"), "{bad}: {err}");
+        }
     }
 
     #[test]

@@ -339,6 +339,11 @@ fn decode_config(r: &mut Reader<'_>) -> Result<DmtConfig, SnapshotError> {
     if !learning_rate.is_finite() || !epsilon.is_finite() || !replacement_rate.is_finite() {
         return Err(invalid("config contains non-finite hyperparameters"));
     }
+    // The AIC threshold of eq. (11) asserts ε ∈ (0, 1] on the first
+    // structural check, so a forged ε must fail here, not panic there.
+    if epsilon <= 0.0 || epsilon > 1.0 {
+        return Err(invalid(format!("epsilon {epsilon} lies outside (0, 1]")));
+    }
     if candidate_factor > MAX_CANDIDATE_FACTOR {
         return Err(invalid(format!(
             "candidate factor {candidate_factor} is implausibly large"

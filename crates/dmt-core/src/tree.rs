@@ -2,7 +2,7 @@
 
 use dmt_models::memory::vec_bytes;
 use dmt_models::online::{Complexity, OnlineClassifier};
-use dmt_models::{AicTest, BatchMode, Glm, MemoryUsage, Rows};
+use dmt_models::{aic_split_threshold, BatchMode, Glm, MemoryUsage, Rows};
 use dmt_stream::schema::StreamSchema;
 
 use crate::arena::{NodeArena, NodeId};
@@ -108,7 +108,7 @@ impl DmtConfig {
             return false;
         }
         if self.use_aic_threshold {
-            AicTest::new(self.epsilon).accepts(gain, k_new, k_old)
+            gain >= aic_split_threshold(k_new, k_old, self.epsilon)
         } else {
             gain >= 0.0
         }
@@ -835,6 +835,54 @@ mod tests {
             eager_tree.num_inner_nodes(),
             strict_tree.num_inner_nodes()
         );
+    }
+
+    #[test]
+    fn default_epsilon_matches_paper() {
+        assert_eq!(DmtConfig::default().epsilon, 1e-8);
+    }
+
+    #[test]
+    fn accepts_applies_the_aic_threshold_of_eq_11() {
+        let config = DmtConfig::default();
+        // A k = 5 leaf split into two k = 5 children needs a gain of at
+        // least k_new − k_old − ln ε = 5 − ln 1e-8 ≈ 23.4.
+        let split = 5.0 - 1e-8f64.ln();
+        assert!((split - 23.42).abs() < 0.01);
+        assert!(config.accepts(split, 10, 5));
+        assert!(!config.accepts(split - 1e-9, 10, 5));
+        assert!(!config.accepts(10.0, 10, 5));
+        // Pruning (k_new < k_old) lowers the bar by the parameters it
+        // frees: 5 − 15 − ln 1e-8 ≈ 8.4.
+        assert!(!config.accepts(0.0, 5, 15));
+        assert!(config.accepts(9.0, 5, 15));
+        let loose = DmtConfig {
+            epsilon: 1.0,
+            ..DmtConfig::default()
+        };
+        assert!(loose.accepts(-10.0, 5, 15));
+        assert!(!loose.accepts(-10.0 - 1e-9, 5, 15));
+        // Non-finite gains never pass.
+        for gain in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            assert!(!config.accepts(gain, 10, 5), "gain {gain}");
+            assert!(!config.accepts(gain, 5, 15), "gain {gain}");
+        }
+    }
+
+    #[test]
+    fn accepts_without_the_aic_threshold_takes_every_non_negative_gain() {
+        let eager = DmtConfig {
+            use_aic_threshold: false,
+            ..DmtConfig::default()
+        };
+        for (k_new, k_old) in [(10, 5), (5, 15), (5, 5)] {
+            assert!(eager.accepts(0.0, k_new, k_old));
+            assert!(eager.accepts(1e-12, k_new, k_old));
+            assert!(!eager.accepts(-1e-12, k_new, k_old));
+            for gain in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+                assert!(!eager.accepts(gain, k_new, k_old), "gain {gain}");
+            }
+        }
     }
 
     #[test]

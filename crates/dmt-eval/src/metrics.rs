@@ -118,22 +118,6 @@ impl ConfusionMatrix {
             / self.total as f64
     }
 
-    /// F1 of the positive class (class 1) — the natural choice for binary
-    /// streams; falls back to macro F1 for multiclass matrices.
-    pub fn binary_or_macro_f1(&self) -> f64 {
-        if self.counts.len() == 2 {
-            // If the positive class never occurs in this window, fall back to
-            // the negative class so the score remains informative.
-            if self.support(1) > 0 {
-                self.f1(1)
-            } else {
-                self.f1(0)
-            }
-        } else {
-            self.macro_f1()
-        }
-    }
-
     /// Cohen's kappa: agreement corrected for chance.
     pub fn kappa(&self) -> f64 {
         if self.total == 0 {
@@ -204,23 +188,6 @@ mod tests {
         let macro_f1 = cm.macro_f1();
         // class 0: p=2/3, r=1 -> f1=0.8 ; class 1: p=1, r=0.5 -> f1=2/3
         assert!((macro_f1 - (0.8 + 2.0 / 3.0) / 2.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn binary_or_macro_uses_positive_class_for_binary() {
-        let mut cm = ConfusionMatrix::new(2);
-        cm.update_batch(&[1, 1, 0], &[1, 0, 0]);
-        assert!((cm.binary_or_macro_f1() - cm.f1(1)).abs() < 1e-12);
-        let mut mc = ConfusionMatrix::new(3);
-        mc.update_batch(&[0, 1, 2], &[0, 1, 2]);
-        assert!((mc.binary_or_macro_f1() - mc.macro_f1()).abs() < 1e-12);
-    }
-
-    #[test]
-    fn binary_window_without_positives_falls_back_to_negative_class() {
-        let mut cm = ConfusionMatrix::new(2);
-        cm.update_batch(&[0, 0, 0], &[0, 0, 1]);
-        assert!(cm.binary_or_macro_f1() > 0.0);
     }
 
     #[test]

@@ -24,11 +24,6 @@ pub fn mean_std(values: &[f64]) -> (f64, f64) {
     (mean(values), std_dev(values))
 }
 
-/// Format a `(mean, std)` pair the way the paper's tables do, e.g. `0.76 ± 0.20`.
-pub fn format_mean_std(mean: f64, std: f64, decimals: usize) -> String {
-    format!("{mean:.prec$} ± {std:.prec$}", prec = decimals)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -54,11 +49,5 @@ mod tests {
         let (m, s) = mean_std(&[1.0, 1.0, 1.0]);
         assert_eq!(m, 1.0);
         assert_eq!(s, 0.0);
-    }
-
-    #[test]
-    fn formatting_matches_paper_style() {
-        assert_eq!(format_mean_std(0.761, 0.204, 2), "0.76 ± 0.20");
-        assert_eq!(format_mean_std(35.66, 16.7, 1), "35.7 ± 16.7");
     }
 }

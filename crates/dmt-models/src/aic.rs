@@ -30,48 +30,6 @@ pub fn aic_split_threshold(k_new: usize, k_old: usize, epsilon: f64) -> f64 {
     k_new as f64 - k_old as f64 - epsilon.ln()
 }
 
-/// Stateless helper bundling the ε hyperparameter for repeated tests.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct AicTest {
-    epsilon: f64,
-}
-
-impl AicTest {
-    /// Create a test with the given ε (the paper default is `1e-8`).
-    pub fn new(epsilon: f64) -> Self {
-        assert!(
-            epsilon > 0.0 && epsilon <= 1.0,
-            "epsilon must lie in (0, 1], got {epsilon}"
-        );
-        Self { epsilon }
-    }
-
-    /// The configured ε.
-    pub fn epsilon(&self) -> f64 {
-        self.epsilon
-    }
-
-    /// Returns `true` when the observed gain justifies moving from a model
-    /// with `k_old` parameters to one with `k_new` parameters.
-    #[inline]
-    pub fn accepts(&self, gain: f64, k_new: usize, k_old: usize) -> bool {
-        gain >= aic_split_threshold(k_new, k_old, self.epsilon)
-    }
-
-    /// Threshold value for the given parameter counts.
-    #[inline]
-    pub fn threshold(&self, k_new: usize, k_old: usize) -> f64 {
-        aic_split_threshold(k_new, k_old, self.epsilon)
-    }
-}
-
-impl Default for AicTest {
-    /// Paper default: ε = 1e-8.
-    fn default() -> Self {
-        Self::new(1e-8)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -103,32 +61,26 @@ mod tests {
     #[test]
     #[should_panic(expected = "epsilon must lie in (0, 1]")]
     fn epsilon_above_one_is_rejected() {
-        let _ = AicTest::new(1.5);
+        let _ = aic_split_threshold(2, 1, 1.5);
     }
 
     #[test]
     fn aic_test_accepts_large_gains_only() {
-        let test = AicTest::default();
         // Splitting a k=5 logit into two k=5 children: threshold = 5 - ln(1e-8) ≈ 23.4
-        assert!(!test.accepts(10.0, 10, 5));
-        assert!(test.accepts(30.0, 10, 5));
-        assert!((test.threshold(10, 5) - (5.0 - 1e-8f64.ln())).abs() < 1e-9);
+        let t = aic_split_threshold(10, 5, 1e-8);
+        assert!((t - (5.0 - 1e-8f64.ln())).abs() < 1e-9);
+        assert!(10.0 < t);
+        assert!(30.0 >= t);
     }
 
     #[test]
     fn pruning_direction_has_negative_parameter_delta() {
         // Collapsing a subtree (k_new < k_old) lowers the threshold, so even a
         // zero gain can justify pruning with epsilon = 1.
-        let test = AicTest::new(1.0);
-        assert!(test.accepts(0.0, 5, 15));
-        // With the strict default epsilon the prune needs to overcome -log(eps).
-        let strict = AicTest::default();
-        assert!(!strict.accepts(0.0, 5, 15));
-        assert!(strict.accepts(9.0, 5, 15));
-    }
-
-    #[test]
-    fn default_epsilon_matches_paper() {
-        assert!((AicTest::default().epsilon() - 1e-8).abs() < 1e-20);
+        assert!(0.0 >= aic_split_threshold(5, 15, 1.0));
+        // With the strict paper epsilon the prune needs to overcome -log(eps).
+        let strict = aic_split_threshold(5, 15, 1e-8);
+        assert!(0.0 < strict);
+        assert!(9.0 >= strict);
     }
 }

@@ -67,7 +67,7 @@ mod softmax {
     mod tests;
 }
 
-pub use aic::{aic_split_threshold, AicTest};
+pub use aic::aic_split_threshold;
 pub use glm::Glm;
 pub use memory::MemoryUsage;
 pub use naive_bayes::GaussianNaiveBayes;

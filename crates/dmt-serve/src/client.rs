@@ -11,9 +11,11 @@
 use std::io::{self, BufReader, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 
+use dmt::registry::TenantStats;
+
 use crate::error::ServeError;
 use crate::protocol::{
-    read_frame, write_frame, FrameIssue, FrameRead, Request, Response, WireMatrix, WireStats,
+    read_frame, write_frame, FrameIssue, FrameRead, Request, Response, WireMatrix,
 };
 use crate::server::connect_with_retry;
 
@@ -138,7 +140,7 @@ impl ServeClient {
     }
 
     /// Fetch the tenant's serving stats.
-    pub fn stats(&mut self, tenant: &str) -> Result<WireStats, ClientError> {
+    pub fn stats(&mut self, tenant: &str) -> Result<TenantStats, ClientError> {
         let response = self.request(&Request::Stats {
             tenant: tenant.to_string(),
         })?;

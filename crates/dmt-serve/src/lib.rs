@@ -36,5 +36,5 @@ pub mod server;
 
 pub use client::{ClientError, ServeClient};
 pub use error::ServeError;
-pub use protocol::{Request, Response, WireMatrix, WireStats};
+pub use protocol::{Request, Response, WireMatrix};
 pub use server::{DmtServer, ServeConfig};

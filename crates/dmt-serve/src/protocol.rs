@@ -43,6 +43,7 @@
 
 use std::io::{self, Read, Write};
 
+use dmt::registry::TenantStats;
 use dmt_core::snapshot::{self, SNAPSHOT_HEADER_LEN, SNAPSHOT_MAGIC, SNAPSHOT_VERSION};
 use dmt_models::wire::{Reader, Writer};
 
@@ -226,26 +227,6 @@ impl Request {
     }
 }
 
-/// Tenant stats as they travel on the wire (the serve-side mirror of
-/// `dmt::registry::TenantStats`).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct WireStats {
-    /// Tenant name.
-    pub name: String,
-    /// Model kind display name.
-    pub kind: String,
-    /// Current serving epoch.
-    pub epoch: u64,
-    /// Epoch snapshots currently resident (served + pinned).
-    pub live_epochs: u64,
-    /// Resident heap bytes of the writer model.
-    pub memory_bytes: u64,
-    /// Rows consumed since registration.
-    pub observations: u64,
-    /// Arbitrated fleet-budget share, if any.
-    pub budget_bytes: Option<u64>,
-}
-
 /// Response frame tags (the first payload byte; `0` marks an error frame).
 /// Tags 3 and 4 are reserved (see the module docs).
 mod tag {
@@ -274,7 +255,7 @@ pub enum Response {
         observations: u64,
     },
     /// Tenant stats.
-    Stats(WireStats),
+    Stats(TenantStats),
     /// The request failed; the error is typed and the variant says whether
     /// the connection survives (see [`ServeError::closes_connection`]).
     Error(ServeError),
@@ -347,7 +328,7 @@ impl Response {
                 epoch: get_opt_u64(&mut r)?,
                 observations: r.get_u64().map_err(bad_response)?,
             },
-            tag::STATS => Response::Stats(WireStats {
+            tag::STATS => Response::Stats(TenantStats {
                 name: r.get_str().map_err(bad_response)?,
                 kind: r.get_str().map_err(bad_response)?,
                 epoch: r.get_u64().map_err(bad_response)?,
@@ -502,7 +483,7 @@ mod tests {
                 epoch: Some(8),
                 observations: 12_345,
             },
-            Response::Stats(WireStats {
+            Response::Stats(TenantStats {
                 name: "m".to_string(),
                 kind: "DMT (ours)".to_string(),
                 epoch: 9,

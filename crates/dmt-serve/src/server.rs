@@ -26,9 +26,7 @@ use std::thread::JoinHandle;
 use dmt::registry::ModelRegistry;
 
 use crate::error::ServeError;
-use crate::protocol::{
-    read_frame, write_frame, FrameIssue, FrameRead, Request, Response, WireStats,
-};
+use crate::protocol::{read_frame, write_frame, FrameIssue, FrameRead, Request, Response};
 
 /// Server configuration.
 #[derive(Debug, Clone)]
@@ -198,17 +196,7 @@ fn execute(registry: &ModelRegistry, request: Request) -> Response {
                     observations: outcome.observations,
                 })
         }
-        Request::Stats { tenant } => registry.stats(&tenant).map(|stats| {
-            Response::Stats(WireStats {
-                name: stats.name,
-                kind: stats.kind,
-                epoch: stats.epoch,
-                live_epochs: stats.live_epochs,
-                memory_bytes: stats.memory_bytes,
-                observations: stats.observations,
-                budget_bytes: stats.budget_bytes,
-            })
-        }),
+        Request::Stats { tenant } => registry.stats(&tenant).map(Response::Stats),
     };
     result.unwrap_or_else(|e| Response::Error(e.into()))
 }

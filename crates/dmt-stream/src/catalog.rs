@@ -359,18 +359,6 @@ pub fn build_stream(name: &str, scale: f64, seed: u64) -> Option<Box<dyn DataStr
     Some(stream)
 }
 
-/// Build every Table I stream, in paper order.
-pub fn build_all(scale: f64, seed: u64) -> Vec<(&'static str, Box<dyn DataStream>)> {
-    TABLE1
-        .iter()
-        .map(|info| {
-            let stream = build_stream(info.name, scale, seed)
-                .expect("catalog names are exhaustive by construction");
-            (info.name, stream)
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -422,14 +410,6 @@ mod tests {
         let full = build_stream("elec-like", 1.0, 1).unwrap();
         assert_eq!(scaled.next_instance().unwrap().x.len(), 8);
         assert_eq!(full.schema().name, "elec-like");
-    }
-
-    #[test]
-    fn build_all_returns_all_rows_in_order() {
-        let all = build_all(0.005, 3);
-        assert_eq!(all.len(), 13);
-        assert_eq!(all[0].0, "Electricity");
-        assert_eq!(all[12].0, "Hyperplane");
     }
 
     #[test]

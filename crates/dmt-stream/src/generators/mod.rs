@@ -2,19 +2,15 @@
 //!
 //! [`sea`], [`agrawal`] and [`hyperplane`] re-implement the scikit-multiflow
 //! generators used for the paper's synthetic experiments (Table I, Fig. 3).
-//! [`rbf`], [`stagger`] and [`led`] are additional classic stream generators
-//! provided for the extension/ablation experiments.
+//! [`rbf`] is the Random RBF generator behind the throughput benchmark's RBF
+//! stream.
 
 pub mod agrawal;
 pub mod hyperplane;
-pub mod led;
 pub mod rbf;
 pub mod sea;
-pub mod stagger;
 
 pub use agrawal::AgrawalGenerator;
 pub use hyperplane::HyperplaneGenerator;
-pub use led::LedGenerator;
 pub use rbf::RandomRbfGenerator;
 pub use sea::SeaGenerator;
-pub use stagger::StaggerGenerator;

@@ -6,19 +6,19 @@
 //! * [`instance`] — [`instance::Instance`] and [`instance::Batch`] containers.
 //! * [`stream`] — the [`stream::DataStream`] trait plus an in-memory stream.
 //! * [`generators`] — faithful re-implementations of the scikit-multiflow
-//!   synthetic generators used in the paper (SEA, Agrawal, Hyperplane) and a
-//!   few extras (RandomRBF, STAGGER, LED) for extension experiments.
+//!   synthetic generators used in the paper (SEA, Agrawal, Hyperplane) plus
+//!   RandomRBF, one of the throughput benchmark's streams.
 //! * [`drift`] — drift composition: abrupt concept switches and gradual
 //!   (sigmoid-weighted) transitions.
 //! * [`realworld`] — synthetic *simulators* for the real-world tabular data
 //!   sets of Table I (Electricity, Airlines, Bank, TüEyeQ, Poker, KDD,
 //!   Covertype, Gas, Insects). The originals are not redistributable /
 //!   available offline; the simulators match the published number of samples
-//!   (scaled), features, classes, class imbalance and drift type. See
-//!   DESIGN.md §4 for the substitution argument. For users holding the
-//!   original files, [`realworld::load_csv`] reads a numeric CSV into a
-//!   [`MaterializedStream`] with typed [`realworld::CsvError`]s for every
-//!   malformed input.
+//!   (scaled), features, classes, class imbalance and drift type. The
+//!   [`realworld`] module docs give the substitution argument. For users
+//!   holding the original files, [`realworld::load_csv`] reads a numeric CSV
+//!   into a [`MaterializedStream`] with typed [`realworld::CsvError`]s for
+//!   every malformed input.
 //! * [`transform`] — min-max normalization and stream truncation/scaling
 //!   utilities used by the evaluation harness.
 //! * [`workload`] — named real-world-style workloads backed by

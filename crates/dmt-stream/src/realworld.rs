@@ -3,9 +3,9 @@
 //! The paper evaluates on ten real-world data sets (Electricity, Airlines,
 //! Bank, TüEyeQ, Poker-Hand, KDD Cup 1999, Covertype, Gas, Insects-Abrupt and
 //! Insects-Incremental). Those files are proprietary or hosted on OpenML/UCI
-//! and are not available in this offline reproduction. Following the
-//! substitution rule of DESIGN.md §4, each data set is replaced by a
-//! *simulator*: a drifting Gaussian-mixture stream that matches the published
+//! and are not available in this offline reproduction, so each data set is
+//! replaced by a *simulator*: a drifting Gaussian-mixture stream that matches
+//! the published
 //!
 //! * number of samples (optionally scaled down),
 //! * number of features,

@@ -85,14 +85,6 @@ impl<'a> SourceFile<'a> {
         self.matching.get(idx).copied().flatten()
     }
 
-    /// 1-based source line text (empty for out-of-range).
-    pub fn line_text(&self, line: u32) -> &str {
-        self.lines
-            .get((line as usize).saturating_sub(1))
-            .copied()
-            .unwrap_or("")
-    }
-
     /// The `// SAFETY:` convention: walking up from the line above `line`,
     /// skipping attribute lines, the first thing encountered must be a
     /// contiguous `//` comment block whose **first** line starts with

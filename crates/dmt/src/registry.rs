@@ -28,9 +28,9 @@
 //! ([`RegistryConfig::fleet_budget_bytes`]): every tenant receives an equal
 //! share of the pool as its
 //! [`DmtConfig::memory_budget_bytes`](dmt_core::DmtConfig::memory_budget_bytes),
-//! re-arbitrated whenever tenants join or leave (or the pool is resized), so
-//! a fleet of thousands of models degrades gracefully instead of any one
-//! tree growing unbounded.
+//! re-arbitrated whenever tenants join or leave, so a fleet of thousands of
+//! models degrades gracefully instead of any one tree growing unbounded. The
+//! pool is fixed for the registry's lifetime.
 //!
 //! ## Crash safety and hot swap
 //!
@@ -162,7 +162,7 @@ pub struct LearnOutcome {
 }
 
 /// A point-in-time view of one tenant, as served by the `stats` op.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TenantStats {
     /// Tenant name.
     pub name: String,
@@ -216,7 +216,7 @@ impl Tenant {
 /// [module docs](self)).
 pub struct ModelRegistry {
     tenants: RwLock<HashMap<String, Arc<Tenant>>>,
-    fleet_budget: Mutex<Option<usize>>,
+    fleet_budget: Option<usize>,
 }
 
 impl ModelRegistry {
@@ -224,7 +224,7 @@ impl ModelRegistry {
     pub fn new(config: RegistryConfig) -> Self {
         Self {
             tenants: RwLock::new(HashMap::new()),
-            fleet_budget: Mutex::new(config.fleet_budget_bytes),
+            fleet_budget: config.fleet_budget_bytes,
         }
     }
 
@@ -414,41 +414,18 @@ impl ModelRegistry {
         })
     }
 
-    /// Resize (or disarm, with `None`) the fleet-wide byte pool and
-    /// re-arbitrate every tenant's share.
-    pub fn set_fleet_budget(&self, bytes: Option<usize>) {
-        {
-            let mut guard = match self.fleet_budget.lock() {
-                Ok(guard) => guard,
-                Err(poisoned) => poisoned.into_inner(),
-            };
-            *guard = bytes;
-        }
-        self.rebalance();
-    }
-
-    /// The configured fleet-wide byte pool.
-    pub fn fleet_budget(&self) -> Option<usize> {
-        match self.fleet_budget.lock() {
-            Ok(guard) => *guard,
-            Err(poisoned) => *poisoned.into_inner(),
-        }
-    }
-
     /// Re-arbitrate the fleet byte pool across the tenants: each receives an
     /// equal share `fleet / n`, applied through
     /// [`DynamicModelTree::set_memory_budget`] (the budget ladder enforces
     /// it at the tenant's next learn batch). With no fleet budget every
-    /// tenant is disarmed. Runs automatically on register, remove and
-    /// [`ModelRegistry::set_fleet_budget`]; a swap keeps the tenant count,
-    /// so it keeps the share too.
-    pub fn rebalance(&self) {
-        let fleet = self.fleet_budget();
+    /// tenant is disarmed. Runs on register and remove; a swap keeps the
+    /// tenant count, so it keeps the share too.
+    fn rebalance(&self) {
         let tenants: Vec<Arc<Tenant>> = self.read_map().values().cloned().collect();
         if tenants.is_empty() {
             return;
         }
-        let share = fleet.map(|bytes| bytes / tenants.len());
+        let share = self.fleet_budget.map(|bytes| bytes / tenants.len());
         for tenant in tenants {
             tenant.lock_writer().set_memory_budget(share);
         }
@@ -634,8 +611,13 @@ mod tests {
             registry.stats("a").expect("stats").budget_bytes,
             Some(1 << 20)
         );
-        registry.set_fleet_budget(None);
-        assert_eq!(registry.stats("a").expect("stats").budget_bytes, None);
+        // A registry without a pool leaves its tenants unbudgeted.
+        let unbudgeted = ModelRegistry::new(RegistryConfig::default());
+        register_dmt(&unbudgeted, "a");
+        register_dmt(&unbudgeted, "b");
+        for name in ["a", "b"] {
+            assert_eq!(unbudgeted.stats(name).expect("stats").budget_bytes, None);
+        }
     }
 
     #[test]

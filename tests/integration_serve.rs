@@ -529,7 +529,7 @@ fn fuzz_corpus() -> Vec<Vec<u8>> {
             observations: 131_072,
         }
         .encode(),
-        Response::Stats(dmt_serve::WireStats {
+        Response::Stats(dmt::registry::TenantStats {
             name: "m".to_string(),
             kind: "DMT (ours)".to_string(),
             epoch: 7,

@@ -320,6 +320,28 @@ fn hostile_envelopes_map_to_their_error_variants() {
     );
     assert!(DynamicModelTree::from_snapshot_bytes(&garbage).is_err());
 
+    // A checksum-valid snapshot whose ε lies outside (0, 1]: the AIC
+    // threshold would panic on the first structural check, so the load must
+    // refuse it. The bounds themselves still load.
+    let schema = StreamSchema::numeric("epsilon-range", 2, 2);
+    for (epsilon, loads) in [
+        (0.0, false),
+        (2.0, false),
+        (-1.0, false),
+        (1.0, true),
+        (1e-8, true),
+    ] {
+        let config = DmtConfig {
+            epsilon,
+            ..DmtConfig::default()
+        };
+        let bytes = DynamicModelTree::new(schema.clone(), config).to_snapshot_bytes();
+        match (DynamicModelTree::from_snapshot_bytes(&bytes), loads) {
+            (Ok(_), true) | (Err(SnapshotError::Invalid(_)), false) => {}
+            (other, _) => panic!("epsilon {epsilon}: got {:?}", other.map(|_| ())),
+        }
+    }
+
     // The magic constant is what the files actually start with.
     assert_eq!(&valid[..8], &SNAPSHOT_MAGIC);
 }
